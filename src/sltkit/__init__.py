@@ -19,6 +19,7 @@ from .automata import (
     parse_word,
     relabel,
     totalize,
+    trim,
     union_nfa,
     word_set_nfa,
 )
@@ -48,7 +49,9 @@ from .construction import (
     medvedev_width2,
     nfa_fingerprint,
     parse_decomposition,
+    prepare,
     serialize_decomposition,
+    state_code,
 )
 from .slt import (
     MinWidthResult,

@@ -264,6 +264,36 @@ def totalize(m: Nfa) -> Nfa:
                initial=m.initial, finals=m.finals)
 
 
+def trim(m: Nfa) -> Nfa:
+    """The accessible and co-accessible part of a machine.
+
+    Surviving states keep their relative order and are renumbered densely.
+    The initial state always survives, so an empty-language machine trims
+    to its initial state alone, without transitions.  A machine with
+    nothing to remove is returned unchanged; the language is never altered.
+    """
+    dist = _distance_to_final(m)
+    useful: set[int] = set()
+    if dist[m.initial] is not None:
+        useful.add(m.initial)
+        queue: deque[int] = deque([m.initial])
+        while queue:
+            q = queue.popleft()
+            for a in m.alphabet:
+                for dst in m.step(q, a):
+                    if dst not in useful and dist[dst] is not None:
+                        useful.add(dst)
+                        queue.append(dst)
+    kept = [t for t in m.transitions if t[0] in useful and t[2] in useful]
+    states = sorted(useful | {m.initial})
+    if len(states) == m.n and len(kept) == len(m.transitions):
+        return m
+    index = {q: i for i, q in enumerate(states)}
+    return Nfa(n=len(index), alphabet=m.alphabet,
+               transitions=tuple((index[s], a, index[d]) for s, a, d in kept),
+               initial=index[m.initial], finals=frozenset(index[q] for q in m.finals & useful))
+
+
 def accepts(m: Nfa, word: Sequence[str]) -> bool:
     """True iff some successful run is labelled by ``word``; the empty word
     is always rejected."""

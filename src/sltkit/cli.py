@@ -21,7 +21,6 @@ from .automata import (
     format_word,
     parse_nfa,
     parse_word,
-    totalize,
 )
 from .codes import build_code, choose_m, closed_form_m
 from .construction import (
@@ -31,6 +30,7 @@ from .construction import (
     medvedev_main,
     medvedev_width2,
     parse_decomposition,
+    prepare,
     serialize_decomposition,
 )
 from .slt import make_stream_recognizer, min_slt_width, slt_membership
@@ -73,9 +73,10 @@ def _check_out_path(path: str) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
-    machine = totalize(_read_nfa(args.nfa))
-    if args.ratio >= machine.n:
-        print(f"warning: ratio {args.ratio} >= state count {machine.n}; "
+    machine = _read_nfa(args.nfa)
+    states = prepare(machine).n
+    if args.ratio >= states:
+        print(f"warning: ratio {args.ratio} >= state count {states}; "
               "the width-2 construction would use no more symbols", file=sys.stderr)
     dec = medvedev_main(machine, args.ratio, set_cap=args.cap, word_cap=args.cap)
     FsPath(args.out).write_text(serialize_decomposition(dec))
@@ -88,8 +89,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_build2(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
-    machine = totalize(_read_nfa(args.nfa))
-    dec = medvedev_width2(machine)
+    dec = medvedev_width2(_read_nfa(args.nfa))
     FsPath(args.out).write_text(serialize_decomposition(dec))
     sizes = dec.slt
     print(f"written {args.out} kind=width2 k=2 |B|={len(sizes.alphabet)} "

@@ -27,7 +27,7 @@ from .automata import (
     enumerate_m_paths,
     format_word,
     parse_word,
-    totalize,
+    trim,
 )
 from .codes import Code, build_code
 from .slt import SltSpec
@@ -118,9 +118,24 @@ def nfa_fingerprint(m: Nfa) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _require_total(m: Nfa) -> None:
-    if not m.total:
-        raise ValueError("transition relation must be total (totalize first)")
+def prepare(m: Nfa) -> Nfa:
+    """The machine both constructions and the word encoder work on.
+
+    It is the trim part of ``m`` (see :func:`~sltkit.automata.trim`):
+    states that no successful run visits would only lengthen the state
+    code and enlarge the window sets.  Every machine with the same trim
+    part, such as ``m`` and ``totalize(m)``, gives the same decomposition.
+    """
+    return trim(m)
+
+
+def state_code(prepared: Nfa, h: int) -> Code:
+    """The main construction's state code for a prepared machine.
+
+    An empty-language machine prepares to a single state; the code is
+    built for at least two states, the smallest pool the recurrence has.
+    """
+    return build_code(max(prepared.n, 2), h)
 
 
 def pair_symbol(first: str, second: str) -> str:
@@ -138,9 +153,10 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     anchor the initial state, factors mirror the transition relation, and
     suffixes mark moves that can enter a final state.  The projection
     keeps the letter.  Single-symbol members are exactly the symbols that
-    are both an allowed prefix and an allowed suffix.
+    are both an allowed prefix and an allowed suffix.  The machine is
+    prepared first, so the alphabet has ``prepare(m).n * |A|`` symbols.
     """
-    _require_total(m)
+    m = prepare(m)
     symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
     alphabet = tuple(symbols[(q, a)] for q in range(m.n) for a in m.alphabet)
     prefixes = {(symbols[(m.initial, a)],) for a in m.alphabet}
@@ -310,12 +326,10 @@ def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
     part-way through a block.  Source words shorter than 3m are carried by
     the residual, so the short-word set stays empty.  The window sets are
     swept out of a context automaton with per-prefix deduplication rather
-    than by materialising path triples.
+    than by materialising path triples.  The machine is prepared first.
     """
-    _require_total(m)
-    if m.n < 2:
-        raise ValueError("construction requires at least 2 states")
-    code = build_code(m.n, h)
+    m = prepare(m)
+    code = state_code(m, h)
     blen = code.m
     width = 2 * blen
     if len(m.alphabet) * h > 256:
@@ -362,8 +376,9 @@ def _reference_main_sets(m: Nfa, code: Code, cap: int = DEFAULT_WORD_CAP):
 
     Definitional oracle for the swept construction; feasible only on small
     machines.  Returns (prefixes, suffixes, factors) as sets of words.
+    Unlike the constructions it does not prepare ``m``: it enumerates the
+    block triples of the machine it is given.
     """
-    _require_total(m)
     blen = code.m
     width = 2 * blen
     prefixes: set[Word] = set()
@@ -408,19 +423,24 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     """Encode a member of the machine's language into the local language.
 
     Words shorter than 3m are residual-handled and yield ``None``.  The
-    machine is totalized first so block encodings line up with the build.
+    machine is prepared as in the build, so block encodings line up with it;
+    a decomposition whose block length differs from the prepared machine's
+    state code (one built for another machine) is rejected.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
-    total = totalize(nfa)
+    prepared = prepare(nfa)
     word = tuple(word)
-    if not accepts(total, word):
+    if not accepts(prepared, word):
         raise ValueError("word is not in the machine's language")
     assert dec.m is not None and dec.h is not None
+    code = state_code(prepared, dec.h)
+    if code.m != dec.m:
+        raise ValueError(f"decomposition has block length {dec.m}, but the machine's "
+                         f"state code has block length {code.m}")
     if len(word) < 3 * dec.m:
         return None
-    code = build_code(total.n, dec.h)
-    return _encode_blocks(code, _find_path(total, word))
+    return _encode_blocks(code, _find_path(prepared, word))
 
 
 def decode_word(dec: Decomposition, word: Sequence[str]) -> Word:

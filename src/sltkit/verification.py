@@ -27,12 +27,10 @@ from .automata import (
     nfa_equivalent,
     parse_nfa,
     relabel,
-    totalize,
     union_nfa,
     word_set_nfa,
 )
 from .codes import (
-    build_code,
     choose_m,
     closed_form_m,
     f_value,
@@ -47,6 +45,8 @@ from .construction import (
     medvedev_main,
     medvedev_width2,
     parse_decomposition,
+    prepare,
+    state_code,
 )
 from .slt import slt_membership, slt_to_nfa, window_ops
 
@@ -311,10 +311,8 @@ def _run_corpus_file(nfa_path: str, dec_paths: tuple[str, ...],
         machine = parse_nfa(FsPath(nfa_path).read_text())
     except (OSError, ValueError) as exc:
         return [CorpusEntry(name, "parse", False, f"error={exc}")]
-    total = totalize(machine)
-
     try:
-        report = verify_decomposition(machine, medvedev_width2(total), mode="exact",
+        report = verify_decomposition(machine, medvedev_width2(machine), mode="exact",
                                       word_cap=config.word_cap)
         entries.append(CorpusEntry(name, "width2", report.ok, _witness_detail(report)))
     except (ValueError, CapacityError) as exc:
@@ -323,7 +321,7 @@ def _run_corpus_file(nfa_path: str, dec_paths: tuple[str, ...],
     for h in config.ratios:
         task = f"main h={h}"
         try:
-            dec = medvedev_main(total, h, set_cap=config.set_cap,
+            dec = medvedev_main(machine, h, set_cap=config.set_cap,
                                 word_cap=config.word_cap)
             report = verify_decomposition(machine, dec, mode=config.mode,
                                           horizon=config.horizon,
@@ -333,7 +331,7 @@ def _run_corpus_file(nfa_path: str, dec_paths: tuple[str, ...],
             entries.append(CorpusEntry(name, task, False, f"error={exc}"))
         if config.check_codes:
             try:
-                check = verify_factor_decodable(build_code(total.n, h))
+                check = verify_factor_decodable(state_code(prepare(machine), h))
                 detail = f"windows={check.windows_checked}"
                 if check.witness is not None:
                     detail += " witness=" + ".".join(check.witness)

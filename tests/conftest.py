@@ -32,7 +32,7 @@ def build_main(machines):
 
     def _build(name: str, h: int) -> sk.Decomposition:
         if (name, h) not in cache:
-            cache[(name, h)] = sk.medvedev_main(sk.totalize(machines[name]), h)
+            cache[(name, h)] = sk.medvedev_main(machines[name], h)
         return cache[(name, h)]
 
     return _build

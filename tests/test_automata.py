@@ -101,6 +101,52 @@ class TestTotalize:
             assert sk.enumerate_language(m, max_len) == sk.enumerate_language(t, max_len)
 
 
+class TestTrim:
+    # state 0 is unreachable, 3 is dead, 4 is unreachable and dead
+    NON_TRIM = Nfa(n=5, alphabet=("a", "b"),
+                   transitions=((0, "a", 1), (1, "a", 2), (1, "b", 3), (2, "b", 1),
+                                (3, "a", 3), (4, "b", 2)),
+                   initial=1, finals=frozenset({2}))
+
+    def test_removes_useless_states_in_order(self):
+        t = sk.trim(self.NON_TRIM)
+        assert t == Nfa(n=2, alphabet=("a", "b"), transitions=((0, "a", 1), (1, "b", 0)),
+                        initial=0, finals=frozenset({1}))
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_totalized_machine_trims_alike(self, name, machines):
+        m = machines[name]
+        assert sk.trim(sk.totalize(m)) == sk.trim(m)
+        for max_len in (4, 8):
+            assert sk.enumerate_language(sk.trim(m), max_len) == sk.enumerate_language(m, max_len)
+
+    def test_idempotent(self, machines):
+        for m in (*machines.values(), self.NON_TRIM):
+            t = sk.trim(m)
+            assert sk.trim(t) is t
+
+    def test_trim_machine_returned_unchanged(self, machines, aplus):
+        assert sk.trim(aplus) is aplus
+        assert sk.trim(machines["evens"]) is machines["evens"]
+
+    def test_keeps_initial_state_and_order(self):
+        # initial state 2 sits between a dead state and two useful ones
+        m = Nfa(n=4, alphabet=("a",), transitions=((2, "a", 0), (2, "a", 3), (3, "a", 0)),
+                initial=2, finals=frozenset({0}))
+        t = sk.trim(m)
+        assert t == Nfa(n=3, alphabet=("a",), transitions=((1, "a", 0), (1, "a", 2), (2, "a", 0)),
+                        initial=1, finals=frozenset({0}))
+
+    def test_empty_language_keeps_initial_state_alone(self):
+        m = Nfa(n=3, alphabet=("a", "b"), transitions=((1, "a", 1), (1, "b", 0)),
+                initial=1, finals=frozenset({2}))
+        for machine in (m, sk.totalize(m)):
+            t = sk.trim(machine)
+            assert t == Nfa(n=1, alphabet=("a", "b"), transitions=(), initial=0,
+                            finals=frozenset())
+            assert sk.trim(t) is t
+
+
 class TestAccepts:
     def test_basic(self, aplus):
         assert sk.accepts(aplus, tuple("aaa"))

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,15 @@ class TestBuildVerify:
         status, out = run(capsys, "verify", "--nfa", workdir / "aplus.nfa",
                           "--dec", dec_path, "--mode", "exact")
         assert status == 1 and "verdict=FAIL" in out and "missing=" in out
+
+    def test_ratio_warning_counts_prepared_states(self, tmp_path, capsys):
+        nfa_path = tmp_path / "needs_sink.nfa"
+        nfa_path.write_text(corpus_text("needs_sink"))
+        status = main(["build", "--nfa", str(nfa_path), "--ratio", "2",
+                       "--out", str(tmp_path / "needs_sink.h2.dec")])
+        captured = capsys.readouterr()
+        assert status == 0 and "m=4" in captured.out
+        assert "warning: ratio 2 >= state count 2;" in captured.err
 
     def test_missing_argument_is_usage_error(self, workdir, capsys):
         assert main(["verify", "--nfa", str(workdir / "aplus.nfa")]) == 2
@@ -174,3 +186,13 @@ class TestCorpusCommand:
         assert lines[-1].startswith("tasks=") and lines[-1].endswith("failures=0")
         assert any(line.startswith("file=aplus.nfa task=width2 result=pass")
                    for line in lines)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(sk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-m", "sltkit", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: sltkit")

@@ -5,7 +5,7 @@ from sltkit import Nfa, Path
 from sltkit.codes import build_code
 from sltkit.construction import _encode_blocks, _find_path, _reference_main_sets
 
-from conftest import corpus_text
+from conftest import CORPUS_NAMES, corpus_text
 
 
 def W(s: str):
@@ -36,26 +36,30 @@ class TestWidth2:
 
     def test_alphabet_size_is_states_times_letters(self, machines):
         for m in machines.values():
-            total = sk.totalize(m)
-            dec = sk.medvedev_width2(total)
-            assert len(dec.slt.alphabet) == total.n * len(total.alphabet)
+            for machine in (m, sk.totalize(m)):
+                dec = sk.medvedev_width2(machine)
+                assert len(dec.slt.alphabet) == sk.trim(m).n * len(m.alphabet)
 
     def test_image_equals_language(self, aplus):
         dec = sk.medvedev_width2(aplus)
         local = sk.enumerate_language(sk.slt_to_nfa(dec.slt), 8)
         assert sorted({dec.pi(z) for z in local}) == sk.enumerate_language(aplus, 8)
 
-    def test_requires_total(self):
+    def test_partial_machine_is_accepted(self):
         partial = sk.parse_nfa(corpus_text("needs_sink"))
-        with pytest.raises(ValueError, match="total"):
-            sk.medvedev_width2(partial)
+        dec = sk.medvedev_width2(partial)
+        assert dec.slt.alphabet == ("q0|a", "q0|b", "q1|a", "q1|b")
+        assert dec == sk.medvedev_width2(sk.totalize(partial))
+        assert sk.verify_decomposition(partial, dec, mode="exact").ok
 
     def test_unreachable_finals(self):
         m = sk.totalize(Nfa(n=3, alphabet=("a",), transitions=((0, "a", 0), (1, "a", 2)),
                             initial=0, finals=frozenset({2})))
         dec = sk.medvedev_width2(m)
-        assert ("q1|a",) in dec.slt.suffixes
+        assert dec.slt.alphabet == ("q0|a",)
+        assert dec.slt.suffixes == () and dec.slt.short_words == ()
         assert sk.enumerate_language(sk.slt_to_nfa(dec.slt), 6) == []
+        assert sk.verify_decomposition(m, dec, mode="exact").ok
 
 
 class TestPathEncodingWidth2:
@@ -141,10 +145,43 @@ class TestMainSets:
     def test_sweep_matches_on_totalized_corpus_machine(self):
         total = sk.totalize(sk.parse_nfa(corpus_text("needs_sink")))
         dec = sk.medvedev_main(total, 2)
-        prefixes, suffixes, factors = _reference_main_sets(total, build_code(total.n, 2))
+        trimmed = sk.trim(total)
+        prefixes, suffixes, factors = _reference_main_sets(trimmed, build_code(trimmed.n, 2))
         assert set(dec.slt.prefixes) == prefixes
         assert set(dec.slt.suffixes) == suffixes
         assert set(dec.slt.factors) == factors
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_sweep_matches_on_prepared_corpus_machines(self, machines, name, h):
+        prepared = sk.prepare(machines[name])
+        dec = sk.medvedev_main(machines[name], h)
+        prefixes, suffixes, factors = _reference_main_sets(prepared,
+                                                           sk.state_code(prepared, h))
+        assert set(dec.slt.prefixes) == prefixes
+        assert set(dec.slt.suffixes) == suffixes
+        assert set(dec.slt.factors) == factors
+
+    def test_literal_construction_on_totalized_machine(self):
+        """The paper's construction on the totalized machine, sink included,
+        has the same language as the build on the trimmed machine."""
+        machine = sk.parse_nfa(corpus_text("needs_sink"))
+        total = sk.totalize(machine)
+        code = build_code(total.n, 2)
+        prefixes, suffixes, factors = _reference_main_sets(total, code)
+        symbols = tuple(f"{a}|{d}" for a in total.alphabet for d in code.digits)
+        literal = sk.Decomposition(
+            kind="main", h=2, m=code.m,
+            slt=sk.SltSpec(width=2 * code.m, alphabet=symbols, prefixes=tuple(prefixes),
+                           suffixes=tuple(suffixes), factors=tuple(factors)),
+            pi=sk.Homomorphism(tuple((s, s.split("|")[0]) for s in symbols)),
+            residual=tuple(sk.enumerate_language(total, 3 * code.m - 1)))
+        trimmed = sk.medvedev_main(machine, 2)
+        assert literal.m == 5 and trimmed.m == 4
+        assert len(literal.slt.factors) > len(trimmed.slt.factors)
+        assert sk.verify_decomposition(machine, literal, mode="exact").ok
+        assert sk.nfa_equivalent(projected_language(literal, machine.alphabet),
+                                 projected_language(trimmed, machine.alphabet)).equivalent
 
     def test_shape(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)
@@ -159,14 +196,24 @@ class TestMainSets:
         assert dec.m == 4
         assert dec.residual == tuple(("a",) * i for i in range(1, 12))
 
-    def test_requires_total_and_two_states(self):
+    def test_partial_machine_is_accepted(self):
         partial = sk.parse_nfa(corpus_text("needs_sink"))
-        with pytest.raises(ValueError, match="total"):
-            sk.medvedev_main(partial, 2)
-        single = sk.totalize(Nfa(n=1, alphabet=("a",), transitions=((0, "a", 0),),
-                                 initial=0, finals=frozenset()))
-        with pytest.raises(ValueError, match="states"):
-            sk.medvedev_main(single, 2)
+        dec = sk.medvedev_main(partial, 2)
+        assert dec.m == 4 and len(dec.slt.alphabet) == 2 * len(partial.alphabet)
+        assert dec == sk.medvedev_main(sk.totalize(partial), 2)
+        assert sk.verify_decomposition(partial, dec, mode="exact").ok
+
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_empty_language_gives_empty_decomposition(self, h):
+        single = Nfa(n=1, alphabet=("a",), transitions=((0, "a", 0),),
+                     initial=0, finals=frozenset())
+        for machine in (single, sk.totalize(single)):
+            dec = sk.medvedev_main(machine, h)
+            assert dec.m == build_code(2, h).m
+            assert dec.slt.prefixes == dec.slt.suffixes == dec.slt.factors == ()
+            assert dec.residual == ()
+            report = sk.verify_decomposition(machine, dec, mode="exact")
+            assert report.ok and report.mode == "exact"
 
     @staticmethod
     def sample_paths(m, origin, length, limit):
@@ -233,12 +280,40 @@ class TestWordEncoding:
         with pytest.raises(ValueError, match="language"):
             sk.encode_word(aplus, dec, ())
 
+    def test_block_length_mismatch_rejected(self, machines):
+        dec = sk.medvedev_main(machines["abbplus"], 2)  # four states: m=6
+        assert dec.m == 6
+        with pytest.raises(ValueError, match="block length"):
+            sk.encode_word(machines["aplus"], dec, ("a",) * 18)
+
     def test_decode_is_projection(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)
         assert sk.decode_word(dec, ("a|0", "b|1")) == ("a", "b")
         assert sk.decode_word(dec, ()) == ()
         with pytest.raises(ValueError):
             sk.decode_word(dec, ("z|9",))
+
+
+def projected_language(dec, alphabet) -> Nfa:
+    """An NFA for the projected slt language of ``dec`` plus its residual."""
+    image = sk.relabel(sk.slt_to_nfa(dec.slt), dict(dec.pi.pairs), alphabet)
+    if dec.residual:
+        image = sk.union_nfa(image, sk.word_set_nfa(dec.residual, alphabet))
+    return image
+
+
+class TestPreparedMachine:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize("h", [None, 2, 3])
+    def test_totalized_build_is_byte_identical(self, machines, name, h):
+        machine = machines[name]
+
+        def build(m):
+            return sk.medvedev_width2(m) if h is None else sk.medvedev_main(m, h)
+
+        text = sk.serialize_decomposition(build(machine))
+        assert sk.serialize_decomposition(build(sk.totalize(machine))) == text
+        assert f"source {sk.nfa_fingerprint(sk.trim(machine))}\n" in text
 
 
 class TestSerialization:

@@ -1,0 +1,65 @@
+"""Differential tests over small random machines: partial, non-trim,
+multi-final and empty-language ones, through both constructions."""
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+import sltkit as sk
+from sltkit import Nfa
+
+
+@st.composite
+def random_machines(draw):
+    n = draw(st.integers(1, 5))
+    alphabet = ("a", "b")[:draw(st.integers(1, 2))]
+    initial = draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != initial]
+    finals = draw(st.frozensets(st.sampled_from(others), min_size=1)) if others else frozenset()
+    transitions = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet),
+                                          st.integers(0, n - 1)), min_size=n, max_size=2 * n))
+    return Nfa(n=n, alphabet=alphabet, transitions=tuple(transitions), initial=initial,
+               finals=finals)
+
+
+def random_member(m: Nfa, length: int, rng: random.Random):
+    """A member of exactly ``length`` letters, drawn letter by letter, or None."""
+    ahead = [set(m.finals)]  # ahead[r]: states with a final state exactly r steps on
+    for _ in range(length):
+        ahead.append({src for src, _, dst in m.transitions if dst in ahead[-1]})
+    if m.initial not in ahead[length]:
+        return None
+    word, states = [], {m.initial}
+    for r in range(length, 0, -1):
+        successors = {a: {dst for q in states for dst in m.step(q, a) if dst in ahead[r - 1]}
+                      for a in m.alphabet}
+        a = rng.choice([a for a, targets in successors.items() if targets])
+        word.append(a)
+        states = successors[a]
+    return tuple(word)
+
+
+NON_TRIM_MULTI_FINAL = Nfa(n=5, alphabet=("a", "b"),
+                           transitions=((1, "a", 2), (1, "b", 3), (2, "a", 2), (3, "b", 0),
+                                        (4, "a", 1)),
+                           initial=1, finals=frozenset({2, 3}))
+EMPTY_LANGUAGE = Nfa(n=3, alphabet=("a", "b"), transitions=((0, "a", 0), (1, "b", 2)),
+                     initial=0, finals=frozenset({2}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=random_machines(), h=st.integers(2, 3), seed=st.integers(0, 2**16))
+@example(machine=NON_TRIM_MULTI_FINAL, h=2, seed=0)
+@example(machine=EMPTY_LANGUAGE, h=3, seed=0)
+def test_both_constructions_verify_exactly(machine, h, seed):
+    for dec in (sk.medvedev_width2(machine), sk.medvedev_main(machine, h)):
+        report = sk.verify_decomposition(machine, dec, mode="exact")
+        assert report.ok and report.mode == "exact", report
+    rng = random.Random(seed)
+    for length in (3 * dec.m, 3 * dec.m + 1, 4 * dec.m + 1):
+        word = random_member(machine, length, rng)
+        if word is None:
+            continue
+        z = sk.encode_word(machine, dec, word)
+        assert z is not None and sk.slt_membership(dec.slt, z)
+        assert sk.decode_word(dec, z) == word

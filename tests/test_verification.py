@@ -182,6 +182,20 @@ class TestCorpus:
         assert ("aplus.nfa", "width2") in tasks
         assert ("needs_sink.nfa", "main h=2") in tasks
         assert ("needs_sink.nfa", "code h=2") in tasks
+        # the code check covers the code the build uses: two states, m=4
+        machine = sk.parse_nfa(corpus_text("needs_sink"))
+        code = sk.state_code(sk.prepare(machine), 2)
+        assert code.m == sk.medvedev_main(machine, 2).m == 4
+        details = {(e.name, e.task): e.detail for e in report.entries}
+        windows = sk.verify_factor_decodable(code).windows_checked
+        assert details[("needs_sink.nfa", "code h=2")] == f"windows={windows}"
+
+    def test_empty_language_machine_passes(self, tmp_path):
+        (tmp_path / "none.nfa").write_text(
+            "alphabet a b\nstates 3\ninitial 0\nfinal 2\ntrans 0 a 1\ntrans 1 b 1\n")
+        report = sk.run_corpus(CorpusConfig(directory=str(tmp_path), ratios=(2, 3),
+                                            mode="exact"))
+        assert report.ok and len(report.entries) == 5
 
     def test_corrupted_fixture_reports_one_failure(self, tmp_path, aplus):
         directory = self.make_dir(tmp_path, ["aplus"])
