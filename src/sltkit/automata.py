@@ -121,6 +121,30 @@ class Nfa:
 
 
 @dataclass(frozen=True)
+class Table:
+    """An automaton as integer arrays, the form the subset searches run on.
+
+    ``succ[q][a]`` is the ascending tuple of successors of state ``q`` on
+    letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
+    states.  Nothing is validated or re-sorted: tables are built by code
+    that already holds canonical data, such as :func:`nfa_table` or the slt
+    compiler.
+    """
+
+    alphabet: tuple[str, ...]
+    succ: list[list[tuple[int, ...]]]
+    finals: frozenset[int]
+    initial: tuple[int, ...]
+
+
+def nfa_table(m: Nfa) -> Table:
+    """The table of a machine: same states, letters by alphabet position."""
+    step = m._step
+    return Table(m.alphabet, [[step.get((q, a), ()) for a in m.alphabet] for q in range(m.n)],
+                 m.finals, (m.initial,))
+
+
+@dataclass(frozen=True)
 class Path:
     """A run through an NFA: an origin state plus consecutive transitions.
 
@@ -272,15 +296,16 @@ def trim(m: Nfa) -> Nfa:
     to its initial state alone, without transitions.  A machine with
     nothing to remove is returned unchanged; the language is never altered.
     """
-    dist = _distance_to_final(m)
+    table = nfa_table(m)
+    dist = _distance_to_final(table)
     useful: set[int] = set()
     if dist[m.initial] is not None:
         useful.add(m.initial)
         queue: deque[int] = deque([m.initial])
         while queue:
             q = queue.popleft()
-            for a in m.alphabet:
-                for dst in m.step(q, a):
+            for targets in table.succ[q]:
+                for dst in targets:
                     if dst not in useful and dist[dst] is not None:
                         useful.add(dst)
                         queue.append(dst)
@@ -310,14 +335,16 @@ def accepts(m: Nfa, word: Sequence[str]) -> bool:
     return bool(states & m.finals)
 
 
-def _distance_to_final(m: Nfa) -> list[Optional[int]]:
+def _distance_to_final(t: Table) -> list[Optional[int]]:
     """Minimum number of transitions from each state to a final state."""
-    rev: dict[int, set[int]] = {q: set() for q in range(m.n)}
-    for src, _, dst in m.transitions:
-        rev[dst].add(src)
-    dist: list[Optional[int]] = [None] * m.n
+    rev: list[list[int]] = [[] for _ in t.succ]
+    for src, row in enumerate(t.succ):
+        for targets in row:
+            for dst in targets:
+                rev[dst].append(src)
+    dist: list[Optional[int]] = [None] * len(t.succ)
     queue: deque[int] = deque()
-    for q in m.finals:
+    for q in t.finals:
         dist[q] = 0
         queue.append(q)
     while queue:
@@ -329,32 +356,38 @@ def _distance_to_final(m: Nfa) -> list[Optional[int]]:
     return dist
 
 
-def _language_levels(m: Nfa, max_len: int, cap: int):
+def _language_levels(t: Table, max_len: int, cap: int):
     """Yield the sorted accepted words of each length 1..max_len in turn.
 
     Dead prefixes are pruned via distance-to-final, so sparse languages of
     long words stay cheap.  Raises :class:`CapacityError` once more than
     ``cap`` words have been produced in total.
     """
-    dist = _distance_to_final(m)
+    # states that cannot reach a final state get a distance past every bound
+    dist = [max_len + 1 if d is None else d for d in _distance_to_final(t)]
+    succ, finals = t.succ, t.finals
+    letters = tuple(enumerate(t.alphabet))
     produced = 0
     frontier: dict[Word, tuple[int, ...]] = {}
-    if dist[m.initial] is not None:
-        frontier[()] = (m.initial,)
+    start = tuple(q for q in t.initial if dist[q] <= max_len)
+    if start:
+        frontier[()] = start
     for length in range(1, max_len + 1):
         remaining = max_len - length
         level: list[Word] = []
         nxt: dict[Word, tuple[int, ...]] = {}
         for w, states in frontier.items():
-            for a in m.alphabet:
-                targets = {dst for q in states for dst in m.step(q, a)}
-                viable = tuple(sorted(
-                    q for q in targets if dist[q] is not None and dist[q] <= remaining))
+            for a, letter in letters:
+                if len(states) == 1:
+                    targets = succ[states[0]][a]
+                else:
+                    targets = tuple(sorted({dst for q in states for dst in succ[q][a]}))
+                viable = tuple(q for q in targets if dist[q] <= remaining)
                 if not viable:
                     continue
-                word = w + (a,)
+                word = w + (letter,)
                 nxt[word] = viable
-                if any(q in m.finals for q in viable):
+                if not finals.isdisjoint(viable):
                     level.append(word)
                     produced += 1
                     if produced > cap:
@@ -365,14 +398,22 @@ def _language_levels(m: Nfa, max_len: int, cap: int):
             break
 
 
-def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
-    """All accepted words of length 1..max_len in length-then-lex order.
+def table_language(t: Table, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
+    """All words of length 1..max_len a table accepts, in length-then-lex order.
 
     Raises :class:`CapacityError` once more than ``cap`` words are found.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    return [w for level in _language_levels(m, max_len, cap) for w in level]
+    return [w for level in _language_levels(t, max_len, cap) for w in level]
+
+
+def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
+    """All accepted words of length 1..max_len in length-then-lex order.
+
+    Raises :class:`CapacityError` once more than ``cap`` words are found.
+    """
+    return table_language(nfa_table(m), max_len, cap)
 
 
 def enumerate_m_paths(m: Nfa, origin: int, length: int,
@@ -415,7 +456,7 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
                    word_cap: int = DEFAULT_WORD_CAP) -> EquivalenceResult:
     """Decide (exactly or up to a length bound) whether two NFAs agree.
 
-    Exact mode runs the subset construction on the fly over the product and
+    Exact mode runs :func:`first_difference` on the machines' tables and
     raises :class:`CapacityError` past ``state_cap`` visited product states.
     On inequivalence a shortest (then lexicographically least) witness word
     is returned.
@@ -428,8 +469,8 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
         # compare length by length so a short witness is found before a
         # dense disagreeing language gets fully enumerated
         from itertools import zip_longest
-        levels1 = _language_levels(m1, max_len, word_cap)
-        levels2 = _language_levels(m2, max_len, word_cap)
+        levels1 = _language_levels(nfa_table(m1), max_len, word_cap)
+        levels2 = _language_levels(nfa_table(m2), max_len, word_cap)
         for level1, level2 in zip_longest(levels1, levels2, fillvalue=[]):
             if level1 != level2:
                 diff = set(level1) ^ set(level2)
@@ -438,31 +479,56 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
     if mode != "exact":
         raise ValueError(f"unknown mode: {mode!r}")
 
-    start = (frozenset({m1.initial}), frozenset({m2.initial}))
-    parent: dict[tuple[frozenset[int], frozenset[int]],
-                 Optional[tuple[tuple[frozenset[int], frozenset[int]], str]]] = {start: None}
-    queue: deque[tuple[frozenset[int], frozenset[int]]] = deque([start])
+    witness = first_difference(nfa_table(m1), nfa_table(m2), state_cap)
+    return EquivalenceResult(witness is None, witness)
+
+
+def first_difference(t1: Table, t2: Table,
+                     state_cap: int = DEFAULT_STATE_CAP) -> Optional[Word]:
+    """The length-lex least word accepted by exactly one of two tables over
+    the same alphabet, or ``None`` when their languages are equal.
+
+    Runs the subset construction on both tables at once, breadth first with
+    letters in alphabet order, so the first pair of subsets that disagree
+    on acceptance is reached by the least such word.  Raises
+    :class:`CapacityError` past ``state_cap`` visited product states.
+    """
+    succ1, succ2 = t1.succ, t2.succ
+    fin1, fin2 = t1.finals, t2.finals
+    letters = range(len(t1.alphabet))
+
+    def step(succ: list[list[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
+        if len(s) == 1:
+            return succ[s[0]][a]
+        return tuple(sorted({dst for q in s for dst in succ[q][a]}))
+
+    def accepting(s: tuple[int, ...], finals: frozenset[int]) -> bool:
+        return s[0] in finals if len(s) == 1 else not finals.isdisjoint(s)
+
+    start = (t1.initial, t2.initial)
+    parent: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                 Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]]] = {start: None}
+    queue = deque([start])
     while queue:
         pair = queue.popleft()
         s1, s2 = pair
-        if bool(s1 & m1.finals) != bool(s2 & m2.finals):
-            letters: list[str] = []
-            cur = pair
-            while parent[cur] is not None:
-                cur, a = parent[cur]  # type: ignore[misc]
-                letters.append(a)
-            return EquivalenceResult(False, tuple(reversed(letters)))
-        for a in m1.alphabet:
-            t1 = frozenset(dst for q in s1 for dst in m1.step(q, a))
-            t2 = frozenset(dst for q in s2 for dst in m2.step(q, a))
-            nxt = (t1, t2)
+        if accepting(s1, fin1) != accepting(s2, fin2):
+            word: list[str] = []
+            link = parent[pair]
+            while link is not None:
+                pair, a = link
+                word.append(t1.alphabet[a])
+                link = parent[pair]
+            return tuple(reversed(word))
+        for a in letters:
+            nxt = (step(succ1, s1, a), step(succ2, s2, a))
             if nxt not in parent:
                 if len(parent) >= state_cap:
                     raise CapacityError(
                         f"equivalence check exceeds cap of {state_cap} product states")
                 parent[nxt] = (pair, a)
                 queue.append(nxt)
-    return EquivalenceResult(True)
+    return None
 
 
 def relabel(m: Nfa, mapping: dict[str, str], alphabet: Sequence[str]) -> Nfa:

@@ -151,17 +151,19 @@ def medvedev_width2(m: Nfa) -> Decomposition:
 
     A pair <q,a> means "took an a-transition out of q"; allowed prefixes
     anchor the initial state, factors mirror the transition relation, and
-    suffixes mark moves that can enter a final state.  The projection
-    keeps the letter.  Single-symbol members are exactly the symbols that
-    are both an allowed prefix and an allowed suffix.  The machine is
-    prepared first, so the alphabet has ``prepare(m).n * |A|`` symbols.
+    suffixes mark moves that can enter a final state.  Only pairs some run
+    takes appear in a prefix or factor: <q,b> needs a b-transition out of
+    q.  The projection keeps the letter.  Single-symbol members are exactly
+    the symbols that are both an allowed prefix and an allowed suffix.  The
+    machine is prepared first, so the alphabet has ``prepare(m).n * |A|``
+    symbols.
     """
     m = prepare(m)
     symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
     alphabet = tuple(symbols[(q, a)] for q in range(m.n) for a in m.alphabet)
-    prefixes = {(symbols[(m.initial, a)],) for a in m.alphabet}
+    prefixes = {(symbols[(m.initial, a)],) for a in m.alphabet if m.step(m.initial, a)}
     factors = {(symbols[(p, a)], symbols[(q, b)])
-               for p, a, q in m.transitions for b in m.alphabet}
+               for p, a, q in m.transitions for b in m.alphabet if m.step(q, b)}
     suffixes = {(symbols[(p, a)],) for p, a, q in m.transitions if q in m.finals}
     spec = SltSpec(width=2, alphabet=alphabet, prefixes=tuple(prefixes),
                    suffixes=tuple(suffixes), factors=tuple(factors),
@@ -423,9 +425,10 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     """Encode a member of the machine's language into the local language.
 
     Words shorter than 3m are residual-handled and yield ``None``.  The
-    machine is prepared as in the build, so block encodings line up with it;
-    a decomposition whose block length differs from the prepared machine's
-    state code (one built for another machine) is rejected.
+    machine is prepared as in the build, so block encodings line up with it.
+    A decomposition built for another machine is rejected: one whose block
+    length differs from the prepared machine's state code, or whose
+    ``source_fingerprint`` is set and differs from the prepared machine's.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
@@ -438,6 +441,10 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     if code.m != dec.m:
         raise ValueError(f"decomposition has block length {dec.m}, but the machine's "
                          f"state code has block length {code.m}")
+    fingerprint = nfa_fingerprint(prepared)
+    if dec.source_fingerprint and dec.source_fingerprint != fingerprint:
+        raise ValueError(f"decomposition was built for machine {dec.source_fingerprint}, "
+                         f"not for this one ({fingerprint})")
     if len(word) < 3 * dec.m:
         return None
     return _encode_blocks(code, _find_path(prepared, word))

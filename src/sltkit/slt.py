@@ -17,6 +17,7 @@ from .automata import (
     DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
+    Table,
     Word,
     enumerate_language,
     nfa_equivalent,
@@ -179,16 +180,21 @@ def make_stream_recognizer(spec: SltSpec) -> StreamRecognizer:
     return StreamRecognizer(spec)
 
 
-def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:
-    """Compile a spec to an NFA accepting exactly its language.
+def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
+    """Compile a spec to a table accepting exactly its language.
 
     States track the word read so far while it is shorter than the window,
     then the most recent (k-1)-window.  Entry into the first full window is
     kept distinct from later windows so that words of length exactly k-1
-    are decided by the short-word set alone.
+    are decided by the short-word set alone.  The table is deterministic:
+    each state has at most one successor per symbol.  State 0 is initial;
+    the shorter words are visited in canonical order, then the windows
+    breadth first, and states are numbered as they are first reached.
     """
     k = spec.width
-    key = lambda w: tuple(spec._index[s] for s in w)
+    index = spec._index
+    n_symbols = len(spec.alphabet)
+    key = lambda w: tuple(index[s] for s in w)
 
     fresh_pool = set(spec.prefixes) | {w for w in spec.short_words if len(w) == k - 1}
     prefix_pool: set[Word] = set()
@@ -196,60 +202,77 @@ def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:
         for i in range(min(len(w), k - 1)):
             prefix_pool.add(w[:i])
 
-    ids: dict[tuple[str, Word], int] = {}
-
-    def sid(kind: str, word: Word) -> int:
-        state = ids.setdefault((kind, word), len(ids))
-        if len(ids) > state_cap:
-            raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
-        return state
-
-    initial = sid("p", ())
-    transitions: list[tuple[int, str, int]] = []
+    succ: list[list[tuple[int, ...]]] = []
     finals: set[int] = set()
+    growing: dict[Word, int] = {}  # words shorter than k-1
+    fresh: dict[Word, int] = {}    # the first full (k-1)-window
+    windows: dict[Word, int] = {}  # every later (k-1)-window
+    window_queue: deque[tuple[Word, int]] = deque()
 
+    def new_state() -> int:
+        if len(succ) >= state_cap:
+            raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
+        succ.append([()] * n_symbols)
+        return len(succ) - 1
+
+    def state(ids: dict[Word, int], word: Word) -> int:
+        q = ids.get(word)
+        if q is None:
+            q = ids[word] = new_state()
+        return q
+
+    def enter(row: list[tuple[int, ...]], u: Word) -> None:
+        """Add the moves of window ``u`` to ``row``, queueing new windows."""
+        for a, v in continuations.get(u, ()):
+            q = windows.get(v)
+            if q is None:
+                q = windows[v] = new_state()
+                window_queue.append((v, q))
+            row[a] = (q,)
+
+    state(growing, ())
     for u in sorted(prefix_pool, key=key):
-        src = sid("p", u)
+        src = state(growing, u)
         if u in spec._short_set:
             finals.add(src)
-        for a in spec.alphabet:
-            ext = u + (a,)
+        row = succ[src]
+        for a, symbol in enumerate(spec.alphabet):
+            ext = u + (symbol,)
             if len(ext) <= k - 2 and ext in prefix_pool:
-                transitions.append((src, a, sid("p", ext)))
+                row[a] = (state(growing, ext),)
             elif len(ext) == k - 1 and ext in fresh_pool:
-                transitions.append((src, a, sid("f", ext)))
+                row[a] = (state(fresh, ext),)
 
-    continuations: dict[Word, list[str]] = {}
+    # each factor u+(a,) moves window u on symbol a to window factor[1:]
+    continuations: dict[Word, list[tuple[int, Word]]] = {}
     for f in spec.factors:
-        continuations.setdefault(f[:-1], []).append(f[-1])
-
-    window_queue: deque[Word] = deque()
-    window_seen: set[Word] = set()
-
-    def window_state(w: Word) -> int:
-        if w not in window_seen:
-            window_seen.add(w)
-            window_queue.append(w)
-        return sid("w", w)
+        continuations.setdefault(f[:-1], []).append((index[f[-1]], f[1:]))
 
     for u in sorted(fresh_pool, key=key):
-        src = sid("f", u)
+        src = state(fresh, u)
         if u in spec._short_set:
             finals.add(src)
         if u in spec._prefix_set:
-            for a in continuations.get(u, ()):
-                transitions.append((src, a, window_state(u[1:] + (a,))))
+            enter(succ[src], u)
 
     while window_queue:
-        u = window_queue.popleft()
-        src = sid("w", u)
+        u, src = window_queue.popleft()
         if u in spec._suffix_set:
             finals.add(src)
-        for a in continuations.get(u, ()):
-            transitions.append((src, a, window_state(u[1:] + (a,))))
+        enter(succ[src], u)
 
-    return Nfa(n=len(ids), alphabet=spec.alphabet, transitions=tuple(transitions),
-               initial=initial, finals=frozenset(finals))
+    return Table(spec.alphabet, succ, frozenset(finals), (0,))
+
+
+def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:
+    """Compile a spec to an NFA accepting exactly its language: the
+    :func:`compile_spec` table with symbols as letters."""
+    table = compile_spec(spec, state_cap)
+    alphabet = spec.alphabet
+    transitions = tuple((q, alphabet[a], dst) for q, row in enumerate(table.succ)
+                        for a, targets in enumerate(row) for dst in targets)
+    return Nfa(n=len(table.succ), alphabet=alphabet, transitions=transitions,
+               initial=table.initial[0], finals=table.finals)
 
 
 def infer_slt(sample: Iterable[Word], k: int,

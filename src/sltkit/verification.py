@@ -21,14 +21,14 @@ from .automata import (
     DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
+    Table,
     Word,
     accepts,
     enumerate_language,
-    nfa_equivalent,
+    first_difference,
+    nfa_table,
     parse_nfa,
-    relabel,
-    union_nfa,
-    word_set_nfa,
+    table_language,
 )
 from .codes import (
     choose_m,
@@ -48,7 +48,7 @@ from .construction import (
     prepare,
     state_code,
 )
-from .slt import slt_membership, slt_to_nfa, window_ops
+from .slt import compile_spec, slt_membership, window_ops
 
 
 @dataclass(frozen=True)
@@ -86,37 +86,80 @@ def _set_sizes(dec: Decomposition) -> dict[str, int]:
             "residual": len(dec.residual)}
 
 
+def _project(dec: Decomposition, compiled: Table, letters: tuple[str, ...]) -> Table:
+    """The compiled slt table with every symbol replaced by its source
+    letter, as an index into ``letters``."""
+    index = {a: i for i, a in enumerate(letters)}
+    letter_of = []
+    for symbol in dec.slt.alphabet:
+        letter = dec.pi.letter(symbol)
+        if letter not in index:
+            raise ValueError(f"mapped letter not in target alphabet: {letter!r}")
+        letter_of.append(index[letter])
+    succ: list[list[tuple[int, ...]]] = []
+    for row in compiled.succ:
+        out: list[tuple[int, ...]] = [()] * len(letters)
+        for symbol, targets in enumerate(row):
+            if targets:
+                a = letter_of[symbol]
+                out[a] = tuple(sorted(out[a] + targets)) if out[a] else targets
+        succ.append(out)
+    return Table(letters, succ, compiled.finals, compiled.initial)
+
+
+def _claimed(dec: Decomposition, compiled: Table, alphabet: tuple[str, ...]) -> Table:
+    """A table for the claimed language: the projected slt table, with the
+    residual appended as a trie whose root joins the start subset."""
+    table = _project(dec, compiled, alphabet)
+    index = {a: i for i, a in enumerate(alphabet)}
+    succ = table.succ
+    root = len(succ)
+    succ.append([()] * len(alphabet))
+    finals = set(table.finals)
+    for word in sorted(dec.residual):
+        node = root
+        for letter in word:
+            if letter not in index:
+                raise ValueError(f"unknown letter: {letter!r}")
+            a = index[letter]
+            if not succ[node][a]:
+                succ[node][a] = (len(succ),)
+                succ.append([()] * len(alphabet))
+            node = succ[node][a][0]
+        finals.add(node)
+    return Table(alphabet, succ, frozenset(finals), table.initial + (root,))
+
+
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                          horizon: Optional[int] = None,
                          word_cap: int = DEFAULT_WORD_CAP,
                          state_cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
     """Check that the projected slt language plus residual equals L(m).
 
-    Bounded mode compares enumerations up to the horizon and reports the
-    shortest witness on each failing side.  Exact mode projects the
-    compiled slt automaton through the homomorphism, adds the residual as
-    a finite branch, and decides equivalence outright; if the state cap is
-    hit it downgrades itself to bounded mode with a notice.
+    Both modes compile the spec once into a table and project it onto
+    source letters.  Bounded mode compares enumerations up to the horizon
+    and reports the least witness on each failing side.  Exact mode joins
+    the residual to the projected table as a trie and decides equivalence
+    with one subset product; if a cap is hit it downgrades itself to
+    bounded mode with a notice.
     """
     t0 = time.perf_counter()
     sizes = _set_sizes(dec)
     notice = None
+    compiled = None
     if mode == "exact":
         try:
-            candidate = relabel(slt_to_nfa(dec.slt), dict(dec.pi.pairs), m.alphabet)
-            if dec.residual:
-                candidate = union_nfa(candidate, word_set_nfa(dec.residual, m.alphabet))
-            verdict = nfa_equivalent(candidate, m, mode="exact", state_cap=state_cap)
+            compiled = compile_spec(dec.slt)
+            w = first_difference(_claimed(dec, compiled, m.alphabet), nfa_table(m),
+                                 state_cap)
             missing = extra = extra_local = None
-            if not verdict.equivalent:
-                w = verdict.witness
-                assert w is not None
+            if w is not None:
                 if accepts(m, w):
                     missing = w
                 else:
                     extra = w
-                    extra_local = _local_preimage(dec, w, word_cap)
-            return VerificationReport(mode="exact", horizon=None, ok=verdict.equivalent,
+                    extra_local = _local_preimage(dec, compiled, w, word_cap)
+            return VerificationReport(mode="exact", horizon=None, ok=w is None,
                                       missing=missing, extra=extra,
                                       extra_local=extra_local, set_sizes=sizes,
                                       elapsed=time.perf_counter() - t0)
@@ -127,10 +170,13 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
 
     h = horizon if horizon is not None else default_horizon(dec)
     want = set(enumerate_language(m, h, cap=word_cap))
-    image: dict[Word, Word] = {}
-    for z in enumerate_language(slt_to_nfa(dec.slt), h, cap=word_cap):
-        image.setdefault(dec.pi(z), z)
-    have = set(image) | set(dec.residual)
+    if compiled is None:
+        compiled = compile_spec(dec.slt)
+    # letters outside the machine's alphabet stay in play, as extra words
+    letters = m.alphabet + tuple(dict.fromkeys(
+        a for a in dec.pi.image if a not in m.alphabet))
+    image = set(table_language(_project(dec, compiled, letters), h, cap=word_cap))
+    have = image | set(dec.residual)
 
     missing = extra = extra_local = None
     missing_set = want - have
@@ -139,7 +185,8 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
         missing = min(missing_set, key=m.word_key)
     if extra_set:
         extra = min(extra_set, key=m.word_key)
-        extra_local = image.get(extra)
+        if extra in image:
+            extra_local = _local_preimage(dec, compiled, extra, word_cap)
     return VerificationReport(mode="bounded", horizon=h,
                               ok=not missing_set and not extra_set,
                               missing=missing, extra=extra, extra_local=extra_local,
@@ -147,10 +194,10 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                               notice=notice)
 
 
-def _local_preimage(dec: Decomposition, word: Word,
+def _local_preimage(dec: Decomposition, compiled: Table, word: Word,
                     word_cap: int) -> Optional[Word]:
-    """Some local word projecting onto ``word``, if the slt side has one."""
-    for z in enumerate_language(slt_to_nfa(dec.slt), len(word), cap=word_cap):
+    """The least local word projecting onto ``word``, if the slt side has one."""
+    for z in table_language(compiled, len(word), cap=word_cap):
         if len(z) == len(word) and dec.pi(z) == word:
             return z
     return None

@@ -20,6 +20,14 @@ def lh_nfa(h: int) -> sk.Nfa:
                   initial=0, finals=frozenset({h + 1}))
 
 
+def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
+    """An NFA for the projected slt language of ``dec`` plus its residual."""
+    image = sk.relabel(sk.slt_to_nfa(dec.slt), dict(dec.pi.pairs), alphabet)
+    if dec.residual:
+        image = sk.union_nfa(image, sk.word_set_nfa(dec.residual, alphabet))
+    return image
+
+
 @pytest.fixture(scope="session")
 def machines() -> dict[str, sk.Nfa]:
     return {name: sk.parse_nfa(corpus_text(name)) for name in CORPUS_NAMES}

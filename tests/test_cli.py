@@ -101,6 +101,17 @@ class TestEncodeDecode:
                        "--dec", str(dec_path), "--word", "a.b"])
         assert status == 2
 
+    def test_decomposition_of_another_machine_is_input_error(self, tmp_path, capsys):
+        for name in ("abplus", "abbplus"):
+            (tmp_path / f"{name}.nfa").write_text(corpus_text(name))
+        dec_path = tmp_path / "abbplus.h3.dec"
+        run(capsys, "build", "--nfa", tmp_path / "abbplus.nfa", "--ratio", 3,
+            "--out", dec_path)
+        status = main(["encode", "--nfa", str(tmp_path / "abplus.nfa"),
+                       "--dec", str(dec_path), "--word", "a.b." * 5 + "a.b"])
+        assert status == 2
+        assert "built for machine" in capsys.readouterr().err
+
 
 class TestRecognize:
     def test_batch_and_stream_agree(self, workdir, capsys, monkeypatch):
@@ -188,11 +199,21 @@ class TestCorpusCommand:
                    for line in lines)
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
     src = str(pathlib.Path(sk.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-m", "sltkit", "--help"], env=env,
-                            capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module("sltkit", "--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: sltkit")
+
+
+def test_python_dash_m_runs_the_cli_module():
+    result = run_module("sltkit.cli", "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: sltkit")

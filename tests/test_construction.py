@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import sltkit as sk
@@ -5,7 +7,7 @@ from sltkit import Nfa, Path
 from sltkit.codes import build_code
 from sltkit.construction import _encode_blocks, _find_path, _reference_main_sets
 
-from conftest import CORPUS_NAMES, corpus_text
+from conftest import CORPUS_NAMES, corpus_text, projected_language
 
 
 def W(s: str):
@@ -51,6 +53,22 @@ class TestWidth2:
         assert dec.slt.alphabet == ("q0|a", "q0|b", "q1|a", "q1|b")
         assert dec == sk.medvedev_width2(sk.totalize(partial))
         assert sk.verify_decomposition(partial, dec, mode="exact").ok
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_windows_are_those_of_successful_runs(self, machines, name):
+        machine = machines[name]
+        prepared = sk.trim(machine)
+        dec = sk.medvedev_width2(machine)
+        # in a trim machine every window shows up on a run of at most 2n+1 moves
+        runs = [sk.encode_path_width2(prepared, path)
+                for length in range(1, 2 * prepared.n + 2)
+                for path in sk.enumerate_m_paths(prepared, prepared.initial, length)
+                if path.end in prepared.finals]
+        assert set(dec.slt.prefixes) == {z[:1] for z in runs}
+        assert set(dec.slt.suffixes) == {z[-1:] for z in runs}
+        assert set(dec.slt.factors) == {z[i:i + 2] for z in runs for i in range(len(z) - 1)}
+        for m in (machine, sk.totalize(machine)):
+            assert sk.verify_decomposition(m, dec, mode="exact").ok
 
     def test_unreachable_finals(self):
         m = sk.totalize(Nfa(n=3, alphabet=("a",), transitions=((0, "a", 0), (1, "a", 2)),
@@ -286,20 +304,24 @@ class TestWordEncoding:
         with pytest.raises(ValueError, match="block length"):
             sk.encode_word(machines["aplus"], dec, ("a",) * 18)
 
+    def test_machine_mismatch_with_equal_block_length_rejected(self, machines):
+        dec = sk.medvedev_main(machines["abbplus"], 3)
+        other = machines["abplus"]
+        assert dec.m == sk.state_code(sk.prepare(other), 3).m == 4
+        assert dec.source_fingerprint != sk.nfa_fingerprint(sk.prepare(other))
+        with pytest.raises(ValueError, match="built for machine"):
+            sk.encode_word(other, dec, ("a", "b") * 6)
+        # unchecked, the encoder returns a word outside the spec's language
+        anonymous = dataclasses.replace(dec, source_fingerprint="")
+        z = sk.encode_word(other, anonymous, ("a", "b") * 6)
+        assert z is not None and not sk.slt_membership(dec.slt, z)
+
     def test_decode_is_projection(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)
         assert sk.decode_word(dec, ("a|0", "b|1")) == ("a", "b")
         assert sk.decode_word(dec, ()) == ()
         with pytest.raises(ValueError):
             sk.decode_word(dec, ("z|9",))
-
-
-def projected_language(dec, alphabet) -> Nfa:
-    """An NFA for the projected slt language of ``dec`` plus its residual."""
-    image = sk.relabel(sk.slt_to_nfa(dec.slt), dict(dec.pi.pairs), alphabet)
-    if dec.residual:
-        image = sk.union_nfa(image, sk.word_set_nfa(dec.residual, alphabet))
-    return image
 
 
 class TestPreparedMachine:

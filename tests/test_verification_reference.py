@@ -1,0 +1,179 @@
+"""verify_decomposition against the composition it is built to agree with.
+
+The reference builds the claimed language as an NFA (``relabel`` of
+``slt_to_nfa``, joined with ``word_set_nfa`` of the residual by
+``union_nfa``) and decides it with ``nfa_equivalent``; in bounded mode it
+enumerates the compiled slt machine and projects every local word.  Every
+report field except ``elapsed`` must match, on passing and failing
+decompositions alike.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import sltkit as sk
+from sltkit import CapacityError, VerificationReport
+from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP
+
+from conftest import CORPUS_NAMES, projected_language
+from test_random_machines import random_machines
+
+
+def least_preimage(dec, word, word_cap):
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), len(word), cap=word_cap):
+        if len(z) == len(word) and dec.pi(z) == word:
+            return z
+    return None
+
+
+def reference_report(m, dec, mode, horizon=None, word_cap=DEFAULT_WORD_CAP,
+                     state_cap=DEFAULT_STATE_CAP) -> VerificationReport:
+    sizes = {"I": len(dec.slt.prefixes), "T": len(dec.slt.suffixes),
+             "F": len(dec.slt.factors), "short": len(dec.slt.short_words),
+             "residual": len(dec.residual)}
+    notice = None
+    if mode == "exact":
+        try:
+            verdict = sk.nfa_equivalent(projected_language(dec, m.alphabet), m,
+                                        mode="exact", state_cap=state_cap)
+            missing = extra = extra_local = None
+            if not verdict.equivalent:
+                if sk.accepts(m, verdict.witness):
+                    missing = verdict.witness
+                else:
+                    extra = verdict.witness
+                    extra_local = least_preimage(dec, extra, word_cap)
+            return VerificationReport(mode="exact", horizon=None, ok=verdict.equivalent,
+                                      missing=missing, extra=extra,
+                                      extra_local=extra_local, set_sizes=sizes)
+        except CapacityError as exc:
+            notice = f"exact mode hit a resource cap ({exc}); fell back to bounded"
+    h = horizon if horizon is not None else sk.default_horizon(dec)
+    want = set(sk.enumerate_language(m, h, cap=word_cap))
+    image = {}
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=word_cap):
+        image.setdefault(dec.pi(z), z)
+    have = set(image) | set(dec.residual)
+    missing = min(want - have, key=m.word_key, default=None)
+    extra = min(have - want, key=m.word_key, default=None)
+    return VerificationReport(mode="bounded", horizon=h, ok=want == have,
+                              missing=missing, extra=extra,
+                              extra_local=image.get(extra), set_sizes=sizes,
+                              notice=notice)
+
+
+def assert_same_report(m, dec, mode, **kwargs) -> VerificationReport:
+    report = sk.verify_decomposition(m, dec, mode=mode, **kwargs)
+    assert dataclasses.replace(report, elapsed=0.0) == reference_report(m, dec, mode, **kwargs)
+    if report.mode == "exact" and not report.ok:
+        # both sides run the same subset product: check its witness by enumeration
+        witness = report.missing or report.extra
+        claimed = projected_language(dec, m.alphabet)
+        diff = (set(sk.enumerate_language(m, len(witness)))
+                ^ set(sk.enumerate_language(claimed, len(witness))))
+        assert witness == min(diff, key=m.word_key)
+    return report
+
+
+def mutate(dec, rng: random.Random):
+    """``dec`` with one window set, the short words or the residual grown or
+    shrunk by one word."""
+    spec, k = dec.slt, dec.slt.width
+    targets = ["prefixes", "suffixes", "factors", "short_words"]
+    if dec.kind == "main":
+        targets.append("residual")
+    target = rng.choice(targets)
+    words = list(dec.residual if target == "residual" else getattr(spec, target))
+    if words and rng.random() < 0.5:
+        del words[rng.randrange(len(words))]
+    elif target == "residual":
+        letters = dec.pi.image
+        words.append(tuple(rng.choice(letters) for _ in range(rng.randint(1, 3 * dec.m))))
+    else:
+        length = {"factors": k, "short_words": rng.randint(1, k - 1)}.get(target, k - 1)
+        words.append(tuple(rng.choice(spec.alphabet) for _ in range(length)))
+    if target == "residual":
+        return dataclasses.replace(dec, residual=tuple(words))
+    return dataclasses.replace(dec, slt=dataclasses.replace(spec, **{target: tuple(words)}))
+
+
+def build(machine, kind):
+    return sk.medvedev_width2(machine) if kind == "width2" else sk.medvedev_main(machine, kind)
+
+
+@pytest.mark.parametrize("kind", ["width2", 2])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_mutations_match_reference(machines, name, kind):
+    machine = machines[name]
+    rng = random.Random(f"{name} {kind}")
+    decs = [build(machine, kind)]
+    decs += [mutate(decs[0], rng) for _ in range(12)]
+    reports = [assert_same_report(machine, dec, mode) for dec in decs
+               for mode in ("exact", "bounded")]
+    assert reports[0].ok and reports[1].ok
+    assert any(not r.ok for r in reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=random_machines(), kind=st.sampled_from(["width2", 2, 3]),
+       seed=st.integers(0, 2**16), state_cap=st.sampled_from([3, DEFAULT_STATE_CAP]))
+def test_random_machines_match_reference(machine, kind, seed, state_cap):
+    dec = build(machine, kind)
+    # dense machines have up to 2^(3m) residual words and 2^(h+1) words
+    # below the default horizon h; the reference is slow on either
+    assume(len(dec.residual) <= 4096)
+    horizon = min(sk.default_horizon(dec), 10)
+    rng = random.Random(seed)
+    for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):
+        for mode in ("exact", "bounded"):
+            assert_same_report(machine, candidate, mode, horizon=horizon,
+                               state_cap=state_cap)
+
+
+def test_cap_fallback_matches_reference(machines):
+    machine = machines["nondet"]
+    dec = mutate(sk.medvedev_main(machine, 2), random.Random(1))
+    for state_cap in (1, 2, 5):
+        report = assert_same_report(machine, dec, "exact", state_cap=state_cap)
+        assert report.mode == "bounded" and report.notice is not None
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+@pytest.mark.parametrize("where", ["pi", "residual"])
+def test_letters_outside_the_machine_raise_as_reference(machines, mode, where):
+    machine = machines["aplus"]
+    dec = sk.medvedev_main(machine, 2)
+    if where == "pi":
+        pairs = tuple((s, "c" if a == "a" and s.endswith("|1") else a) for s, a in dec.pi.pairs)
+        dec = dataclasses.replace(dec, pi=sk.Homomorphism(pairs))
+    else:
+        dec = dataclasses.replace(dec, residual=dec.residual + (("a", "c"),))
+    with pytest.raises(ValueError) as expected:
+        reference_report(machine, dec, mode)
+    with pytest.raises(ValueError) as actual:
+        sk.verify_decomposition(machine, dec, mode=mode)
+    assert str(actual.value) == str(expected.value)
+
+
+# (states, fingerprint) of slt_to_nfa on every corpus build, as compiled
+# before slt_to_nfa became a wrapper over compile_spec
+COMPILED = {
+    ("abbplus", "width2"): (5, "b6adadf89c3b"), ("abbplus", 2): (18, "43b04d9961b0"),
+    ("abbplus", 3): (21, "10624ff3fb9c"), ("abplus", "width2"): (4, "f84228eec96f"),
+    ("abplus", 2): (20, "16083459b59c"), ("abplus", 3): (12, "ed5a85cfd754"),
+    ("aplus", "width2"): (3, "68272c6341ff"), ("aplus", 2): (12, "0cd5bbaa7000"),
+    ("aplus", 3): (9, "4d326c0ae9bb"), ("evens", "width2"): (7, "c35b25de9dc2"),
+    ("evens", 2): (39, "67d2977887fa"), ("evens", 3): (23, "d45a85e49bf3"),
+    ("needs_sink", "width2"): (3, "bd91e5f3d77c"), ("needs_sink", 2): (12, "83c84dbca16b"),
+    ("needs_sink", 3): (9, "ce979274b81a"), ("nondet", "width2"): (5, "53b5e8c03940"),
+    ("nondet", 2): (36, "a7a6c6a3e9f1"), ("nondet", 3): (23, "c111c78d54e8"),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(COMPILED, key=str))
+def test_slt_to_nfa_is_unchanged_on_corpus(machines, name, kind):
+    compiled = sk.slt_to_nfa(build(machines[name], kind).slt)
+    assert (compiled.n, sk.nfa_fingerprint(compiled)) == COMPILED[(name, kind)]
