@@ -58,12 +58,11 @@ from .slt import (
     SltSpec,
     StreamRecognizer,
     infer_slt,
-    make_stream_recognizer,
     min_slt_width,
     slt_membership,
     slt_to_nfa,
-    subword,
     window_ops,
+    word_encoder,
 )
 from .verification import (
     CorpusConfig,

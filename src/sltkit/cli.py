@@ -33,7 +33,7 @@ from .construction import (
     prepare,
     serialize_decomposition,
 )
-from .slt import make_stream_recognizer, min_slt_width, slt_membership
+from .slt import StreamRecognizer, min_slt_width, slt_membership
 from .verification import (
     CorpusConfig,
     default_horizon,
@@ -145,17 +145,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     dec = _read_dec(args.dec)
     spec = dec.slt
+    known = set(spec.alphabet)
     for raw in sys.stdin:
         word = parse_word(raw)
         if not word:
             print("reject # empty word")
             continue
-        unknown = next((s for s in word if s not in spec._index), None)
+        unknown = next((s for s in word if s not in known), None)
         if unknown is not None:
             print(f"reject # unknown symbol: {unknown}")
             continue
         if args.stream:
-            recognizer = make_stream_recognizer(spec)
+            recognizer = StreamRecognizer(spec)
             for symbol in word:
                 recognizer.feed(symbol)
             verdict = recognizer.finish()
@@ -235,23 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "letter-to-letter projections, and verify the constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p: argparse.ArgumentParser) -> None:
+    def add_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cap", type=int, default=DEFAULT_SET_CAP,
                        help="resource cap on enumerated words / set elements")
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                       help="cap on determinized states in exact checks")
 
     p = sub.add_parser("build", help="build the width-2m decomposition at a ratio")
     p.add_argument("--nfa", required=True)
     p.add_argument("--ratio", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_caps(p)
+    add_cap(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("build2", help="build the width-2 decomposition")
     p.add_argument("--nfa", required=True)
     p.add_argument("--out", required=True)
-    add_caps(p)
     p.set_defaults(func=_cmd_build2)
 
     p = sub.add_parser("verify", help="verify a decomposition against its machine")
@@ -260,53 +258,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
     p.add_argument("--maxlen", type=int, default=None,
                    help="bounded-mode horizon (default: max(3m+6, 2k+4))")
-    add_caps(p)
+    add_cap(p)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="cap on determinized states in exact checks")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="encode a source word into the local language")
     p.add_argument("--nfa", required=True)
     p.add_argument("--dec", required=True)
     p.add_argument("--word", required=True, help="'.'-separated source letters")
-    add_caps(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="project a local word back to source letters")
     p.add_argument("--dec", required=True)
     p.add_argument("--word", required=True, help="'.'-separated local symbols")
-    add_caps(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("recognize", help="read words from stdin, print accept/reject")
     p.add_argument("--dec", required=True)
     p.add_argument("--stream", action="store_true",
                    help="use the O(k)-memory streaming recognizer")
-    add_caps(p)
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("code", help="emit the factor-decodable state code")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--ratio", type=int, required=True)
-    add_caps(p)
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("table", help="print growth constants and width tables")
     p.add_argument("--h", default="2,3,4,10,100,1000", help="comma-separated ratios")
     p.add_argument("--n", default="10,1e3,1e6,1e9,1e40",
                    help="comma-separated state counts (1e40 form allowed)")
-    add_caps(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("minwidth", help="smallest window width matching a machine")
     p.add_argument("--nfa", required=True)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    add_caps(p)
+    add_cap(p)
     p.set_defaults(func=_cmd_minwidth)
 
     p = sub.add_parser("refute", help="refute a small-alphabet decomposition claim")
     p.add_argument("--dec", required=True)
     p.add_argument("--alphabet-size", type=int, required=True)
-    add_caps(p)
     p.set_defaults(func=_cmd_refute)
 
     p = sub.add_parser("corpus", help="build and verify everything in a directory")
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
     p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    add_caps(p)
+    add_cap(p)
     p.set_defaults(func=_cmd_corpus)
 
     return parser

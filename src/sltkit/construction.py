@@ -30,7 +30,7 @@ from .automata import (
     trim,
 )
 from .codes import Code, build_code
-from .slt import SltSpec
+from .slt import SltSpec, word_encoder
 
 WIDTH2 = "width2"
 MAIN = "main"
@@ -129,6 +129,16 @@ def prepare(m: Nfa) -> Nfa:
     return trim(m)
 
 
+def source_mismatch(dec: Decomposition, prepared: Nfa) -> Optional[str]:
+    """Why ``dec`` was not built for the prepared machine, or None: its
+    ``source_fingerprint`` is set and differs from the machine's."""
+    fingerprint = nfa_fingerprint(prepared)
+    if dec.source_fingerprint and dec.source_fingerprint != fingerprint:
+        return (f"decomposition was built for machine {dec.source_fingerprint}, "
+                f"not for this one ({fingerprint})")
+    return None
+
+
 def state_code(prepared: Nfa, h: int) -> Code:
     """The main construction's state code for a prepared machine.
 
@@ -160,15 +170,15 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     """
     m = prepare(m)
     symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
-    alphabet = tuple(symbols[(q, a)] for q in range(m.n) for a in m.alphabet)
-    prefixes = {(symbols[(m.initial, a)],) for a in m.alphabet if m.step(m.initial, a)}
-    factors = {(symbols[(p, a)], symbols[(q, b)])
+    alphabet = tuple(symbols.values())
+    encode = word_encoder(alphabet)
+    prefixes = {encode((symbols[(m.initial, a)],)) for a in m.alphabet if m.step(m.initial, a)}
+    factors = {encode((symbols[(p, a)], symbols[(q, b)]))
                for p, a, q in m.transitions for b in m.alphabet if m.step(q, b)}
-    suffixes = {(symbols[(p, a)],) for p, a, q in m.transitions if q in m.finals}
-    spec = SltSpec(width=2, alphabet=alphabet, prefixes=tuple(prefixes),
-                   suffixes=tuple(suffixes), factors=tuple(factors),
-                   short_words=tuple(prefixes & suffixes))
-    pi = Homomorphism(tuple((symbols[(q, a)], a) for q in range(m.n) for a in m.alphabet))
+    suffixes = {encode((symbols[(p, a)],)) for p, a, q in m.transitions if q in m.finals}
+    spec = SltSpec(width=2, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
+                   factors=factors, short_words=prefixes & suffixes)
+    pi = Homomorphism(tuple((s, a) for (_, a), s in symbols.items()))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi,
                          source_fingerprint=nfa_fingerprint(m))
 
@@ -231,8 +241,8 @@ def _context_automaton(m: Nfa, code: Code):
 
     Contexts are (current state, block origin, offset into the block);
     block boundaries roll the origin over to the state just entered.  Only
-    contexts reachable from block starts exist.  Symbols are indices into
-    the letter-major local alphabet.
+    contexts reachable from block starts exist.  Edges carry their symbol
+    as an index character of the letter-major local alphabet.
     """
     blen = code.m
     h = code.h
@@ -250,14 +260,14 @@ def _context_automaton(m: Nfa, code: Code):
 
     for q in range(m.n):
         ctx((q, q, 0))
-    fwd: list[list[tuple[int, int]]] = []
+    fwd: list[list[tuple[str, int]]] = []
     i = 0
     while i < len(keys):
         state, origin, offset = keys[i]
         digit = cw[origin][offset]
-        edges: list[tuple[int, int]] = []
+        edges: list[tuple[str, int]] = []
         for a_idx, a in enumerate(m.alphabet):
-            sym = a_idx * h + digit
+            sym = chr(a_idx * h + digit)
             for dst in m.step(state, a):
                 target = (dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0)
                 edges.append((sym, ctx(target)))
@@ -266,48 +276,32 @@ def _context_automaton(m: Nfa, code: Code):
     return keys, ids, fwd
 
 
-def _forward_words(fwd: list[list[tuple[int, int]]], starts: Iterable[int],
-                   steps: int, cap: int) -> dict[bytes, set[int]]:
-    """All ``steps``-symbol words readable from ``starts``; maps each word
-    to the set of end contexts."""
-    frontier: dict[bytes, set[int]] = {b"": set(starts)}
-    for _ in range(steps):
-        nxt: dict[bytes, set[int]] = {}
+def _window_words(edges: list[list[tuple[str, int]]],
+                  last: list[list[tuple[str, int]]], starts: Iterable[int],
+                  steps: int, cap: int, what: str) -> set[str]:
+    """The index strings of all ``steps``-edge walks from ``starts`` whose
+    final edge is in ``last``.  Each step keys the frontier by the word read
+    so far, with the set of contexts it ends in; on reversed edges the words
+    come out reversed."""
+    frontier: dict[str, set[int]] = {"": set(starts)}
+    for _ in range(steps - 1):
+        nxt: dict[str, set[int]] = {}
         for w, states in frontier.items():
             for st in states:
-                for sym, dst in fwd[st]:
-                    key = w + bytes((sym,))
+                for c, dst in edges[st]:
+                    key = w + c
                     bucket = nxt.get(key)
                     if bucket is None:
                         nxt[key] = {dst}
                     else:
                         bucket.add(dst)
         if len(nxt) > cap:
-            raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} prefixes")
+            raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} {what}")
         frontier = nxt
-    return frontier
-
-
-def _backward_words(rev: list[list[tuple[int, int]]], ends: Iterable[int],
-                    steps: int, cap: int) -> dict[bytes, set[int]]:
-    """All ``steps``-symbol words whose forward read ends in ``ends``; maps
-    each word to the set of possible start contexts."""
-    frontier: dict[bytes, set[int]] = {b"": set(ends)}
-    for _ in range(steps):
-        nxt: dict[bytes, set[int]] = {}
-        for w, states in frontier.items():
-            for st in states:
-                for sym, src in rev[st]:
-                    key = bytes((sym,)) + w
-                    bucket = nxt.get(key)
-                    if bucket is None:
-                        nxt[key] = {src}
-                    else:
-                        bucket.add(src)
-        if len(nxt) > cap:
-            raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} suffixes")
-        frontier = nxt
-    return frontier
+    words = {w + c for w, states in frontier.items() for st in states for c, _ in last[st]}
+    if len(words) > cap:
+        raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
+    return words
 
 
 def _states_with_incoming_block(m: Nfa, blen: int) -> set[int]:
@@ -334,35 +328,27 @@ def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
     code = state_code(m, h)
     blen = code.m
     width = 2 * blen
-    if len(m.alphabet) * h > 256:
-        raise CapacityError("local alphabet too large for the window sweep")
     symbols = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
 
     keys, ids, fwd = _context_automaton(m, code)
     if len(keys) > set_cap:
         raise CapacityError(f"context automaton exceeds cap of {set_cap}: {len(keys)}")
-    rev: list[list[tuple[int, int]]] = [[] for _ in keys]
+    rev: list[list[tuple[str, int]]] = [[] for _ in keys]
     for src, edges in enumerate(fwd):
-        for sym, dst in edges:
-            rev[dst].append((sym, src))
-
-    def to_words(byte_words: Iterable[bytes]) -> tuple[Word, ...]:
-        return tuple(tuple(symbols[b] for b in bw) for bw in byte_words)
-
-    prefixes = to_words(
-        _forward_words(fwd, [ids[(m.initial, m.initial, 0)]], width - 1, set_cap))
-    factors = to_words(_forward_words(fwd, range(len(keys)), width, set_cap))
-
-    ends = [i for i, (state, _, _) in enumerate(keys) if state in m.finals]
+        for c, dst in edges:
+            rev[dst].append((c, src))
+    # a suffix is read from a block-aligned context: part-way through a
+    # block, or at the start of one that some full block leads into
     incoming = _states_with_incoming_block(m, blen)
+    admissible = [offset >= 1 or state in incoming for state, _, offset in keys]
+    rev_admissible = [[(c, src) for c, src in row if admissible[src]] for row in rev]
 
-    def admissible(idx: int) -> bool:
-        state, _, offset = keys[idx]
-        return offset >= 1 or state in incoming
-
-    back = _backward_words(rev, ends, width - 1, set_cap)
-    suffixes = to_words(w for w, starts in back.items()
-                        if any(admissible(i) for i in starts))
+    prefixes = _window_words(fwd, fwd, [ids[(m.initial, m.initial, 0)]], width - 1,
+                             set_cap, "prefixes")
+    factors = _window_words(fwd, fwd, range(len(keys)), width, set_cap, "factors")
+    ends = [i for i, (state, _, _) in enumerate(keys) if state in m.finals]
+    suffixes = {w[::-1] for w in _window_words(rev, rev_admissible, ends, width - 1,
+                                               set_cap, "suffixes")}
 
     spec = SltSpec(width=width, alphabet=symbols, prefixes=prefixes,
                    suffixes=suffixes, factors=factors, short_words=())
@@ -441,10 +427,9 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     if code.m != dec.m:
         raise ValueError(f"decomposition has block length {dec.m}, but the machine's "
                          f"state code has block length {code.m}")
-    fingerprint = nfa_fingerprint(prepared)
-    if dec.source_fingerprint and dec.source_fingerprint != fingerprint:
-        raise ValueError(f"decomposition was built for machine {dec.source_fingerprint}, "
-                         f"not for this one ({fingerprint})")
+    mismatch = source_mismatch(dec, prepared)
+    if mismatch:
+        raise ValueError(mismatch)
     if len(word) < 3 * dec.m:
         return None
     return _encode_blocks(code, _find_path(prepared, word))
@@ -477,11 +462,13 @@ def serialize_decomposition(dec: Decomposition) -> str:
         letter = dec.pi.letter(sym)
         _check_token(letter)
         lines.append(f"symbol {sym} -> {letter}")
-    for header, words in (("I", dec.slt.prefixes), ("T", dec.slt.suffixes),
-                          ("F", dec.slt.factors), ("SHORT", dec.slt.short_words),
-                          ("RESIDUAL", dec.residual)):
+    spec = dec.slt
+    for header, words in (("I", spec.prefixes), ("T", spec.suffixes),
+                          ("F", spec.factors), ("SHORT", spec.short_words)):
         lines.append(header)
-        lines.extend(format_word(w) for w in words)
+        lines.extend(format_word(spec.decode(z)) for z in words)
+    lines.append("RESIDUAL")
+    lines.extend(format_word(w) for w in dec.residual)
     return "\n".join(lines) + "\n"
 
 
@@ -534,9 +521,12 @@ def parse_decomposition(text: str) -> Decomposition:
         raise ParseError("missing 'k' line")
     if not symbol_pairs:
         raise ParseError("missing 'symbol' lines")
-    spec = SltSpec(width=numbers["k"], alphabet=tuple(s for s, _ in symbol_pairs),
-                   prefixes=tuple(sections["I"]), suffixes=tuple(sections["T"]),
-                   factors=tuple(sections["F"]), short_words=tuple(sections["SHORT"]))
+    alphabet = tuple(s for s, _ in symbol_pairs)
+    encode = word_encoder(alphabet)
+    spec = SltSpec(width=numbers["k"], alphabet=alphabet,
+                   prefixes=map(encode, sections["I"]), suffixes=map(encode, sections["T"]),
+                   factors=map(encode, sections["F"]),
+                   short_words=map(encode, sections["SHORT"]))
     return Decomposition(kind=kind, slt=spec, pi=Homomorphism(tuple(symbol_pairs)),
                          residual=tuple(sections["RESIDUAL"]),
                          h=numbers.get("h"), m=numbers.get("m"),

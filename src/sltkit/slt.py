@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import (
     DEFAULT_SET_CAP,
@@ -24,25 +26,45 @@ from .automata import (
 )
 
 
+def _encode_with(chars: dict[str, str], word: Iterable[str]) -> str:
+    try:
+        return "".join(map(chars.__getitem__, word))
+    except KeyError as exc:
+        raise ValueError(f"unknown symbol: {exc.args[0]!r}") from None
+
+
+def word_encoder(alphabet: Sequence[str]) -> Callable[[Iterable[str]], str]:
+    """The map from symbol words over ``alphabet`` to index strings.
+
+    Character i of an index string is ``chr`` of the alphabet position of
+    symbol i, so native ``str`` order is the order by symbol position.
+    A symbol outside the alphabet raises ValueError.
+    """
+    return partial(_encode_with, {s: chr(i) for i, s in enumerate(alphabet)})
+
+
 @dataclass(frozen=True)
 class SltSpec:
     """Finite data defining a width-k slt language.
 
-    The word sets are stored as deduplicated tuples sorted by symbol
-    position in ``alphabet``, so equality of specs is structural.
+    Every word is an index string (see :func:`word_encoder`); :meth:`encode`
+    and :meth:`decode` convert from and to symbol words.  The word sets are
+    stored as deduplicated tuples in native ``str`` order, which is the
+    order by symbol position in ``alphabet``, so equality of specs is
+    structural.
     """
 
     width: int
     alphabet: tuple[str, ...]
-    prefixes: tuple[Word, ...]
-    suffixes: tuple[Word, ...]
-    factors: tuple[Word, ...]
-    short_words: tuple[Word, ...] = ()
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _prefix_set: frozenset[Word] = field(init=False, repr=False, compare=False)
-    _suffix_set: frozenset[Word] = field(init=False, repr=False, compare=False)
-    _factor_set: frozenset[Word] = field(init=False, repr=False, compare=False)
-    _short_set: frozenset[Word] = field(init=False, repr=False, compare=False)
+    prefixes: tuple[str, ...]
+    suffixes: tuple[str, ...]
+    factors: tuple[str, ...]
+    short_words: tuple[str, ...] = ()
+    _encode: Callable[[Iterable[str]], str] = field(init=False, repr=False, compare=False)
+    _prefix_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _suffix_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _factor_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _short_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 2:
@@ -50,40 +72,36 @@ class SltSpec:
         alphabet = tuple(self.alphabet)
         if not alphabet or len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet must be nonempty with distinct symbols")
-        index = {s: i for i, s in enumerate(alphabet)}
-
-        def canon(words: Iterable[Word], what: str, lengths: range) -> tuple[Word, ...]:
-            keyed = set()
-            for w in words:
-                w = tuple(w)
-                if len(w) not in lengths:
-                    raise ValueError(
-                        f"{what} words must have length in "
-                        f"{lengths.start}..{lengths.stop - 1}, got {len(w)}")
-                for s in w:
-                    if s not in index:
-                        raise ValueError(f"unknown symbol: {s!r}")
-                keyed.add(w)
-            return tuple(sorted(keyed, key=lambda w: tuple(index[s] for s in w)))
-
-        k = self.width
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "prefixes", canon(self.prefixes, "prefix", range(k - 1, k)))
-        object.__setattr__(self, "suffixes", canon(self.suffixes, "suffix", range(k - 1, k)))
-        object.__setattr__(self, "factors", canon(self.factors, "factor", range(k, k + 1)))
-        object.__setattr__(self, "short_words",
-                           canon(self.short_words, "short", range(1, k)))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_prefix_set", frozenset(self.prefixes))
-        object.__setattr__(self, "_suffix_set", frozenset(self.suffixes))
-        object.__setattr__(self, "_factor_set", frozenset(self.factors))
-        object.__setattr__(self, "_short_set", frozenset(self.short_words))
+        k = self.width
+        for attr, cache, lengths in (("prefixes", "_prefix_set", range(k - 1, k)),
+                                     ("suffixes", "_suffix_set", range(k - 1, k)),
+                                     ("factors", "_factor_set", range(k, k + 1)),
+                                     ("short_words", "_short_set", range(1, k))):
+            words = frozenset(getattr(self, attr))
+            kinds = set(map(type, words)) - {str}
+            if kinds:
+                raise ValueError(f"{attr} must be index strings (see word_encoder), "
+                                 f"got {min(t.__name__ for t in kinds)}")
+            bad = set(map(len, words)).difference(lengths)
+            if bad:
+                raise ValueError(f"{attr} must have length in "
+                                 f"{lengths.start}..{lengths.stop - 1}, got {min(bad)}")
+            top = max("".join(words), default="")
+            if top and ord(top) >= len(alphabet):
+                raise ValueError(f"unknown symbol index {ord(top)} in {attr} "
+                                 f"over {len(alphabet)} symbols")
+            object.__setattr__(self, attr, tuple(sorted(words)))
+            object.__setattr__(self, cache, words)
+        object.__setattr__(self, "_encode", word_encoder(alphabet))
 
-    def symbol_index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise ValueError(f"unknown symbol: {symbol!r}") from None
+    def encode(self, symbols: Iterable[str]) -> str:
+        """The index string of a symbol word; ValueError on unknown symbols."""
+        return self._encode(symbols)
+
+    def decode(self, z: str) -> Word:
+        """The symbol word of an index string."""
+        return tuple(map(self.alphabet.__getitem__, map(ord, z)))
 
 
 def window_ops(word: Sequence[str], k: int) -> tuple[Word, Word, frozenset[Word]]:
@@ -103,32 +121,16 @@ def window_ops(word: Sequence[str], k: int) -> tuple[Word, Word, frozenset[Word]
     return w[:k], w[-k:], factors
 
 
-def subword(word: Sequence[str], start: int, end: int) -> Word:
-    """The factor from 1-based position ``start`` through ``end`` inclusive.
-
-    Empty when ``end < start``.  Both positions must lie within the word.
-    """
-    w = tuple(word)
-    if not (1 <= start <= len(w)) or not (1 <= end <= len(w)):
-        raise ValueError(f"positions ({start}, {end}) out of range for length {len(w)}")
-    if end < start:
-        return ()
-    return w[start - 1:end]
-
-
 def slt_membership(spec: SltSpec, word: Sequence[str]) -> bool:
-    """Decide membership of a word in the spec's language."""
-    w = tuple(word)
-    for s in w:
-        if s not in spec._index:
-            raise ValueError(f"unknown symbol: {s!r}")
-    if len(w) < spec.width:
-        return w in spec._short_set
+    """Decide membership of a symbol word in the spec's language."""
+    z = spec.encode(word)
     k = spec.width
-    if w[:k - 1] not in spec._prefix_set or w[-(k - 1):] not in spec._suffix_set:
+    if len(z) < k:
+        return z in spec._short_set
+    if z[:k - 1] not in spec._prefix_set or z[-(k - 1):] not in spec._suffix_set:
         return False
     factor_set = spec._factor_set
-    return all(w[i:i + k] in factor_set for i in range(len(w) - k + 1))
+    return all(z[i:i + k] in factor_set for i in range(len(z) - k + 1))
 
 
 class StreamRecognizer:
@@ -144,8 +146,8 @@ class StreamRecognizer:
         self.reset()
 
     def reset(self) -> None:
-        self._head: list[str] = []
-        self._tail: deque[str] = deque(maxlen=self._spec.width - 1)
+        self._head = ""  # the first width-1 symbols, as an index string
+        self._tail = ""  # the last width-1 symbols
         self._factors_ok = True
         self._count = 0
         self._finished = False
@@ -154,14 +156,15 @@ class StreamRecognizer:
         if self._finished:
             raise RuntimeError("feed after finish; call reset() first")
         spec = self._spec
-        if symbol not in spec._index:
-            raise ValueError(f"unknown symbol: {symbol!r}")
-        if self._factors_ok and len(self._tail) == spec.width - 1:
-            if tuple(self._tail) + (symbol,) not in spec._factor_set:
+        c = spec.encode((symbol,))
+        window = self._tail + c
+        if len(window) == spec.width:
+            if self._factors_ok and window not in spec._factor_set:
                 self._factors_ok = False
+            window = window[1:]
         if self._count < spec.width - 1:
-            self._head.append(symbol)
-        self._tail.append(symbol)
+            self._head += c
+        self._tail = window
         self._count += 1
 
     def finish(self) -> bool:
@@ -170,14 +173,10 @@ class StreamRecognizer:
         if self._count == 0:
             return False
         if self._count < spec.width:
-            return tuple(self._head) in spec._short_set
+            return self._head in spec._short_set
         return (self._factors_ok
-                and tuple(self._head) in spec._prefix_set
-                and tuple(self._tail) in spec._suffix_set)
-
-
-def make_stream_recognizer(spec: SltSpec) -> StreamRecognizer:
-    return StreamRecognizer(spec)
+                and self._head in spec._prefix_set
+                and self._tail in spec._suffix_set)
 
 
 def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
@@ -192,36 +191,33 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
     breadth first, and states are numbered as they are first reached.
     """
     k = spec.width
-    index = spec._index
-    n_symbols = len(spec.alphabet)
-    key = lambda w: tuple(index[s] for s in w)
+    chars = [chr(a) for a in range(len(spec.alphabet))]
 
-    fresh_pool = set(spec.prefixes) | {w for w in spec.short_words if len(w) == k - 1}
-    prefix_pool: set[Word] = set()
-    for w in list(fresh_pool) + list(spec.short_words):
-        for i in range(min(len(w), k - 1)):
-            prefix_pool.add(w[:i])
+    fresh_pool = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
+    prefix_pool: set[str] = set()
+    for w in chain(fresh_pool, spec.short_words):
+        prefix_pool.update(w[:i] for i in range(min(len(w), k - 1)))
 
     succ: list[list[tuple[int, ...]]] = []
     finals: set[int] = set()
-    growing: dict[Word, int] = {}  # words shorter than k-1
-    fresh: dict[Word, int] = {}    # the first full (k-1)-window
-    windows: dict[Word, int] = {}  # every later (k-1)-window
-    window_queue: deque[tuple[Word, int]] = deque()
+    growing: dict[str, int] = {}  # words shorter than k-1
+    fresh: dict[str, int] = {}    # the first full (k-1)-window
+    windows: dict[str, int] = {}  # every later (k-1)-window
+    window_queue: deque[tuple[str, int]] = deque()
 
     def new_state() -> int:
         if len(succ) >= state_cap:
             raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
-        succ.append([()] * n_symbols)
+        succ.append([()] * len(chars))
         return len(succ) - 1
 
-    def state(ids: dict[Word, int], word: Word) -> int:
+    def state(ids: dict[str, int], word: str) -> int:
         q = ids.get(word)
         if q is None:
             q = ids[word] = new_state()
         return q
 
-    def enter(row: list[tuple[int, ...]], u: Word) -> None:
+    def enter(row: list[tuple[int, ...]], u: str) -> None:
         """Add the moves of window ``u`` to ``row``, queueing new windows."""
         for a, v in continuations.get(u, ()):
             q = windows.get(v)
@@ -230,25 +226,25 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
                 window_queue.append((v, q))
             row[a] = (q,)
 
-    state(growing, ())
-    for u in sorted(prefix_pool, key=key):
+    state(growing, "")
+    for u in sorted(prefix_pool):
         src = state(growing, u)
         if u in spec._short_set:
             finals.add(src)
         row = succ[src]
-        for a, symbol in enumerate(spec.alphabet):
-            ext = u + (symbol,)
+        for a, c in enumerate(chars):
+            ext = u + c
             if len(ext) <= k - 2 and ext in prefix_pool:
                 row[a] = (state(growing, ext),)
             elif len(ext) == k - 1 and ext in fresh_pool:
                 row[a] = (state(fresh, ext),)
 
-    # each factor u+(a,) moves window u on symbol a to window factor[1:]
-    continuations: dict[Word, list[tuple[int, Word]]] = {}
+    # each factor u + a moves window u on symbol a to window factor[1:]
+    continuations: dict[str, list[tuple[int, str]]] = {}
     for f in spec.factors:
-        continuations.setdefault(f[:-1], []).append((index[f[-1]], f[1:]))
+        continuations.setdefault(f[:-1], []).append((ord(f[-1]), f[1:]))
 
-    for u in sorted(fresh_pool, key=key):
+    for u in sorted(fresh_pool):
         src = state(fresh, u)
         if u in spec._short_set:
             finals.add(src)
@@ -284,27 +280,27 @@ def infer_slt(sample: Iterable[Word], k: int,
     language is the smallest width-k slt superset of the sample definable
     this way.
     """
-    words = sorted(set(tuple(w) for w in sample))
+    words = {tuple(w) for w in sample}
     if not words:
         raise ValueError("sample must be nonempty")
-    if any(len(w) == 0 for w in words):
+    if () in words:
         raise ValueError("sample may not contain the empty word")
     if alphabet is None:
         alphabet = sorted({s for w in words for s in w})
-    prefixes: set[Word] = set()
-    suffixes: set[Word] = set()
-    factors: set[Word] = set()
-    short: set[Word] = set()
-    for w in words:
+    encode = word_encoder(alphabet)
+    prefixes: set[str] = set()
+    suffixes: set[str] = set()
+    factors: set[str] = set()
+    short: set[str] = set()
+    for w in map(encode, words):
         if len(w) < k:
             short.add(w)
         if len(w) >= k - 1:
             prefixes.add(w[:k - 1])
             suffixes.add(w[-(k - 1):])
         factors.update(w[i:i + k] for i in range(len(w) - k + 1))
-    return SltSpec(width=k, alphabet=tuple(alphabet), prefixes=tuple(prefixes),
-                   suffixes=tuple(suffixes), factors=tuple(factors),
-                   short_words=tuple(short))
+    return SltSpec(width=k, alphabet=tuple(alphabet), prefixes=prefixes,
+                   suffixes=suffixes, factors=factors, short_words=short)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .construction import (
     medvedev_width2,
     parse_decomposition,
     prepare,
+    source_mismatch,
     state_code,
 )
 from .slt import compile_spec, slt_membership, window_ops
@@ -141,11 +142,14 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     and reports the least witness on each failing side.  Exact mode joins
     the residual to the projected table as a trie and decides equivalence
     with one subset product; if a cap is hit it downgrades itself to
-    bounded mode with a notice.
+    bounded mode with a notice.  A decomposition whose recorded source
+    fingerprint is not the prepared machine's is still checked, with a
+    notice saying so.
     """
     t0 = time.perf_counter()
     sizes = _set_sizes(dec)
-    notice = None
+    mismatch = source_mismatch(dec, prepare(m))
+    notices = [mismatch] if mismatch else []
     compiled = None
     if mode == "exact":
         try:
@@ -162,9 +166,10 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
             return VerificationReport(mode="exact", horizon=None, ok=w is None,
                                       missing=missing, extra=extra,
                                       extra_local=extra_local, set_sizes=sizes,
-                                      elapsed=time.perf_counter() - t0)
+                                      elapsed=time.perf_counter() - t0,
+                                      notice="; ".join(notices) or None)
         except CapacityError as exc:
-            notice = f"exact mode hit a resource cap ({exc}); fell back to bounded"
+            notices.append(f"exact mode hit a resource cap ({exc}); fell back to bounded")
     elif mode != "bounded":
         raise ValueError(f"unknown mode: {mode!r}")
 
@@ -191,7 +196,7 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                               ok=not missing_set and not extra_set,
                               missing=missing, extra=extra, extra_local=extra_local,
                               set_sizes=sizes, elapsed=time.perf_counter() - t0,
-                              notice=notice)
+                              notice="; ".join(notices) or None)
 
 
 def _local_preimage(dec: Decomposition, compiled: Table, word: Word,

@@ -20,6 +20,20 @@ def lh_nfa(h: int) -> sk.Nfa:
                   initial=0, finals=frozenset({h + 1}))
 
 
+def symbol_spec(width, alphabet, prefixes=(), suffixes=(), factors=(),
+                short_words=()) -> sk.SltSpec:
+    """A spec given by symbol words, encoded over ``alphabet``."""
+    encode = sk.word_encoder(alphabet)
+    return sk.SltSpec(width=width, alphabet=tuple(alphabet),
+                      prefixes=map(encode, prefixes), suffixes=map(encode, suffixes),
+                      factors=map(encode, factors), short_words=map(encode, short_words))
+
+
+def symbol_words(spec: sk.SltSpec, attr: str) -> set:
+    """One of the spec's word sets, decoded to symbol words."""
+    return set(map(spec.decode, getattr(spec, attr)))
+
+
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
     """An NFA for the projected slt language of ``dec`` plus its residual."""
     image = sk.relabel(sk.slt_to_nfa(dec.slt), dict(dec.pi.pairs), alphabet)

@@ -12,9 +12,8 @@ from typing import NamedTuple
 import pytest
 
 import sltkit as sk
-from sltkit import SltSpec
 
-from conftest import CORPUS_NAMES, lh_nfa
+from conftest import CORPUS_NAMES, lh_nfa, symbol_spec
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -251,13 +250,13 @@ def test_criterion_6_lower_bound_core():
     pi = sk.Homomorphism((("a1", "a"), ("a2", "a"), ("b1", "b")))
 
     def width2_candidate(prefixes, suffixes, factors):
-        spec = SltSpec(width=2, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
-                       suffixes=suffixes, factors=factors)
+        spec = symbol_spec(width=2, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
+                           suffixes=suffixes, factors=factors)
         return sk.Decomposition(kind="width2", slt=spec, pi=pi)
 
     def main_candidate(width, prefixes, suffixes, factors, residual):
-        spec = SltSpec(width=width, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
-                       suffixes=suffixes, factors=factors)
+        spec = symbol_spec(width=width, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
+                           suffixes=suffixes, factors=factors)
         return sk.Decomposition(kind="main", slt=spec, pi=pi, residual=residual,
                                 h=2, m=width // 2)
 
@@ -339,7 +338,7 @@ def test_criterion_8_round_trip_and_streaming(machines, build_main):
             length = rng.randint(1, 3 * spec.width)
             words.append(tuple(rng.choice(spec.alphabet) for _ in range(length)))
         for w in words:
-            recognizer = sk.make_stream_recognizer(spec)
+            recognizer = sk.StreamRecognizer(spec)
             for s in w:
                 recognizer.feed(s)
             if recognizer.finish() != sk.slt_membership(spec, w):

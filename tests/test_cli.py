@@ -112,6 +112,21 @@ class TestEncodeDecode:
         assert status == 2
         assert "built for machine" in capsys.readouterr().err
 
+    def test_verify_notices_a_decomposition_of_another_machine(self, tmp_path, capsys):
+        for name in ("abplus", "abbplus"):
+            (tmp_path / f"{name}.nfa").write_text(corpus_text(name))
+        dec_path = tmp_path / "abbplus.h3.dec"
+        run(capsys, "build", "--nfa", tmp_path / "abbplus.nfa", "--ratio", 3,
+            "--out", dec_path)
+        status, out = run(capsys, "verify", "--nfa", tmp_path / "abplus.nfa",
+                          "--dec", dec_path, "--mode", "exact")
+        assert status == 1 and "verdict=FAIL" in out
+        notice = next(line for line in out.splitlines() if line.startswith("notice="))
+        assert "decomposition was built for machine" in notice
+        status, out = run(capsys, "verify", "--nfa", tmp_path / "abbplus.nfa",
+                          "--dec", dec_path, "--mode", "exact")
+        assert status == 0 and "notice=" not in out
+
 
 class TestRecognize:
     def test_batch_and_stream_agree(self, workdir, capsys, monkeypatch):

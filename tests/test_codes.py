@@ -109,9 +109,9 @@ class TestBuild:
             for n in range(2, 13):
                 code = sk.build_code(n, h)
                 for word in code.codewords:
-                    assert sk.subword(word, code.m - 1, code.m) == W("00")
+                    assert word[code.m - 2:code.m] == W("00")
                     for i in range(1, code.m - 1):
-                        assert sk.subword(word, i, i + 1) != W("00")
+                        assert word[i - 1:i + 1] != W("00")
 
 
 class TestDecode:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import pytest
 
@@ -7,7 +8,7 @@ from sltkit import Nfa, Path
 from sltkit.codes import build_code
 from sltkit.construction import _encode_blocks, _find_path, _reference_main_sets
 
-from conftest import CORPUS_NAMES, corpus_text, projected_language
+from conftest import CORPUS_NAMES, corpus_text, projected_language, symbol_spec, symbol_words
 
 
 def W(s: str):
@@ -31,10 +32,10 @@ class TestWidth2:
     def test_aplus_sets(self, aplus):
         dec = sk.medvedev_width2(aplus)
         assert dec.kind == "width2" and dec.k == 2 and dec.residual == ()
-        assert dec.slt.prefixes == (("q0|a",),)
-        assert set(dec.slt.factors) == {("q0|a", "q1|a"), ("q1|a", "q1|a")}
-        assert set(dec.slt.suffixes) == {("q0|a",), ("q1|a",)}
-        assert dec.slt.short_words == (("q0|a",),)
+        assert tuple(map(dec.slt.decode, dec.slt.prefixes)) == (("q0|a",),)
+        assert symbol_words(dec.slt, "factors") == {("q0|a", "q1|a"), ("q1|a", "q1|a")}
+        assert symbol_words(dec.slt, "suffixes") == {("q0|a",), ("q1|a",)}
+        assert tuple(map(dec.slt.decode, dec.slt.short_words)) == (("q0|a",),)
 
     def test_alphabet_size_is_states_times_letters(self, machines):
         for m in machines.values():
@@ -64,9 +65,10 @@ class TestWidth2:
                 for length in range(1, 2 * prepared.n + 2)
                 for path in sk.enumerate_m_paths(prepared, prepared.initial, length)
                 if path.end in prepared.finals]
-        assert set(dec.slt.prefixes) == {z[:1] for z in runs}
-        assert set(dec.slt.suffixes) == {z[-1:] for z in runs}
-        assert set(dec.slt.factors) == {z[i:i + 2] for z in runs for i in range(len(z) - 1)}
+        assert symbol_words(dec.slt, "prefixes") == {z[:1] for z in runs}
+        assert symbol_words(dec.slt, "suffixes") == {z[-1:] for z in runs}
+        assert symbol_words(dec.slt, "factors") == {z[i:i + 2] for z in runs
+                                                    for i in range(len(z) - 1)}
         for m in (machine, sk.totalize(machine)):
             assert sk.verify_decomposition(m, dec, mode="exact").ok
 
@@ -89,7 +91,7 @@ class TestPathEncodingWidth2:
         dec = sk.medvedev_width2(aplus)
         encoded = sk.encode_path_width2(aplus, Path(0, ((0, "a", 1),)))
         assert encoded == ("q0|a",)
-        assert encoded in dec.slt.short_words
+        assert dec.slt.encode(encoded) in dec.slt.short_words
 
     def test_unsuccessful_path_rejected(self, aplus):
         with pytest.raises(ValueError, match="successful"):
@@ -156,18 +158,18 @@ class TestMainSets:
         dec = sk.medvedev_main(ends_with_a, h)
         code = build_code(ends_with_a.n, h)
         prefixes, suffixes, factors = _reference_main_sets(ends_with_a, code)
-        assert set(dec.slt.prefixes) == prefixes
-        assert set(dec.slt.suffixes) == suffixes
-        assert set(dec.slt.factors) == factors
+        assert symbol_words(dec.slt, "prefixes") == prefixes
+        assert symbol_words(dec.slt, "suffixes") == suffixes
+        assert symbol_words(dec.slt, "factors") == factors
 
     def test_sweep_matches_on_totalized_corpus_machine(self):
         total = sk.totalize(sk.parse_nfa(corpus_text("needs_sink")))
         dec = sk.medvedev_main(total, 2)
         trimmed = sk.trim(total)
         prefixes, suffixes, factors = _reference_main_sets(trimmed, build_code(trimmed.n, 2))
-        assert set(dec.slt.prefixes) == prefixes
-        assert set(dec.slt.suffixes) == suffixes
-        assert set(dec.slt.factors) == factors
+        assert symbol_words(dec.slt, "prefixes") == prefixes
+        assert symbol_words(dec.slt, "suffixes") == suffixes
+        assert symbol_words(dec.slt, "factors") == factors
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     @pytest.mark.parametrize("h", [2, 3])
@@ -176,9 +178,9 @@ class TestMainSets:
         dec = sk.medvedev_main(machines[name], h)
         prefixes, suffixes, factors = _reference_main_sets(prepared,
                                                            sk.state_code(prepared, h))
-        assert set(dec.slt.prefixes) == prefixes
-        assert set(dec.slt.suffixes) == suffixes
-        assert set(dec.slt.factors) == factors
+        assert symbol_words(dec.slt, "prefixes") == prefixes
+        assert symbol_words(dec.slt, "suffixes") == suffixes
+        assert symbol_words(dec.slt, "factors") == factors
 
     def test_literal_construction_on_totalized_machine(self):
         """The paper's construction on the totalized machine, sink included,
@@ -190,8 +192,8 @@ class TestMainSets:
         symbols = tuple(f"{a}|{d}" for a in total.alphabet for d in code.digits)
         literal = sk.Decomposition(
             kind="main", h=2, m=code.m,
-            slt=sk.SltSpec(width=2 * code.m, alphabet=symbols, prefixes=tuple(prefixes),
-                           suffixes=tuple(suffixes), factors=tuple(factors)),
+            slt=symbol_spec(width=2 * code.m, alphabet=symbols, prefixes=prefixes,
+                            suffixes=suffixes, factors=factors),
             pi=sk.Homomorphism(tuple((s, s.split("|")[0]) for s in symbols)),
             residual=tuple(sk.enumerate_language(total, 3 * code.m - 1)))
         trimmed = sk.medvedev_main(machine, 2)
@@ -248,9 +250,9 @@ class TestMainSets:
     def test_window_soundness_on_sampled_paths(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)
         code = build_code(ends_with_a.n, 2)
-        factor_set = set(dec.slt.factors)
-        prefix_set = set(dec.slt.prefixes)
-        suffix_set = set(dec.slt.suffixes)
+        factor_set = symbol_words(dec.slt, "factors")
+        prefix_set = symbol_words(dec.slt, "prefixes")
+        suffix_set = symbol_words(dec.slt, "suffixes")
         width = dec.k
         for length in (3 * dec.m, 4 * dec.m + 1, 5 * dec.m):
             for path in self.sample_paths(ends_with_a, ends_with_a.initial, length, 64):
@@ -348,6 +350,11 @@ class TestSerialization:
         assert again == dec
         assert sk.serialize_decomposition(again) == text
 
+    def test_pickle_round_trip(self, build_main):
+        dec = build_main("nondet", 2)
+        again = pickle.loads(pickle.dumps(dec))
+        assert again == dec and again.slt.encode(("a|0",)) == dec.slt.encode(("a|0",))
+
     def test_parse_rejects_missing_kind(self):
         with pytest.raises(sk.ParseError, match="kind"):
             sk.parse_decomposition("k 2\nsymbol a -> a\n")
@@ -366,3 +373,36 @@ class TestSerialization:
     def test_fingerprint_changes_with_machine(self, aplus, ends_with_a):
         assert sk.nfa_fingerprint(aplus) != sk.nfa_fingerprint(ends_with_a)
         assert sk.nfa_fingerprint(aplus) == sk.nfa_fingerprint(sk.parse_nfa(corpus_text("aplus")))
+
+
+class TestLargeLocalAlphabets:
+    """Local alphabets of more than 256 symbols build, round trip and verify."""
+
+    @staticmethod
+    def round_trip_and_verify(machine, dec):
+        text = sk.serialize_decomposition(dec)
+        again = sk.parse_decomposition(text)
+        assert again == dec and sk.serialize_decomposition(again) == text
+        report = sk.verify_decomposition(machine, again, mode="exact")
+        assert report.ok and report.mode == "exact"
+
+    def test_main_with_ratio_times_letters_above_256(self):
+        # nonempty words over three letters
+        moves = tuple((src, a, 1) for src in (0, 1) for a in "abc")
+        machine = Nfa(n=2, alphabet=("a", "b", "c"), transitions=moves, initial=0,
+                      finals=frozenset({1}))
+        dec = sk.medvedev_main(machine, 130)
+        assert len(dec.slt.alphabet) == 390
+        # c-symbols have indices 260 and up
+        assert max(map(max, dec.slt.factors)) >= chr(260)
+        self.round_trip_and_verify(machine, dec)
+
+    def test_width2_with_states_times_letters_above_256(self):
+        # a 130-state chain over {a,b}, looping on a at its final end
+        moves = tuple((q, a, q + 1) for q in range(129) for a in "ab") + ((129, "a", 129),)
+        machine = Nfa(n=130, alphabet=("a", "b"), transitions=moves, initial=0,
+                      finals=frozenset({129}))
+        dec = sk.medvedev_width2(machine)
+        assert len(dec.slt.alphabet) == 260
+        assert symbol_words(dec.slt, "suffixes") == {("q128|a",), ("q128|b",), ("q129|a",)}
+        self.round_trip_and_verify(machine, dec)

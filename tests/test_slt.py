@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import sltkit as sk
 from sltkit import Nfa, SltSpec
 
-from conftest import corpus_text, lh_nfa
+from conftest import corpus_text, lh_nfa, symbol_spec, symbol_words
 
 
 def W(s: str):
@@ -12,9 +12,9 @@ def W(s: str):
 
 
 # local language of alternating primed/plain pairs: (a'a)+ union (b'b)+
-PAIRED_SPEC = SltSpec(width=2, alphabet=("a'", "a", "b'", "b"),
-                      prefixes=[("a'",), ("b'",)], suffixes=[("a",), ("b",)],
-                      factors=[("a'", "a"), ("b'", "b"), ("a", "a'"), ("b", "b'")])
+PAIRED_SPEC = symbol_spec(width=2, alphabet=("a'", "a", "b'", "b"),
+                          prefixes=[("a'",), ("b'",)], suffixes=[("a",), ("b",)],
+                          factors=[("a'", "a"), ("b'", "b"), ("a", "a'"), ("b", "b'")])
 
 
 @pytest.fixture
@@ -25,8 +25,8 @@ def paired():
 @pytest.fixture
 def triple_b():
     """Width-3 language of one or more repetitions of abb."""
-    return SltSpec(width=3, alphabet=("a", "b"), prefixes=[W("ab")], suffixes=[W("bb")],
-                   factors=[W("bab"), W("abb"), W("bba")])
+    return symbol_spec(width=3, alphabet=("a", "b"), prefixes=[W("ab")], suffixes=[W("bb")],
+                       factors=[W("bab"), W("abb"), W("bba")])
 
 
 def brute_language(spec: SltSpec, max_len: int):
@@ -34,7 +34,7 @@ def brute_language(spec: SltSpec, max_len: int):
     for _ in range(max_len):
         level = [w + (s,) for w in level for s in spec.alphabet]
         words.extend(w for w in level if sk.slt_membership(spec, w))
-    key = lambda w: (len(w), tuple(spec.symbol_index(s) for s in w))
+    key = lambda w: (len(w), spec.encode(w))
     return sorted(words, key=key)
 
 
@@ -57,27 +57,24 @@ class TestWindowOps:
 
 
 class TestSubword:
+    """The factor of a word from 1-based position start through end, as the
+    paper writes it, is the slice [start - 1:end]."""
+
     def test_middle(self):
-        assert sk.subword(W("abcde"), 2, 4) == W("bcd")
+        assert W("abcde")[2 - 1:4] == W("bcd")
 
     def test_empty_when_end_precedes_start(self):
-        assert sk.subword(W("abc"), 3, 2) == ()
+        assert W("abc")[3 - 1:2] == ()
 
     def test_whole_word(self):
-        assert sk.subword(W("abc"), 1, 3) == W("abc")
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sk.subword(W("abc"), 0, 2)
-        with pytest.raises(ValueError):
-            sk.subword(W("abc"), 1, 4)
+        assert W("abc")[1 - 1:3] == W("abc")
 
     @given(st.text(alphabet="ab", min_size=1, max_size=12), st.data())
     def test_matches_prefix_of_suffix_composition(self, s, data):
         w = tuple(s)
         start = data.draw(st.integers(1, len(w)))
         end = data.draw(st.integers(1, len(w)))
-        direct = sk.subword(w, start, end)
+        direct = w[start - 1:end]
         if end < start:
             assert direct == ()
         else:
@@ -102,41 +99,54 @@ class TestMembership:
             sk.slt_membership(paired, ("z",))
 
     def test_short_words_are_explicit(self):
-        spec = SltSpec(width=3, alphabet=("a",), prefixes=[W("aa")], suffixes=[W("aa")],
-                       factors=[], short_words=[W("aa")])
+        spec = symbol_spec(width=3, alphabet=("a",), prefixes=[W("aa")], suffixes=[W("aa")],
+                           factors=[], short_words=[W("aa")])
         assert sk.slt_membership(spec, W("aa"))
         assert not sk.slt_membership(spec, W("a"))
         assert not sk.slt_membership(spec, W("aaa"))  # length k goes through factors
 
+    def test_constructor_takes_index_strings_only(self):
+        ok = dict(width=3, alphabet=("a", "b"), prefixes=["\x00\x01"], suffixes=["\x01\x01"],
+                  factors=["\x00\x01\x01"], short_words=["\x00"])
+        spec = SltSpec(**ok)
+        assert SltSpec(width=3, alphabet=spec.alphabet, prefixes=spec.prefixes,
+                       suffixes=spec.suffixes, factors=spec.factors,
+                       short_words=spec.short_words) == spec
+        for field, words, message in (("prefixes", [("a", "b")], "index strings"),
+                                      ("factors", ["\x00\x01"], "length in 3..3"),
+                                      ("short_words", [""], "length in 1..2"),
+                                      ("suffixes", ["\x01\x02"], "unknown symbol index 2")):
+            with pytest.raises(ValueError, match=message):
+                SltSpec(**{**ok, field: words})
+
     def test_spec_equality_is_structural(self, paired):
-        reordered = SltSpec(width=2, alphabet=("a'", "a", "b'", "b"),
-                            prefixes=[("b'",), ("a'",)], suffixes=[("b",), ("a",)],
-                            factors=[("b", "b'"), ("a", "a'"), ("b'", "b"), ("a'", "a")])
+        reordered = symbol_spec(width=2, alphabet=("a'", "a", "b'", "b"),
+                                prefixes=[("b'",), ("a'",)], suffixes=[("b",), ("a",)],
+                                factors=[("b", "b'"), ("a", "a'"), ("b'", "b"), ("a'", "a")])
         assert reordered == paired
 
 
 class TestStreaming:
     def test_accepting_feed(self, paired):
-        r = sk.make_stream_recognizer(paired)
+        r = sk.StreamRecognizer(paired)
         for s in ("a'", "a", "a'", "a"):
             r.feed(s)
         assert r.finish()
 
     def test_failing_factor(self, paired):
-        r = sk.make_stream_recognizer(paired)
+        r = sk.StreamRecognizer(paired)
         for s in ("a'", "a", "b'"):
             r.feed(s)
         assert r.finish() is False
 
     def test_short_word_path(self):
-        spec = SltSpec(width=3, alphabet=("a",), prefixes=[], suffixes=[], factors=[],
-                       short_words=[W("a")])
-        r = sk.make_stream_recognizer(spec)
+        spec = symbol_spec(width=3, alphabet=("a",), short_words=[W("a")])
+        r = sk.StreamRecognizer(spec)
         r.feed("a")
         assert r.finish()
 
     def test_feed_after_finish(self, paired):
-        r = sk.make_stream_recognizer(paired)
+        r = sk.StreamRecognizer(paired)
         r.feed("a'")
         r.finish()
         with pytest.raises(RuntimeError):
@@ -150,10 +160,45 @@ class TestStreaming:
     @given(symbols=st.lists(st.sampled_from(["a'", "a", "b'", "b"]),
                             min_size=1, max_size=8))
     def test_agrees_with_batch(self, symbols):
-        r = sk.make_stream_recognizer(PAIRED_SPEC)
+        r = sk.StreamRecognizer(PAIRED_SPEC)
         for s in symbols:
             r.feed(s)
         assert r.finish() == sk.slt_membership(PAIRED_SPEC, tuple(symbols))
+
+
+# symbols whose alphabet order is not their string order
+MIXED = ("b2", "a10", "a9")
+
+
+def reference_member(sample, k, word) -> bool:
+    """Membership in the tightest width-k spec of ``sample``, decided from
+    window triples of symbol tuples."""
+    if len(word) < k:
+        return word in sample
+    heads = {sk.window_ops(w, k - 1)[:2] for w in sample if len(w) >= k - 1}
+    factors = set().union(*(sk.window_ops(w, k)[2] for w in sample))
+    prefix, suffix, _ = sk.window_ops(word, k - 1)
+    return (prefix in {p for p, _ in heads} and suffix in {s for _, s in heads}
+            and sk.window_ops(word, k)[2] <= factors)
+
+
+class TestAgainstWindowOps:
+    @settings(max_examples=150, deadline=None)
+    @given(sample=st.lists(st.lists(st.sampled_from(MIXED), min_size=1, max_size=9)
+                           .map(tuple), min_size=1, max_size=5),
+           k=st.integers(2, 4))
+    def test_inferred_spec_decides_like_window_triples(self, sample, k):
+        spec = sk.infer_slt(sample, k, MIXED)
+        mutants = [w[:i] + (s,) + w[i + 1:] for w in sample for i in range(len(w))
+                   for s in MIXED if s != w[i]]
+        for word in sample + mutants:
+            expected = reference_member(set(sample), k, word)
+            assert sk.slt_membership(spec, word) == expected, word
+            r = sk.StreamRecognizer(spec)
+            for symbol in word:
+                r.feed(symbol)
+            assert r.finish() == expected, word
+        assert all(sk.slt_membership(spec, w) for w in sample)
 
 
 class TestCompile:
@@ -165,7 +210,7 @@ class TestCompile:
         assert sk.nfa_equivalent(sk.slt_to_nfa(paired), hand).equivalent
 
     def test_empty_spec_gives_empty_language(self):
-        spec = SltSpec(width=2, alphabet=("a",), prefixes=[], suffixes=[], factors=[])
+        spec = symbol_spec(width=2, alphabet=("a",))
         assert sk.enumerate_language(sk.slt_to_nfa(spec), 6) == []
 
     def test_triple_b_is_abb_plus(self, triple_b):
@@ -182,24 +227,25 @@ class TestCompile:
 
     def test_short_words_reachable_without_prefix_anchor(self):
         # a short word that is not a prefix of any allowed window
-        spec = SltSpec(width=3, alphabet=("a", "b"), prefixes=[W("ab")],
-                       suffixes=[W("bb")], factors=[W("abb")], short_words=[W("ba")])
+        spec = symbol_spec(width=3, alphabet=("a", "b"), prefixes=[W("ab")],
+                           suffixes=[W("bb")], factors=[W("abb")], short_words=[W("ba")])
         assert sk.enumerate_language(sk.slt_to_nfa(spec), 3) == [W("ba"), W("abb")]
 
 
 class TestInfer:
     def test_two_sample_words(self):
         spec = sk.infer_slt([W("ab"), W("abab")], 2)
-        assert spec.prefixes == (W("a"),)
-        assert spec.suffixes == (W("b"),)
-        assert set(spec.factors) == {W("ab"), W("ba")}
+        assert tuple(map(spec.decode, spec.prefixes)) == (W("a"),)
+        assert tuple(map(spec.decode, spec.suffixes)) == (W("b"),)
+        assert symbol_words(spec, "factors") == {W("ab"), W("ba")}
         expected = [W("ab"), W("abab"), W("ababab"), W("abababab")]
         assert sk.enumerate_language(sk.slt_to_nfa(spec), 8) == expected
 
     def test_sample_shorter_than_window(self):
         spec = sk.infer_slt([W("aa")], 3)
-        assert spec.short_words == (W("aa"),)
-        assert spec.prefixes == (W("aa"),) and spec.suffixes == (W("aa"),)
+        assert tuple(map(spec.decode, spec.short_words)) == (W("aa"),)
+        assert tuple(map(spec.decode, spec.prefixes)) == (W("aa"),)
+        assert tuple(map(spec.decode, spec.suffixes)) == (W("aa"),)
         assert spec.factors == ()
 
     def test_recovers_tight_triple_b_sets(self, triple_b):

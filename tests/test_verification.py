@@ -6,7 +6,7 @@ import pytest
 import sltkit as sk
 from sltkit import CorpusConfig, SltSpec
 
-from conftest import corpus_text
+from conftest import corpus_text, symbol_spec
 
 
 def W(s: str):
@@ -72,10 +72,26 @@ class TestVerify:
         assert report.mode == "bounded" and report.notice is not None
         assert report.ok
 
+    def test_decomposition_of_another_machine_gets_a_notice(self, machines, build_main):
+        abplus = machines["abplus"]
+        foreign = build_main("abbplus", 3)
+        fingerprint = sk.nfa_fingerprint(sk.prepare(abplus))
+        assert foreign.source_fingerprint != fingerprint
+        expected = (f"decomposition was built for machine {foreign.source_fingerprint}, "
+                    f"not for this one ({fingerprint})")
+        exact = sk.verify_decomposition(abplus, foreign, mode="exact")
+        assert exact.mode == "exact" and not exact.ok and exact.notice == expected
+        fallback = sk.verify_decomposition(abplus, foreign, mode="exact", state_cap=1)
+        assert fallback.mode == "bounded" and not fallback.ok
+        assert fallback.notice.startswith(expected + "; exact mode hit a resource cap")
+        own = sk.verify_decomposition(machines["abbplus"], foreign, mode="exact")
+        assert own.ok and own.notice is None
+        anonymous = dataclasses.replace(foreign, source_fingerprint="")
+        assert sk.verify_decomposition(abplus, anonymous, mode="exact").notice is None
+
     def test_witnesses_on_both_sides(self):
         machine = sk.parse_nfa(corpus_text("needs_sink"))
-        spec = SltSpec(width=4, alphabet=("a|0", "b|0"), prefixes=(), suffixes=(),
-                       factors=())
+        spec = symbol_spec(width=4, alphabet=("a|0", "b|0"))
         pi = sk.Homomorphism((("a|0", "a"), ("b|0", "b")))
         forged = sk.Decomposition(kind="main", slt=spec, pi=pi,
                                   residual=(W("a"), W("bb")), h=2, m=2)
@@ -91,8 +107,8 @@ class TestRefute:
 
     @staticmethod
     def candidate(width, prefixes, suffixes, factors, short=(), residual=()):
-        spec = SltSpec(width=width, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
-                       suffixes=suffixes, factors=factors, short_words=short)
+        spec = symbol_spec(width=width, alphabet=("a1", "a2", "b1"), prefixes=prefixes,
+                           suffixes=suffixes, factors=factors, short_words=short)
         pi = sk.Homomorphism((("a1", "a"), ("a2", "a"), ("b1", "b")))
         if width == 2 and not residual:
             return sk.Decomposition(kind="width2", slt=spec, pi=pi)
@@ -132,8 +148,7 @@ class TestRefute:
         assert sk.slt_membership(dec.slt, ("b1",) * 7)
 
     def test_alphabet_not_small_is_precondition_error(self):
-        spec = SltSpec(width=2, alphabet=("a1", "a2", "b1", "b2"),
-                       prefixes=[], suffixes=[], factors=[])
+        spec = symbol_spec(width=2, alphabet=("a1", "a2", "b1", "b2"))
         pi = sk.Homomorphism((("a1", "a"), ("a2", "a"), ("b1", "b"), ("b2", "b")))
         dec = sk.Decomposition(kind="width2", slt=spec, pi=pi)
         with pytest.raises(ValueError, match="2|A|"):

@@ -94,7 +94,7 @@ def mutate(dec, rng: random.Random):
         words.append(tuple(rng.choice(letters) for _ in range(rng.randint(1, 3 * dec.m))))
     else:
         length = {"factors": k, "short_words": rng.randint(1, k - 1)}.get(target, k - 1)
-        words.append(tuple(rng.choice(spec.alphabet) for _ in range(length)))
+        words.append(spec.encode(rng.choice(spec.alphabet) for _ in range(length)))
     if target == "residual":
         return dataclasses.replace(dec, residual=tuple(words))
     return dataclasses.replace(dec, slt=dataclasses.replace(spec, **{target: tuple(words)}))
