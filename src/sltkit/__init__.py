@@ -65,19 +65,16 @@ from .slt import (
     word_encoder,
 )
 from .verification import (
-    CorpusConfig,
     CorpusEntry,
     CorpusReport,
     FgValues,
     RefutationResult,
     VerificationReport,
-    WidthRow,
     default_horizon,
     fg_values,
     refute_small_ratio,
     run_corpus,
     verify_decomposition,
-    width_table,
 )
 
 __version__ = "0.1.0"

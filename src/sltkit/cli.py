@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .automata import (
     DEFAULT_SET_CAP,
     DEFAULT_STATE_CAP,
-    DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
     format_word,
@@ -33,9 +32,8 @@ from .construction import (
     prepare,
     serialize_decomposition,
 )
-from .slt import StreamRecognizer, min_slt_width, slt_membership
+from .slt import min_slt_width, slt_membership
 from .verification import (
-    CorpusConfig,
     default_horizon,
     fg_values,
     refute_small_ratio,
@@ -155,14 +153,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         if unknown is not None:
             print(f"reject # unknown symbol: {unknown}")
             continue
-        if args.stream:
-            recognizer = StreamRecognizer(spec)
-            for symbol in word:
-                recognizer.feed(symbol)
-            verdict = recognizer.finish()
-        else:
-            verdict = slt_membership(spec, word)
-        print("accept" if verdict else "reject")
+        print("accept" if slt_membership(spec, word) else "reject")
     return 0
 
 
@@ -220,10 +211,8 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    config = CorpusConfig(directory=args.dir, ratios=tuple(_parse_int_list(args.ratio)),
-                          horizon=args.maxlen, mode=args.mode, jobs=args.jobs,
-                          set_cap=args.cap, word_cap=args.cap)
-    report = run_corpus(config)
+    report = run_corpus(args.dir, ratios=_parse_int_list(args.ratio), mode=args.mode,
+                        horizon=args.maxlen, cap=args.cap)
     for line in report.summary_lines():
         print(line)
     return 0 if report.ok else 1
@@ -276,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="read words from stdin, print accept/reject")
     p.add_argument("--dec", required=True)
-    p.add_argument("--stream", action="store_true",
-                   help="use the O(k)-memory streaming recognizer")
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("code", help="emit the factor-decodable state code")
@@ -308,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", default="2,3")
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
     p.add_argument("--maxlen", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     add_cap(p)
     p.set_defaults(func=_cmd_corpus)
 

@@ -22,7 +22,6 @@ from .automata import (
     ParseError,
     Path,
     Word,
-    accepts,
     enumerate_language,
     enumerate_m_paths,
     format_word,
@@ -30,7 +29,7 @@ from .automata import (
     trim,
 )
 from .codes import Code, build_code
-from .slt import SltSpec, word_encoder
+from .slt import SltSpec, slt_membership, word_encoder
 
 WIDTH2 = "width2"
 MAIN = "main"
@@ -388,13 +387,16 @@ def _reference_main_sets(m: Nfa, code: Code, cap: int = DEFAULT_WORD_CAP):
 def _find_path(m: Nfa, word: Word) -> Path:
     """Deterministic successful path labelled by ``word``: at each step the
     least viable successor in canonical transition order is taken."""
-    viable: list[set[int]] = [set(m.finals)]
-    by_letter: dict[str, list[tuple[int, int]]] = {}
+    by_letter: dict[str, list[tuple[int, int]]] = {a: [] for a in m.alphabet}
     for src, a, dst in m.transitions:
-        by_letter.setdefault(a, []).append((src, dst))
+        by_letter[a].append((src, dst))
+    unknown = next((a for a in word if a not in by_letter), None)
+    if unknown is not None:
+        raise ValueError(f"unknown letter: {unknown!r}")
+    viable: list[set[int]] = [set(m.finals)]
     for a in reversed(word):
         ahead = viable[-1]
-        viable.append({src for src, dst in by_letter.get(a, ()) if dst in ahead})
+        viable.append({src for src, dst in by_letter[a] if dst in ahead})
     viable.reverse()
     if m.initial not in viable[0]:
         raise ValueError("word is not in the machine's language")
@@ -415,13 +417,13 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     A decomposition built for another machine is rejected: one whose block
     length differs from the prepared machine's state code, or whose
     ``source_fingerprint`` is set and differs from the prepared machine's.
+    The encoded word is checked against ``dec.slt`` before it is returned.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
     prepared = prepare(nfa)
     word = tuple(word)
-    if not accepts(prepared, word):
-        raise ValueError("word is not in the machine's language")
+    path = _find_path(prepared, word)
     assert dec.m is not None and dec.h is not None
     code = state_code(prepared, dec.h)
     if code.m != dec.m:
@@ -432,7 +434,10 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
         raise ValueError(mismatch)
     if len(word) < 3 * dec.m:
         return None
-    return _encode_blocks(code, _find_path(prepared, word))
+    z = _encode_blocks(code, path)
+    if not slt_membership(dec.slt, z):
+        raise ValueError("encoded word is not in the decomposition's slt language")
+    return z
 
 
 def decode_word(dec: Decomposition, word: Sequence[str]) -> Word:

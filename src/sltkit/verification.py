@@ -1,5 +1,6 @@
-"""Verification of decompositions, numeric tables, and the refuter that
-demonstrates why fewer than 2|A| local symbols cannot work.
+"""Verification of decompositions, the corpus runner, the paper's growth
+constants, and the refuter that demonstrates why fewer than 2|A| local
+symbols cannot work.
 
 Nothing here trusts a decomposition: the claimed equality between the
 projected slt language (plus residual) and the machine's language is
@@ -10,10 +11,9 @@ horizon, via pruned enumeration.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automata import (
     DEFAULT_SET_CAP,
@@ -30,14 +30,7 @@ from .automata import (
     parse_nfa,
     table_language,
 )
-from .codes import (
-    choose_m,
-    closed_form_m,
-    f_value,
-    g_value,
-    g_value_printed,
-    verify_factor_decodable,
-)
+from .codes import f_value, g_value, g_value_printed, verify_factor_decodable
 from .construction import (
     MAIN,
     WIDTH2,
@@ -285,38 +278,6 @@ def fg_values(h: int) -> FgValues:
 
 
 @dataclass(frozen=True)
-class WidthRow:
-    h: int
-    n: int
-    closed_width: int
-    exact_width: int
-
-
-def width_table(h_values: Sequence[int], n_values: Sequence[int]) -> list[WidthRow]:
-    """Window widths 2m for each (h, n): closed-form block length versus the
-    exact recurrence-based one.  The exact column never exceeds the
-    closed-form column."""
-    rows = []
-    for h in h_values:
-        for n in n_values:
-            rows.append(WidthRow(h=h, n=n, closed_width=2 * closed_form_m(n, h),
-                                 exact_width=2 * choose_m(n, h)))
-    return rows
-
-
-@dataclass(frozen=True)
-class CorpusConfig:
-    directory: str
-    ratios: tuple[int, ...] = (2, 3)
-    horizon: Optional[int] = None
-    mode: str = "bounded"
-    check_codes: bool = True
-    jobs: int = 1
-    set_cap: int = DEFAULT_SET_CAP
-    word_cap: int = DEFAULT_WORD_CAP
-
-
-@dataclass(frozen=True)
 class CorpusEntry:
     name: str
     task: str
@@ -355,80 +316,62 @@ def _witness_detail(report: VerificationReport) -> str:
     return " ".join(parts)
 
 
-def _run_corpus_file(nfa_path: str, dec_paths: tuple[str, ...],
-                     config: CorpusConfig) -> list[CorpusEntry]:
-    name = FsPath(nfa_path).name
-    entries: list[CorpusEntry] = []
+def _code_detail(machine: Nfa, h: int) -> tuple[bool, str]:
+    check = verify_factor_decodable(state_code(prepare(machine), h))
+    detail = f"windows={check.windows_checked}"
+    if check.witness is not None:
+        detail += " witness=" + ".".join(check.witness)
+    return check.ok, detail
+
+
+def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequence[int],
+                     mode: str, horizon: Optional[int], cap: int) -> list[CorpusEntry]:
+    name = nfa_path.name
     try:
-        machine = parse_nfa(FsPath(nfa_path).read_text())
+        machine = parse_nfa(nfa_path.read_text())
     except (OSError, ValueError) as exc:
         return [CorpusEntry(name, "parse", False, f"error={exc}")]
-    try:
-        report = verify_decomposition(machine, medvedev_width2(machine), mode="exact",
-                                      word_cap=config.word_cap)
-        entries.append(CorpusEntry(name, "width2", report.ok, _witness_detail(report)))
-    except (ValueError, CapacityError) as exc:
-        entries.append(CorpusEntry(name, "width2", False, f"error={exc}"))
+    entries: list[CorpusEntry] = []
 
-    for h in config.ratios:
-        task = f"main h={h}"
+    def run(task: str, check: Callable[[], tuple[bool, str]]) -> None:
         try:
-            dec = medvedev_main(machine, h, set_cap=config.set_cap,
-                                word_cap=config.word_cap)
-            report = verify_decomposition(machine, dec, mode=config.mode,
-                                          horizon=config.horizon,
-                                          word_cap=config.word_cap)
-            entries.append(CorpusEntry(name, task, report.ok, _witness_detail(report)))
-        except (ValueError, CapacityError) as exc:
-            entries.append(CorpusEntry(name, task, False, f"error={exc}"))
-        if config.check_codes:
-            try:
-                check = verify_factor_decodable(state_code(prepare(machine), h))
-                detail = f"windows={check.windows_checked}"
-                if check.witness is not None:
-                    detail += " witness=" + ".".join(check.witness)
-                entries.append(CorpusEntry(name, f"code h={h}", check.ok, detail))
-            except (ValueError, CapacityError) as exc:
-                entries.append(CorpusEntry(name, f"code h={h}", False, f"error={exc}"))
-
-    for dec_path in dec_paths:
-        dec_name = FsPath(dec_path).name
-        task = f"fixture {dec_name}"
-        try:
-            dec = parse_decomposition(FsPath(dec_path).read_text())
-            report = verify_decomposition(machine, dec, mode=config.mode,
-                                          horizon=config.horizon,
-                                          word_cap=config.word_cap)
-            entries.append(CorpusEntry(name, task, report.ok, _witness_detail(report)))
+            ok, detail = check()
         except (OSError, ValueError, CapacityError) as exc:
-            entries.append(CorpusEntry(name, task, False, f"error={exc}"))
+            ok, detail = False, f"error={exc}"
+        entries.append(CorpusEntry(name, task, ok, detail))
+
+    def verified(dec: Decomposition, how: str, limit: Optional[int]) -> tuple[bool, str]:
+        report = verify_decomposition(machine, dec, mode=how, horizon=limit, word_cap=cap)
+        return report.ok, _witness_detail(report)
+
+    run("width2", lambda: verified(medvedev_width2(machine), "exact", None))
+    for h in ratios:
+        run(f"main h={h}", lambda: verified(
+            medvedev_main(machine, h, set_cap=cap, word_cap=cap), mode, horizon))
+        run(f"code h={h}", lambda: _code_detail(machine, h))
+    for path in dec_paths:
+        run(f"fixture {path.name}", lambda: verified(
+            parse_decomposition(path.read_text()), mode, horizon))
     return entries
 
 
-def run_corpus(config: CorpusConfig) -> CorpusReport:
+def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "bounded",
+               horizon: Optional[int] = None, cap: int = DEFAULT_SET_CAP) -> CorpusReport:
     """Build and verify both constructions for every machine in a directory.
 
     Picks up ``<stem>.nfa`` machine files plus any ``<stem>[.tag].dec``
-    decomposition fixtures, which are verified against their machine.
-    Per-file problems are reported as failing entries without aborting the
-    run; entry order is canonical by file name regardless of scheduling.
+    decomposition fixtures, which are verified against their machine: the
+    one with the longest stem the fixture's name starts with.  ``cap``
+    bounds both set sizes and enumerated words.  Per-file problems are
+    reported as failing entries without aborting the run; entries come in
+    file-name order.
     """
-    directory = FsPath(config.directory)
-    nfa_files = sorted(directory.glob("*.nfa"))
-    fixtures: dict[str, list[str]] = {}
-    for dec_file in sorted(directory.glob("*.dec")):
-        fixtures.setdefault(dec_file.name.split(".")[0], []).append(str(dec_file))
-
-    jobs = [(str(p), tuple(fixtures.get(p.name.split(".")[0], ())), config)
-            for p in nfa_files]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_corpus_file_star, jobs))
-    else:
-        results = [_run_corpus_file_star(job) for job in jobs]
-    entries = [entry for batch in results for entry in batch]
-    return CorpusReport(entries=tuple(entries))
-
-
-def _run_corpus_file_star(job: tuple[str, tuple[str, ...], CorpusConfig]) -> list[CorpusEntry]:
-    return _run_corpus_file(*job)
+    nfa_files = sorted(FsPath(directory).glob("*.nfa"))
+    fixtures: dict[str, list[FsPath]] = {p.stem: [] for p in nfa_files}
+    for dec_file in sorted(FsPath(directory).glob("*.dec")):
+        owners = [stem for stem in fixtures if dec_file.name.startswith(stem + ".")]
+        if owners:
+            fixtures[max(owners, key=len)].append(dec_file)
+    return CorpusReport(entries=tuple(
+        entry for p in nfa_files
+        for entry in _run_corpus_file(p, fixtures[p.stem], ratios, mode, horizon, cap)))

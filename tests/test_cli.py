@@ -134,12 +134,17 @@ class TestRecognize:
         dec_path = workdir / "aplus.w2.dec"
         run(capsys, "build2", "--nfa", workdir / "aplus.nfa", "--out", dec_path)
         lines = "q0|a.q1|a\nq1|a\n\nq0|a.oops\n"
-        for flag in ([], ["--stream"]):
-            monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-            status, out = run(capsys, "recognize", "--dec", dec_path, *flag)
-            assert status == 0
-            assert out.splitlines() == ["accept", "reject", "reject # empty word",
-                                        "reject # unknown symbol: oops"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        status, out = run(capsys, "recognize", "--dec", dec_path)
+        assert status == 0
+        assert out.splitlines() == ["accept", "reject", "reject # empty word",
+                                    "reject # unknown symbol: oops"]
+        spec = sk.parse_decomposition(dec_path.read_text()).slt
+        for line, verdict in zip(lines.splitlines()[:2], out.splitlines()):
+            recognizer = sk.StreamRecognizer(spec)
+            for symbol in sk.parse_word(line):
+                recognizer.feed(symbol)
+            assert recognizer.finish() == (verdict == "accept")
 
 
 class TestTablesAndCodes:

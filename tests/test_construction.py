@@ -300,6 +300,11 @@ class TestWordEncoding:
         with pytest.raises(ValueError, match="language"):
             sk.encode_word(aplus, dec, ())
 
+    def test_unknown_letter_rejected_before_membership(self, aplus):
+        dec = sk.medvedev_main(aplus, 2)
+        with pytest.raises(ValueError, match="unknown letter: 'z'"):
+            sk.encode_word(aplus, dec, ("a", "z", "b"))
+
     def test_block_length_mismatch_rejected(self, machines):
         dec = sk.medvedev_main(machines["abbplus"], 2)  # four states: m=6
         assert dec.m == 6
@@ -313,10 +318,10 @@ class TestWordEncoding:
         assert dec.source_fingerprint != sk.nfa_fingerprint(sk.prepare(other))
         with pytest.raises(ValueError, match="built for machine"):
             sk.encode_word(other, dec, ("a", "b") * 6)
-        # unchecked, the encoder returns a word outside the spec's language
+        # without a fingerprint, the encoder's own output check refuses it
         anonymous = dataclasses.replace(dec, source_fingerprint="")
-        z = sk.encode_word(other, anonymous, ("a", "b") * 6)
-        assert z is not None and not sk.slt_membership(dec.slt, z)
+        with pytest.raises(ValueError, match="not in the decomposition's slt language"):
+            sk.encode_word(other, anonymous, ("a", "b") * 6)
 
     def test_decode_is_projection(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 import sltkit as sk
-from sltkit import CorpusConfig, SltSpec
+from sltkit import SltSpec
 
 from conftest import corpus_text, symbol_spec
 
@@ -169,17 +169,15 @@ class TestTables:
         assert vals.g_printed == pytest.approx(2.6723, abs=1e-3)
 
     def test_width_entries(self):
-        rows = {(r.h, r.n): r for r in sk.width_table([2, 3, 1000], [10, 10**3, 10**6, 10**40])}
-        assert rows[(2, 10)].closed_width == 18
-        assert rows[(3, 10**3)].closed_width == 20
-        assert rows[(3, 10**6)].closed_width == 34
-        assert rows[(1000, 10**40)].closed_width == 32
+        assert 2 * sk.closed_form_m(10, 2) == 18
+        assert 2 * sk.closed_form_m(10**3, 3) == 20
+        assert 2 * sk.closed_form_m(10**6, 3) == 34
+        assert 2 * sk.closed_form_m(10**40, 1000) == 32
 
     def test_exact_never_exceeds_closed_form(self):
-        rows = sk.width_table([2, 3, 4, 10, 100, 1000],
-                              [10, 10**3, 10**6, 10**9, 10**40])
-        for row in rows:
-            assert row.exact_width <= row.closed_width
+        for h in (2, 3, 4, 10, 100, 1000):
+            for n in (10, 10**3, 10**6, 10**9, 10**40):
+                assert sk.choose_m(n, h) <= sk.closed_form_m(n, h)
 
 
 class TestCorpus:
@@ -189,9 +187,7 @@ class TestCorpus:
         return str(tmp_path)
 
     def test_small_corpus_passes(self, tmp_path):
-        config = CorpusConfig(directory=self.make_dir(tmp_path, ["aplus", "needs_sink"]),
-                              ratios=(2,))
-        report = sk.run_corpus(config)
+        report = sk.run_corpus(self.make_dir(tmp_path, ["aplus", "needs_sink"]), ratios=(2,))
         assert report.ok
         tasks = {(e.name, e.task) for e in report.entries}
         assert ("aplus.nfa", "width2") in tasks
@@ -208,8 +204,7 @@ class TestCorpus:
     def test_empty_language_machine_passes(self, tmp_path):
         (tmp_path / "none.nfa").write_text(
             "alphabet a b\nstates 3\ninitial 0\nfinal 2\ntrans 0 a 1\ntrans 1 b 1\n")
-        report = sk.run_corpus(CorpusConfig(directory=str(tmp_path), ratios=(2, 3),
-                                            mode="exact"))
+        report = sk.run_corpus(str(tmp_path), ratios=(2, 3), mode="exact")
         assert report.ok and len(report.entries) == 5
 
     def test_corrupted_fixture_reports_one_failure(self, tmp_path, aplus):
@@ -217,27 +212,34 @@ class TestCorpus:
         dec = sk.medvedev_width2(sk.totalize(aplus))
         broken = dataclasses.replace(dec, slt=drop_word(dec.slt, "factors", 1))
         (tmp_path / "aplus.broken.dec").write_text(sk.serialize_decomposition(broken))
-        report = sk.run_corpus(CorpusConfig(directory=directory, ratios=(2,)))
+        report = sk.run_corpus(directory, ratios=(2,))
         failures = [e for e in report.entries if not e.ok]
         assert len(failures) == 1
         assert failures[0].task == "fixture aplus.broken.dec"
         assert not report.ok
 
     def test_empty_directory_is_success(self, tmp_path):
-        report = sk.run_corpus(CorpusConfig(directory=str(tmp_path)))
+        report = sk.run_corpus(str(tmp_path))
         assert report.ok and report.entries == ()
 
     def test_unreadable_file_is_isolated(self, tmp_path):
         directory = self.make_dir(tmp_path, ["aplus"])
         (tmp_path / "bad.nfa").write_text("alphabet a\nstates X\n")
-        report = sk.run_corpus(CorpusConfig(directory=directory, ratios=(2,)))
+        report = sk.run_corpus(directory, ratios=(2,))
         bad = [e for e in report.entries if e.name == "bad.nfa"]
         good = [e for e in report.entries if e.name == "aplus.nfa"]
         assert len(bad) == 1 and not bad[0].ok
         assert good and all(e.ok for e in good)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        directory = self.make_dir(tmp_path, ["aplus", "needs_sink"])
-        serial = sk.run_corpus(CorpusConfig(directory=directory, ratios=(2,)))
-        parallel = sk.run_corpus(CorpusConfig(directory=directory, ratios=(2,), jobs=2))
-        assert serial == parallel
+    def test_dotted_names_go_to_the_longest_stem(self, tmp_path, aplus):
+        (tmp_path / "x.nfa").write_text(corpus_text("aplus"))
+        (tmp_path / "x.y.nfa").write_text(corpus_text("abplus"))
+        (tmp_path / "x.h2.dec").write_text(
+            sk.serialize_decomposition(sk.medvedev_main(aplus, 2)))
+        abplus = sk.parse_nfa(corpus_text("abplus"))
+        (tmp_path / "x.y.h2.dec").write_text(
+            sk.serialize_decomposition(sk.medvedev_main(abplus, 2)))
+        report = sk.run_corpus(str(tmp_path), ratios=(2,))
+        assert report.ok
+        fixtures = [(e.name, e.task) for e in report.entries if e.task.startswith("fixture")]
+        assert fixtures == [("x.nfa", "fixture x.h2.dec"), ("x.y.nfa", "fixture x.y.h2.dec")]

@@ -19,7 +19,7 @@ from sltkit import CapacityError, VerificationReport
 from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP
 
 from conftest import CORPUS_NAMES, projected_language
-from test_random_machines import random_machines
+from test_random_machines import random_machines, small_residual
 
 
 def least_preimage(dec, word, word_cap):
@@ -121,10 +121,10 @@ def test_corpus_mutations_match_reference(machines, name, kind):
 @given(machine=random_machines(), kind=st.sampled_from(["width2", 2, 3]),
        seed=st.integers(0, 2**16), state_cap=st.sampled_from([3, DEFAULT_STATE_CAP]))
 def test_random_machines_match_reference(machine, kind, seed, state_cap):
-    dec = build(machine, kind)
-    # dense machines have up to 2^(3m) residual words and 2^(h+1) words
+    # dense machines have up to |A|^(3m) residual words and |A|^(h+1) words
     # below the default horizon h; the reference is slow on either
-    assume(len(dec.residual) <= 4096)
+    assume(kind == "width2" or small_residual(machine, kind))
+    dec = build(machine, kind)
     horizon = min(sk.default_horizon(dec), 10)
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):
