@@ -8,10 +8,11 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import shlex
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Transition = tuple[int, str, int]
@@ -299,14 +300,14 @@ def trim(m: Nfa) -> Nfa:
     table = nfa_table(m)
     dist = _distance_to_final(table)
     useful: set[int] = set()
-    if dist[m.initial] is not None:
+    if dist[m.initial] < math.inf:
         useful.add(m.initial)
         queue: deque[int] = deque([m.initial])
         while queue:
             q = queue.popleft()
             for targets in table.succ[q]:
                 for dst in targets:
-                    if dst not in useful and dist[dst] is not None:
+                    if dst not in useful and dist[dst] < math.inf:
                         useful.add(dst)
                         queue.append(dst)
     kept = [t for t in m.transitions if t[0] in useful and t[2] in useful]
@@ -335,14 +336,15 @@ def accepts(m: Nfa, word: Sequence[str]) -> bool:
     return bool(states & m.finals)
 
 
-def _distance_to_final(t: Table) -> list[Optional[int]]:
-    """Minimum number of transitions from each state to a final state."""
+def _distance_to_final(t: Table) -> list[float]:
+    """Minimum number of transitions from each state to a final state;
+    infinite where no final state is reachable."""
     rev: list[list[int]] = [[] for _ in t.succ]
     for src, row in enumerate(t.succ):
         for targets in row:
             for dst in targets:
                 rev[dst].append(src)
-    dist: list[Optional[int]] = [None] * len(t.succ)
+    dist: list[float] = [math.inf] * len(t.succ)
     queue: deque[int] = deque()
     for q in t.finals:
         dist[q] = 0
@@ -350,70 +352,51 @@ def _distance_to_final(t: Table) -> list[Optional[int]]:
     while queue:
         q = queue.popleft()
         for p in rev[q]:
-            if dist[p] is None:
-                dist[p] = dist[q] + 1  # type: ignore[operator]
+            if dist[p] == math.inf:
+                dist[p] = dist[q] + 1
                 queue.append(p)
     return dist
 
 
-def _language_levels(t: Table, max_len: int, cap: int):
-    """Yield the sorted accepted words of each length 1..max_len in turn.
-
-    Dead prefixes are pruned via distance-to-final, so sparse languages of
-    long words stay cheap.  Raises :class:`CapacityError` once more than
-    ``cap`` words have been produced in total.
-    """
-    # states that cannot reach a final state get a distance past every bound
-    dist = [max_len + 1 if d is None else d for d in _distance_to_final(t)]
-    succ, finals = t.succ, t.finals
-    letters = tuple(enumerate(t.alphabet))
-    produced = 0
-    frontier: dict[Word, tuple[int, ...]] = {}
-    start = tuple(q for q in t.initial if dist[q] <= max_len)
-    if start:
-        frontier[()] = start
-    for length in range(1, max_len + 1):
-        remaining = max_len - length
-        level: list[Word] = []
-        nxt: dict[Word, tuple[int, ...]] = {}
-        for w, states in frontier.items():
-            for a, letter in letters:
-                if len(states) == 1:
-                    targets = succ[states[0]][a]
-                else:
-                    targets = tuple(sorted({dst for q in states for dst in succ[q][a]}))
-                viable = tuple(q for q in targets if dist[q] <= remaining)
-                if not viable:
-                    continue
-                word = w + (letter,)
-                nxt[word] = viable
-                if not finals.isdisjoint(viable):
-                    level.append(word)
-                    produced += 1
-                    if produced > cap:
-                        raise CapacityError(f"enumeration exceeds cap of {cap} words")
-        frontier = nxt
-        yield level
-        if not frontier:
-            break
-
-
-def table_language(t: Table, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
-    """All words of length 1..max_len a table accepts, in length-then-lex order.
-
-    Raises :class:`CapacityError` once more than ``cap`` words are found.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    return [w for level in _language_levels(t, max_len, cap) for w in level]
+def _step(succ: list[list[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The ascending subset a table moves the subset ``s`` to on letter ``a``."""
+    if len(s) == 1:
+        return succ[s[0]][a]
+    return tuple(sorted({dst for q in s for dst in succ[q][a]}))
 
 
 def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     """All accepted words of length 1..max_len in length-then-lex order.
 
-    Raises :class:`CapacityError` once more than ``cap`` words are found.
+    Dead prefixes are pruned via distance-to-final, so sparse languages of
+    long words stay cheap.  Raises :class:`CapacityError` once more than
+    ``cap`` words are found.
     """
-    return table_language(nfa_table(m), max_len, cap)
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    t = nfa_table(m)
+    dist = _distance_to_final(t)
+    succ, finals, letters = t.succ, t.finals, tuple(enumerate(t.alphabet))
+    words: list[Word] = []
+    frontier: dict[Word, tuple[int, ...]] = {}
+    if dist[m.initial] <= max_len:
+        frontier[()] = t.initial
+    for length in range(1, max_len + 1):
+        remaining = max_len - length
+        nxt: dict[Word, tuple[int, ...]] = {}
+        for w, states in frontier.items():
+            for a, letter in letters:
+                viable = tuple(q for q in _step(succ, states, a) if dist[q] <= remaining)
+                if not viable:
+                    continue
+                word = w + (letter,)
+                nxt[word] = viable
+                if not finals.isdisjoint(viable):
+                    words.append(word)
+                    if len(words) > cap:
+                        raise CapacityError(f"enumeration exceeds cap of {cap} words")
+        frontier = nxt
+    return words
 
 
 def enumerate_m_paths(m: Nfa, origin: int, length: int,
@@ -456,79 +439,82 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
                    word_cap: int = DEFAULT_WORD_CAP) -> EquivalenceResult:
     """Decide (exactly or up to a length bound) whether two NFAs agree.
 
-    Exact mode runs :func:`first_difference` on the machines' tables and
-    raises :class:`CapacityError` past ``state_cap`` visited product states.
-    On inequivalence a shortest (then lexicographically least) witness word
-    is returned.
+    Both modes run :func:`differences` on the machines' tables: exact mode
+    capped at ``state_cap`` product states, bounded mode at ``word_cap``
+    product states and words of length ``max_len``.  On inequivalence the
+    shortest (then lexicographically least) witness word is returned.
     """
     if m1.alphabet != m2.alphabet:
         raise ValueError("machines must share the same alphabet")
-    if mode == "bounded":
+    if mode == "exact":
+        cap, max_len = state_cap, None
+    elif mode == "bounded":
         if max_len is None:
             raise ValueError("bounded mode requires max_len")
-        # compare length by length so a short witness is found before a
-        # dense disagreeing language gets fully enumerated
-        from itertools import zip_longest
-        levels1 = _language_levels(nfa_table(m1), max_len, word_cap)
-        levels2 = _language_levels(nfa_table(m2), max_len, word_cap)
-        for level1, level2 in zip_longest(levels1, levels2, fillvalue=[]):
-            if level1 != level2:
-                diff = set(level1) ^ set(level2)
-                return EquivalenceResult(False, min(diff, key=m1.word_key))
-        return EquivalenceResult(True)
-    if mode != "exact":
+        cap = word_cap
+    else:
         raise ValueError(f"unknown mode: {mode!r}")
+    first = next(differences(nfa_table(m1), nfa_table(m2), cap, max_len), None)
+    return EquivalenceResult(first is None, None if first is None else first[0])
 
-    witness = first_difference(nfa_table(m1), nfa_table(m2), state_cap)
-    return EquivalenceResult(witness is None, witness)
 
-
-def first_difference(t1: Table, t2: Table,
-                     state_cap: int = DEFAULT_STATE_CAP) -> Optional[Word]:
-    """The length-lex least word accepted by exactly one of two tables over
-    the same alphabet, or ``None`` when their languages are equal.
+def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
+                max_len: Optional[int] = None) -> Iterator[tuple[Word, bool]]:
+    """Words on which two tables over the same alphabet disagree.
 
     Runs the subset construction on both tables at once, breadth first with
-    letters in alphabet order, so the first pair of subsets that disagree
-    on acceptance is reached by the least such word.  Raises
-    :class:`CapacityError` past ``state_cap`` visited product states.
+    letters in alphabet order, and yields ``(word, accepted by t1)`` for the
+    least word reaching each pair of subsets that disagree on acceptance.
+    Words come in length-then-lex order, so the first one yielded is the
+    least word accepted by exactly one table, and the first one yielded for
+    each table the least word only that table accepts.  With ``max_len``,
+    no longer word is read: pairs at that depth are not expanded, and
+    states that cannot reach a final state in the length left are dropped.
+    Raises :class:`CapacityError` past ``cap`` visited product states.
     """
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
     succ1, succ2 = t1.succ, t2.succ
     fin1, fin2 = t1.finals, t2.finals
     letters = range(len(t1.alphabet))
-
-    def step(succ: list[list[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
-        if len(s) == 1:
-            return succ[s[0]][a]
-        return tuple(sorted({dst for q in s for dst in succ[q][a]}))
+    dist1 = dist2 = None
+    start = (t1.initial, t2.initial)
+    if max_len is not None:
+        dist1, dist2 = _distance_to_final(t1), _distance_to_final(t2)
+        start = (tuple(q for q in t1.initial if dist1[q] <= max_len),
+                 tuple(q for q in t2.initial if dist2[q] <= max_len))
 
     def accepting(s: tuple[int, ...], finals: frozenset[int]) -> bool:
         return s[0] in finals if len(s) == 1 else not finals.isdisjoint(s)
 
-    start = (t1.initial, t2.initial)
     parent: dict[tuple[tuple[int, ...], tuple[int, ...]],
                  Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]]] = {start: None}
-    queue = deque([start])
+    queue = deque([(start, 0)])
     while queue:
-        pair = queue.popleft()
+        pair, depth = queue.popleft()
         s1, s2 = pair
         if accepting(s1, fin1) != accepting(s2, fin2):
             word: list[str] = []
             link = parent[pair]
             while link is not None:
-                pair, a = link
+                last, a = link
                 word.append(t1.alphabet[a])
-                link = parent[pair]
-            return tuple(reversed(word))
+                link = parent[last]
+            yield tuple(reversed(word)), accepting(s1, fin1)
+        if depth == max_len:
+            continue
         for a in letters:
-            nxt = (step(succ1, s1, a), step(succ2, s2, a))
+            nxt = (_step(succ1, s1, a), _step(succ2, s2, a))
+            if dist1 is not None:
+                left = max_len - depth - 1
+                nxt = (tuple(q for q in nxt[0] if dist1[q] <= left),
+                       tuple(q for q in nxt[1] if dist2[q] <= left))
             if nxt not in parent:
-                if len(parent) >= state_cap:
+                if len(parent) >= cap:
                     raise CapacityError(
-                        f"equivalence check exceeds cap of {state_cap} product states")
+                        f"equivalence check exceeds cap of {cap} product states")
                 parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return None
+                queue.append((nxt, depth + 1))
 
 
 def relabel(m: Nfa, mapping: dict[str, str], alphabet: Sequence[str]) -> Nfa:

@@ -76,7 +76,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.ratio >= states:
         print(f"warning: ratio {args.ratio} >= state count {states}; "
               "the width-2 construction would use no more symbols", file=sys.stderr)
-    dec = medvedev_main(machine, args.ratio, set_cap=args.cap, word_cap=args.cap)
+    dec = medvedev_main(machine, args.ratio, cap=args.cap)
     FsPath(args.out).write_text(serialize_decomposition(dec))
     sizes = dec.slt
     print(f"written {args.out} kind=main h={dec.h} m={dec.m} k={dec.k} "
@@ -225,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "letter-to-letter projections, and verify the constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cap", type=int, default=DEFAULT_SET_CAP,
-                       help="resource cap on enumerated words / set elements")
+    def add_cap(p: argparse.ArgumentParser,
+                help: str = "resource cap on enumerated words / set elements") -> None:
+        p.add_argument("--cap", type=int, default=DEFAULT_SET_CAP, help=help)
 
     p = sub.add_parser("build", help="build the width-2m decomposition at a ratio")
     p.add_argument("--nfa", required=True)
@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
     p.add_argument("--maxlen", type=int, default=None,
                    help="bounded-mode horizon (default: max(3m+6, 2k+4))")
-    add_cap(p)
+    add_cap(p, "cap on bounded-mode product states, each reached by a distinct "
+               "enumerated word within the horizon")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                    help="cap on determinized states in exact checks")
     p.set_defaults(func=_cmd_verify)

@@ -311,8 +311,7 @@ def _states_with_incoming_block(m: Nfa, blen: int) -> set[int]:
     return reach
 
 
-def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
-                  word_cap: int = DEFAULT_WORD_CAP) -> Decomposition:
+def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
     """Width-2m decomposition over letter-digit pairs at alphabetic ratio h.
 
     Prefixes come from double-block encodings anchored at the initial
@@ -322,6 +321,7 @@ def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
     the residual, so the short-word set stays empty.  The window sets are
     swept out of a context automaton with per-prefix deduplication rather
     than by materialising path triples.  The machine is prepared first.
+    ``cap`` bounds the context automaton, each window set and the residual.
     """
     m = prepare(m)
     code = state_code(m, h)
@@ -330,8 +330,8 @@ def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
     symbols = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
 
     keys, ids, fwd = _context_automaton(m, code)
-    if len(keys) > set_cap:
-        raise CapacityError(f"context automaton exceeds cap of {set_cap}: {len(keys)}")
+    if len(keys) > cap:
+        raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
     rev: list[list[tuple[str, int]]] = [[] for _ in keys]
     for src, edges in enumerate(fwd):
         for c, dst in edges:
@@ -343,17 +343,17 @@ def medvedev_main(m: Nfa, h: int, *, set_cap: int = DEFAULT_SET_CAP,
     rev_admissible = [[(c, src) for c, src in row if admissible[src]] for row in rev]
 
     prefixes = _window_words(fwd, fwd, [ids[(m.initial, m.initial, 0)]], width - 1,
-                             set_cap, "prefixes")
-    factors = _window_words(fwd, fwd, range(len(keys)), width, set_cap, "factors")
+                             cap, "prefixes")
+    factors = _window_words(fwd, fwd, range(len(keys)), width, cap, "factors")
     ends = [i for i, (state, _, _) in enumerate(keys) if state in m.finals]
     suffixes = {w[::-1] for w in _window_words(rev, rev_admissible, ends, width - 1,
-                                               set_cap, "suffixes")}
+                                               cap, "suffixes")}
 
     spec = SltSpec(width=width, alphabet=symbols, prefixes=prefixes,
                    suffixes=suffixes, factors=factors, short_words=())
     pi = Homomorphism(tuple((pair_symbol(a, d), a)
                             for a in m.alphabet for d in code.digits))
-    residual = tuple(enumerate_language(m, 3 * blen - 1, cap=word_cap))
+    residual = tuple(enumerate_language(m, 3 * blen - 1, cap=cap))
     return Decomposition(kind=MAIN, slt=spec, pi=pi, residual=residual, h=h, m=blen,
                          source_fingerprint=nfa_fingerprint(m))
 

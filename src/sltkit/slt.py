@@ -21,8 +21,9 @@ from .automata import (
     Nfa,
     Table,
     Word,
+    differences,
     enumerate_language,
-    nfa_equivalent,
+    nfa_table,
 )
 
 
@@ -314,8 +315,9 @@ def min_slt_width(m: Nfa, max_k: int, max_len: int,
     """Smallest width whose inferred spec matches the machine up to max_len.
 
     The agreement test is bounded by ``max_len`` (recorded in the result),
-    not a proof.  Returns ``width=None`` when no width up to ``max_k``
-    agrees.
+    not a proof, and ``word_cap`` bounds both the sample and the product
+    states of each comparison.  Returns ``width=None`` when no width up to
+    ``max_k`` agrees.
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
@@ -324,10 +326,9 @@ def min_slt_width(m: Nfa, max_k: int, max_len: int,
     sample = enumerate_language(m, max_len, cap=word_cap)
     if not sample:
         return MinWidthResult(None, max_len)
+    machine = nfa_table(m)
     for k in range(2, max_k + 1):
-        candidate = slt_to_nfa(infer_slt(sample, k, m.alphabet))
-        verdict = nfa_equivalent(candidate, m, mode="bounded", max_len=max_len,
-                                 word_cap=word_cap)
-        if verdict.equivalent:
+        candidate = compile_spec(infer_slt(sample, k, m.alphabet))
+        if next(differences(candidate, machine, word_cap, max_len), None) is None:
             return MinWidthResult(k, max_len)
     return MinWidthResult(None, max_len)

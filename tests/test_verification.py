@@ -89,6 +89,24 @@ class TestVerify:
         anonymous = dataclasses.replace(foreign, source_fingerprint="")
         assert sk.verify_decomposition(abplus, anonymous, mode="exact").notice is None
 
+    def test_residual_past_a_short_horizon_is_not_compared(self, aplus):
+        dec = sk.medvedev_main(aplus, 2)
+        assert max(map(len, dec.residual)) == 11  # m=4: residual words up to 3m-1
+        report = sk.verify_decomposition(aplus, dec, mode="bounded", horizon=10)
+        assert report.ok and report.horizon == 10
+
+    @pytest.mark.parametrize("build", [sk.medvedev_width2, lambda m: sk.medvedev_main(m, 2)],
+                             ids=["width2", "main-h2"])
+    def test_dense_language_verifies_at_a_long_horizon(self, build):
+        # A+ over two letters: 2^30 words of length 30 alone, but two machine states
+        machine = sk.parse_nfa("alphabet a b\nstates 2\ninitial 0\nfinal 1\n"
+                               "trans 0 a 1\ntrans 0 b 1\ntrans 1 a 1\ntrans 1 b 1\n")
+        assert sk.verify_decomposition(machine, build(machine), horizon=30).ok
+
+    def test_horizon_below_one_is_rejected(self, aplus, aplus_main):
+        with pytest.raises(ValueError, match="at least 1"):
+            sk.verify_decomposition(aplus, aplus_main, horizon=0)
+
     def test_witnesses_on_both_sides(self):
         machine = sk.parse_nfa(corpus_text("needs_sink"))
         spec = symbol_spec(width=4, alphabet=("a|0", "b|0"))
@@ -217,6 +235,10 @@ class TestCorpus:
         assert len(failures) == 1
         assert failures[0].task == "fixture aplus.broken.dec"
         assert not report.ok
+
+    def test_bundled_corpus_passes_at_a_short_horizon(self):
+        # the default ratios build residuals up to length 3m-1 > 8
+        assert sk.run_corpus(sk.corpus_dir(), horizon=8).ok
 
     def test_empty_directory_is_success(self, tmp_path):
         report = sk.run_corpus(str(tmp_path))
