@@ -110,15 +110,6 @@ class Nfa:
         """Successors of ``state`` on ``letter``, in ascending state order."""
         return self._step.get((state, letter), ())
 
-    def letter_index(self, letter: str) -> int:
-        try:
-            return self._letter_index[letter]
-        except KeyError:
-            raise ValueError(f"unknown letter: {letter!r}") from None
-
-    def word_key(self, word: Word):
-        """Sort key realising length-then-lexicographic order by alphabet position."""
-        return (len(word), tuple(self.letter_index(a) for a in word))
 
 
 @dataclass(frozen=True)

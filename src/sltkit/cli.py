@@ -34,7 +34,6 @@ from .construction import (
 )
 from .slt import min_slt_width, slt_membership
 from .verification import (
-    default_horizon,
     fg_values,
     refute_small_ratio,
     run_corpus,
@@ -163,7 +162,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     print(f"m {code.m}")
     joiner = "" if code.h <= 10 else "."
     for state, word in enumerate(code.codewords):
-        print(f"state {state} {joiner.join(word)}")
+        print(f"state {state} {joiner.join(code.digits[ord(d)] for d in word)}")
     return 0
 
 

@@ -3,16 +3,23 @@
 Codewords are length-m digit words whose single occurrence of "00" is the
 final two digits.  Any window of 2m-1 consecutive digits taken from a
 stream of concatenated codewords then contains exactly one codeword as a
-factor, which identifies one state and its alignment.
+factor, which identifies one state and its alignment.  Codes are never
+enumerated: a codeword is unranked from, and ranked back along, the
+recurrence that counts the pool.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, islice
+from typing import Iterator, Optional
 
-from .automata import DEFAULT_SET_CAP, CapacityError, Word
+from .automata import DEFAULT_SET_CAP, CapacityError
+
+# Tails of at most this many pool words are tabulated when iterating.
+_TAIL_WORDS = 4096
 
 
 def _check_h(h: int) -> None:
@@ -20,39 +27,158 @@ def _check_h(h: int) -> None:
         raise ValueError("digit alphabet size must be at least 2")
 
 
-@dataclass(frozen=True)
-class Code:
-    """An injective state -> digit-word mapping with block length ``m``.
+def _counts(h: int, m: int) -> list[int]:
+    """``[count_S(h, k) for k in 0..m]`` with ``count_S(h, 1) = 0``, which
+    lets the recurrence start at k = 3 (entry 0 is never read)."""
+    counts = [0, 0, 1]
+    for _ in range(3, m + 1):
+        counts.append((h - 1) * (counts[-1] + counts[-2]))
+    return counts
 
-    Construction checks shape and injectivity only; the window-decoding
-    discipline of generated codes is checked behaviourally by
-    :func:`verify_factor_decodable`, so deliberately broken codes can be
-    built for testing.
+
+@dataclass(frozen=True)
+class Codewords(Sequence[str]):
+    """The first n words of the sorted pool S(m), computed on demand.
+
+    Words are index strings: character i is ``chr`` of the i-th digit.  For
+    m >= 3 the sorted pool is ``0 d y`` (y in S(m-2)) for d = 1..h-1, then
+    ``d y`` (y in S(m-1)) for d = 1..h-1, with S(2) = {00} and S(1) empty,
+    so a word is unranked (``[q]``) and ranked (``index``) in O(m) steps.
+    Two sequences are equal iff (h, m, n) are.
     """
 
     h: int
     m: int
-    digits: tuple[str, ...]
-    codewords: tuple[Word, ...]
-    _state_of: dict[Word, int] = field(init=False, repr=False, compare=False)
+    n: int
+    _counts: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_h(self.h)
         if self.m < 2:
             raise ValueError("block length must be at least 2")
-        if len(self.digits) != self.h or len(set(self.digits)) != self.h:
-            raise ValueError("digit alphabet must have h distinct digits")
-        if self.digits[0] != "0":
-            raise ValueError("digit alphabet must start with '0'")
-        digit_set = set(self.digits)
-        for w in self.codewords:
-            if len(w) != self.m or any(d not in digit_set for d in w):
-                raise ValueError("codewords must be length-m words over the digits")
-        if len(set(self.codewords)) != len(self.codewords):
-            raise ValueError("codeword mapping must be injective")
-        object.__setattr__(self, "codewords", tuple(tuple(w) for w in self.codewords))
-        object.__setattr__(self, "_state_of",
-                           {w: q for q, w in enumerate(self.codewords)})
+        counts = _counts(self.h, self.m)
+        if not 0 <= self.n <= counts[self.m]:
+            raise ValueError(f"the pool of length {self.m} has {counts[self.m]} words, "
+                             f"not {self.n}")
+        object.__setattr__(self, "_counts", counts)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, q: int) -> str:  # type: ignore[override]
+        if q < 0:
+            q += self.n
+        if not 0 <= q < self.n:
+            raise IndexError("codeword index out of range")
+        h, counts, k = self.h, self._counts, self.m
+        out = []
+        while k > 2:
+            zeros = (h - 1) * counts[k - 2]
+            if q < zeros:
+                d, q = divmod(q, counts[k - 2])
+                out += ("\0", chr(d + 1))
+                k -= 2
+            else:
+                d, q = divmod(q - zeros, counts[k - 1])
+                out.append(chr(d + 1))
+                k -= 1
+        return "".join(out) + "\0\0"
+
+    def index(self, word: str) -> int:  # type: ignore[override]
+        """The rank of ``word``; ValueError if it is not one of the n words."""
+        h, counts, k = self.h, self._counts, self.m
+        if not isinstance(word, str) or len(word) != k:
+            raise ValueError(f"{word!r} is not a codeword")
+        q = i = 0
+        while k > 2:
+            d = ord(word[i])
+            if d == 0:
+                d = ord(word[i + 1])
+                if d == 0 or d >= h:
+                    break
+                q += (d - 1) * counts[k - 2]
+                i += 2
+                k -= 2
+            elif d < h:
+                q += (h - 1) * counts[k - 2] + (d - 1) * counts[k - 1]
+                i += 1
+                k -= 1
+            else:
+                break
+        if k != 2 or word[i:] != "\0\0" or q >= self.n:
+            raise ValueError(f"{word!r} is not a codeword")
+        return q
+
+    def __contains__(self, word: object) -> bool:
+        try:
+            self.index(word)  # type: ignore[arg-type]
+        except ValueError:
+            return False
+        return True
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(chain.from_iterable(self._runs()), self.n)
+
+    def _runs(self) -> Iterator[list[str]]:
+        """Runs of consecutive pool words, in order: each recurrence prefix
+        joined to a tabulated pool of short tails."""
+        h, counts = self.h, self._counts
+        short = 2
+        while short < self.m and counts[short + 1] <= _TAIL_WORDS:
+            short += 1
+        tails: list[list[str]] = [[], [], ["\0\0"]]
+        for k in range(3, short + 1):
+            tails.append(["\0" + chr(d) + y for d in range(1, h) for y in tails[k - 2]]
+                         + [chr(d) + y for d in range(1, h) for y in tails[k - 1]])
+
+        def walk(prefix: str, k: int) -> Iterator[list[str]]:
+            if k <= short:
+                yield [prefix + y for y in tails[k]]
+                return
+            for d in range(1, h):
+                yield from walk(prefix + "\0" + chr(d), k - 2)
+            for d in range(1, h):
+                yield from walk(prefix + chr(d), k - 1)
+
+        return walk("", self.m)
+
+
+@dataclass(frozen=True)
+class Code:
+    """An injective state -> digit-word mapping with block length ``m``.
+
+    Codewords are index strings ending in two zero digits; ``digits`` gives
+    the symbol of each digit for I/O.  A generated code's ``codewords`` is
+    a :class:`Codewords`.  A code built by hand from a sequence of words is
+    checked for shape and injectivity only; the window-decoding discipline
+    is checked behaviourally by :func:`verify_factor_decodable`, so
+    deliberately broken codes can be built for testing.
+    """
+
+    h: int
+    m: int
+    codewords: Sequence[str]
+    digits: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_h(self.h)
+        if self.m < 2:
+            raise ValueError("block length must be at least 2")
+        if isinstance(self.codewords, Codewords):
+            if (self.codewords.h, self.codewords.m) != (self.h, self.m):
+                raise ValueError("codewords were generated for another h or m")
+        else:
+            words = tuple(self.codewords)
+            top = chr(self.h)
+            for w in words:
+                if (not isinstance(w, str) or len(w) != self.m or max(w) >= top
+                        or not w.endswith("\0\0")):
+                    raise ValueError("codewords must be length-m index strings over "
+                                     "the digits, ending in two zeros")
+            if len(set(words)) != len(words):
+                raise ValueError("codeword mapping must be injective")
+            object.__setattr__(self, "codewords", words)
+        object.__setattr__(self, "digits", tuple(str(d) for d in range(self.h)))
 
     @property
     def n(self) -> int:
@@ -69,17 +195,12 @@ def count_S(h: int, m: int) -> int:
     _check_h(h)
     if m < 2:
         raise ValueError("block length must be at least 2")
-    if m == 2:
-        return 1
-    two_back, one_back = 1, h - 1  # counts for lengths 2 and 3
-    for _ in range(m - 3):
-        two_back, one_back = one_back, (h - 1) * (one_back + two_back)
-    return one_back
+    return _counts(h, m)[m]
 
 
-def enumerate_S(h: int, m: int, cap: int = DEFAULT_SET_CAP) -> list[Word]:
+def enumerate_S(h: int, m: int, cap: int = DEFAULT_SET_CAP) -> list[str]:
     """All length-m digit words whose only "00" occurrence is the suffix,
-    in lexicographic digit order."""
+    as index strings in lexicographic digit order."""
     _check_h(h)
     if m < 2:
         raise ValueError("block length must be at least 2")
@@ -90,7 +211,7 @@ def enumerate_S(h: int, m: int, cap: int = DEFAULT_SET_CAP) -> list[Word]:
     for length in range(4, m + 1):
         by_len[length] = ([(d,) + y for d in nonzero for y in by_len[length - 1]]
                           + [(0, d) + y for d in nonzero for y in by_len[length - 2]])
-    return [tuple(str(d) for d in w) for w in sorted(by_len[m])]
+    return ["".join(map(chr, w)) for w in sorted(by_len[m])]
 
 
 def choose_m(n: int, h: int) -> int:
@@ -137,34 +258,38 @@ def closed_form_m(n: int, h: int) -> int:
     return math.ceil(g_value(h) + f_value(h) * math.log2(n))
 
 
-def build_code(n: int, h: int, cap: int = DEFAULT_SET_CAP) -> Code:
+def build_code(n: int, h: int) -> Code:
     """Deterministic code for n states: the lexicographically first n words
     of the pool at the smallest sufficient block length."""
     if n < 2:
         raise ValueError("state count must be at least 2")
-    _check_h(h)
     m = choose_m(n, h)
-    words = enumerate_S(h, m, cap=cap)[:n]
-    return Code(h=h, m=m, digits=tuple(str(d) for d in range(h)), codewords=tuple(words))
+    return Code(h=h, m=m, codewords=Codewords(h, m, n))
 
 
-def factor_decode(code: Code, window: Word) -> Optional[tuple[int, int]]:
+def factor_decode(code: Code, window: str) -> Optional[tuple[int, int]]:
     """Locate the unique codeword inside a (2m-1)-digit window.
 
-    Returns ``(position, state)`` with a 1-based position in 1..m, or
-    ``None`` when no position or more than one position holds a codeword
-    (the latter signals a broken code).
+    ``window`` is an index string.  Returns ``(position, state)`` with a
+    1-based position in 1..m, or ``None`` when no position or more than one
+    position holds a codeword (the latter signals a broken code).  Every
+    codeword ends in two zeros, so only the positions ending at a "00" are
+    looked up.
     """
-    window = tuple(window)
     m = code.m
     if len(window) != 2 * m - 1:
         raise ValueError(f"window must have length {2 * m - 1}, got {len(window)}")
-    digit_set = set(code.digits)
-    for d in window:
-        if d not in digit_set:
-            raise ValueError(f"unknown digit: {d!r}")
-    matches = [(j + 1, code._state_of[window[j:j + m]])
-               for j in range(m) if window[j:j + m] in code._state_of]
+    if max(window) >= chr(code.h):
+        raise ValueError(f"unknown digit: {max(window)!r}")
+    matches = []
+    end = window.find("\0\0", m - 2)
+    while end != -1:
+        start = end + 2 - m
+        try:
+            matches.append((start + 1, code.codewords.index(window[start:start + m])))
+        except ValueError:
+            pass
+        end = window.find("\0\0", end + 1)
     if len(matches) == 1:
         return matches[0]
     return None
@@ -173,7 +298,7 @@ def factor_decode(code: Code, window: Word) -> Optional[tuple[int, int]]:
 @dataclass(frozen=True)
 class CodeCheck:
     ok: bool
-    witness: Optional[Word]
+    witness: Optional[str]
     windows_checked: int
 
 
@@ -187,13 +312,14 @@ def verify_factor_decodable(code: Code, cap: int = DEFAULT_SET_CAP) -> CodeCheck
     and it sits where the true alignment put it.
     """
     m = code.m
-    cws = code.codewords
+    state_of = {w: q for q, w in enumerate(code.codewords)}
+    cws = list(state_of)
     prefixes = {length: sorted({w[:length] for w in cws}) for length in range(m)}
     suffixes = {length: sorted({w[-length:] for w in cws}) for length in range(1, m)}
 
-    expected: dict[Word, set[tuple[int, int]]] = {}
+    expected: dict[str, set[tuple[int, int]]] = {}
 
-    def add(window: Word, pos: int, state: int) -> None:
+    def add(window: str, pos: int, state: int) -> None:
         expected.setdefault(window, set()).add((pos, state))
         if len(expected) > cap:
             raise CapacityError(f"window sweep exceeds cap of {cap} distinct windows")
@@ -211,7 +337,6 @@ def verify_factor_decodable(code: Code, cap: int = DEFAULT_SET_CAP) -> CodeCheck
                 for pre in prefixes[offset - 1]:
                     add(suf + middle + pre, m + 1 - offset, state)
 
-    state_of = code._state_of
     for window, exp in expected.items():
         matches = [(j + 1, state_of[window[j:j + m]])
                    for j in range(m) if window[j:j + m] in state_of]

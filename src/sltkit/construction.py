@@ -10,7 +10,6 @@ finite residual of short words handled outside the slt mechanism.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -222,7 +221,8 @@ def encode_m_path(code: Code, path: Path) -> Word:
     if len(path) > code.m:
         raise ValueError(f"path longer than the block length {code.m}")
     codeword = code.codewords[path.origin]
-    return tuple(pair_symbol(a, codeword[i]) for i, (_, a, _) in enumerate(path.transitions))
+    return tuple(pair_symbol(a, code.digits[ord(codeword[i])])
+                 for i, (_, a, _) in enumerate(path.transitions))
 
 
 def _encode_blocks(code: Code, path: Path) -> Word:
@@ -245,8 +245,7 @@ def _context_automaton(m: Nfa, code: Code):
     """
     blen = code.m
     h = code.h
-    digit_index = {d: i for i, d in enumerate(code.digits)}
-    cw = [tuple(digit_index[d] for d in w) for w in code.codewords]
+    cw = list(code.codewords)
 
     keys: list[tuple[int, int, int]] = []
     ids: dict[tuple[int, int, int], int] = {}
@@ -263,7 +262,7 @@ def _context_automaton(m: Nfa, code: Code):
     i = 0
     while i < len(keys):
         state, origin, offset = keys[i]
-        digit = cw[origin][offset]
+        digit = ord(cw[origin][offset])
         edges: list[tuple[str, int]] = []
         for a_idx, a in enumerate(m.alphabet):
             sym = chr(a_idx * h + digit)

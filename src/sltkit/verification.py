@@ -29,7 +29,6 @@ from .automata import (
 from .codes import f_value, g_value, g_value_printed, verify_factor_decodable
 from .construction import (
     MAIN,
-    WIDTH2,
     Decomposition,
     medvedev_main,
     medvedev_width2,
@@ -302,10 +301,11 @@ def _witness_detail(report: VerificationReport) -> str:
 
 
 def _code_detail(machine: Nfa, h: int) -> tuple[bool, str]:
-    check = verify_factor_decodable(state_code(prepare(machine), h))
+    code = state_code(prepare(machine), h)
+    check = verify_factor_decodable(code)
     detail = f"windows={check.windows_checked}"
     if check.witness is not None:
-        detail += " witness=" + ".".join(check.witness)
+        detail += " witness=" + ".".join(code.digits[ord(d)] for d in check.witness)
     return check.ok, detail
 
 

@@ -34,6 +34,19 @@ def symbol_words(spec: sk.SltSpec, attr: str) -> set:
     return set(map(spec.decode, getattr(spec, attr)))
 
 
+def word_key(m: sk.Nfa):
+    """Sort key realising length-then-lexicographic order by the position of
+    each letter in ``m``'s alphabet."""
+    index = {a: i for i, a in enumerate(m.alphabet)}
+
+    def position(letter: str) -> int:
+        if letter not in index:
+            raise ValueError(f"unknown letter: {letter!r}")
+        return index[letter]
+
+    return lambda word: (len(word), tuple(map(position, word)))
+
+
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
     """An NFA for the projected slt language of ``dec`` plus its residual."""
     image = sk.relabel(sk.slt_to_nfa(dec.slt), dict(dec.pi.pairs), alphabet)

@@ -75,15 +75,14 @@ def test_criterion_3_factor_decodability():
             checked += result.windows_checked
             if not result.ok:
                 failures.append((n, h, result.witness))
-    broken = sk.Code(h=2, m=4, digits=("0", "1"),
-                     codewords=(tuple("0000"), tuple("1100")))
+    broken = sk.Code(h=2, m=4, codewords=("\0\0\0\0", "\1\1\0\0"))
     adversarial = sk.verify_factor_decodable(broken)
     elapsed = time.perf_counter() - t0
     ok = not failures and not adversarial.ok and adversarial.witness is not None \
         and elapsed < 60.0
     report(3, "factor-decodability-sweep", ok,
            f"n=2..50, h=2..4, {checked} windows, adversarial witness="
-           f"{''.join(adversarial.witness or ())}, {elapsed:.1f}s")
+           f"{''.join(broken.digits[ord(d)] for d in adversarial.witness or '')}, {elapsed:.1f}s")
     assert not failures, failures
     assert not adversarial.ok and adversarial.witness is not None
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"

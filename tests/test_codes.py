@@ -1,25 +1,27 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, Code
+from sltkit.codes import Codewords
 
 
-def W(s: str):
-    return tuple(s)
+def W(s: str) -> str:
+    """The index string of a word written in decimal digits."""
+    return "".join(chr(int(d)) for d in s)
 
 
 def brute_pool(h: int, m: int):
     """Oracle: filter the full digit cube for words whose only adjacent
     zero-pair is the final one."""
-    digits = [str(d) for d in range(h)]
     out = []
-    for word in itertools.product(digits, repeat=m):
-        hits = [i for i in range(m - 1) if word[i] == "0" and word[i + 1] == "0"]
+    for word in itertools.product(range(h), repeat=m):
+        hits = [i for i in range(m - 1) if word[i] == 0 and word[i + 1] == 0]
         if hits == [m - 2]:
-            out.append(word)
+            out.append("".join(map(chr, word)))
     return out
 
 
@@ -93,7 +95,7 @@ class TestBuild:
     def test_two_states_binary(self):
         code = sk.build_code(2, 2)
         assert code.m == 4
-        assert code.codewords == (W("0100"), W("1100"))
+        assert tuple(code.codewords) == (W("0100"), W("1100"))
 
     def test_single_state_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +104,7 @@ class TestBuild:
     def test_three_states_ternary(self):
         code = sk.build_code(3, 3)
         assert code.m == 4
-        assert code.codewords == (W("0100"), W("0200"), W("1100"))
+        assert tuple(code.codewords) == (W("0100"), W("0200"), W("1100"))
 
     def test_codeword_shape(self):
         for h in (2, 3, 4):
@@ -112,6 +114,74 @@ class TestBuild:
                     assert word[code.m - 2:code.m] == W("00")
                     for i in range(1, code.m - 1):
                         assert word[i - 1:i + 1] != W("00")
+
+
+class TestRankUnrank:
+    @pytest.mark.parametrize("h,top", [(2, 12), (3, 8), (5, 8)])
+    def test_agree_with_enumeration_on_every_word(self, h, top):
+        for m in range(2, top + 1):
+            pool = sk.enumerate_S(h, m)
+            words = Codewords(h, m, len(pool))
+            assert [words[q] for q in range(len(pool))] == pool
+            assert [words.index(w) for w in pool] == list(range(len(pool)))
+
+    @pytest.mark.parametrize("word,why", [
+        (W("100"), "wrong length"),
+        (W("10100"), "wrong length"),
+        (W("1001"), "inner 00"),
+        (W("0010"), "inner 00"),
+        (W("1300"), "digit >= h"),
+        (W("2200"), "rank >= n"),
+        (tuple(W("0100")), "not a string"),
+    ])
+    def test_rank_rejects(self, word, why):
+        words = sk.build_code(5, 3).codewords  # m = 4: the first 5 of 6 words
+        assert words.index(W("2100")) == 4
+        with pytest.raises(ValueError, match="not a codeword"):
+            words.index(word)
+        assert word not in words
+
+    def test_unrank_range(self):
+        words = sk.build_code(5, 2).codewords
+        assert words[-1] == words[4]
+        with pytest.raises(IndexError):
+            words[5]
+        with pytest.raises(ValueError):
+            Codewords(2, 5, 4)  # the pool of length 5 has 3 words
+
+    @pytest.mark.parametrize("n,h", [(2, 2), (10, 2), (10**4, 2), (10**4, 3), (7, 11)])
+    def test_lazy_code_is_the_first_n_pool_words(self, n, h):
+        code = sk.build_code(n, h)
+        assert len(code.codewords) == code.n == n
+        assert list(code.codewords) == sk.enumerate_S(h, code.m)[:n]
+
+    def test_billion_states(self):
+        code = sk.build_code(10**9, 2)
+        assert code.m == 46 == sk.choose_m(10**9, 2)
+        last = code.codewords[-1]
+        assert code.codewords.index(last) == 10**9 - 1
+        assert last.endswith(W("00")) and W("00") not in last[:-1]
+
+    def test_equality_hash_and_pickle_follow_h_m_n(self):
+        code = sk.build_code(10, 2)
+        assert code == sk.build_code(10, 2) and hash(code) == hash(sk.build_code(10, 2))
+        assert code != sk.build_code(11, 2) and code.m == sk.build_code(11, 2).m
+        assert code != sk.build_code(10, 3)
+        back = pickle.loads(pickle.dumps(code))
+        assert back == code and hash(back) == hash(code)
+        assert isinstance(back.codewords, Codewords) and list(back.codewords) == list(code.codewords)
+
+    def test_hand_built_code_is_checked(self):
+        with pytest.raises(ValueError, match="index strings"):
+            Code(h=2, m=4, codewords=(tuple("0100"), tuple("1100")))
+        with pytest.raises(ValueError, match="index strings"):
+            Code(h=2, m=4, codewords=(W("0110"),))
+        with pytest.raises(ValueError, match="injective"):
+            Code(h=2, m=4, codewords=(W("0100"), W("0100")))
+        with pytest.raises(ValueError, match="another h or m"):
+            Code(h=2, m=5, codewords=Codewords(2, 4, 2))
+        code = Code(h=2, m=4, codewords=[W("1100"), W("0100")])
+        assert code.codewords == (W("1100"), W("0100")) and code.digits == ("0", "1")
 
 
 class TestDecode:
@@ -145,6 +215,22 @@ class TestDecode:
                     expect = (1, q1) if start == 0 else (m + 1 - start, q2)
                     assert sk.factor_decode(code, window) == expect
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("n,h", [(10**6, 2), (10**5, 3)])
+    def test_true_alignment_in_large_codes(self, n, h, data):
+        code = sk.build_code(n, h)
+        m = code.m
+        q1, q2, q3 = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        start = data.draw(st.integers(0, m - 1))
+        stream = code.codewords[q1] + code.codewords[q2] + code.codewords[q3]
+        expect = (1, q1) if start == 0 else (m + 1 - start, q2)
+        assert sk.factor_decode(code, stream[start:start + 2 * m - 1]) == expect
+
+    def test_unknown_digit_rejected(self, code22):
+        with pytest.raises(ValueError, match="unknown digit"):
+            sk.factor_decode(code22, W("0100") + W("120"))
+
 
 class TestVerifyDecodable:
     def test_generated_code_passes(self):
@@ -152,8 +238,7 @@ class TestVerifyDecodable:
         assert check.ok and check.witness is None
 
     def test_adversarial_code_fails_with_witness(self):
-        broken = Code(h=2, m=4, digits=("0", "1"),
-                      codewords=(W("0000"), W("1100")))
+        broken = Code(h=2, m=4, codewords=(W("0000"), W("1100")))
         check = sk.verify_factor_decodable(broken)
         assert not check.ok and check.witness is not None
         # replay: the witness window really is ambiguous or misaligned

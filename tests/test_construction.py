@@ -273,7 +273,7 @@ class TestWordEncoding:
         assert sk.slt_membership(dec.slt, z)
         assert sk.decode_word(dec, z) == word
         # digit track spells the block-origin codewords
-        digits = tuple(s.split("|")[1] for s in z)
+        digits = "".join(chr(int(s.split("|")[1])) for s in z)
         assert digits[:4] in set(build_code(2, 2).codewords)
 
     def test_aligned_windows_decode_to_block_origins(self, ends_with_a):
@@ -286,7 +286,7 @@ class TestWordEncoding:
         assert z is not None
         path = _find_path(ends_with_a, word)
         origins = [b.origin for b in sk.canonical_decomposition(path, m)]
-        digits = tuple(s.split("|")[1] for s in z)
+        digits = "".join(chr(int(s.split("|")[1])) for s in z)
         for block in range(len(word) // m - 1):
             window = digits[block * m: block * m + 2 * m - 1]
             assert sk.factor_decode(code, window) == (1, origins[block])

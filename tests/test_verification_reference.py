@@ -18,7 +18,7 @@ import sltkit as sk
 from sltkit import CapacityError, VerificationReport
 from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP
 
-from conftest import CORPUS_NAMES, projected_language
+from conftest import CORPUS_NAMES, projected_language, word_key
 from test_random_machines import random_machines, small_residual
 
 
@@ -57,8 +57,8 @@ def reference_report(m, dec, mode, horizon=None, word_cap=DEFAULT_WORD_CAP,
     for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=word_cap):
         image.setdefault(dec.pi(z), z)
     have = set(image) | {w for w in dec.residual if len(w) <= h}
-    missing = min(want - have, key=m.word_key, default=None)
-    extra = min(have - want, key=m.word_key, default=None)
+    missing = min(want - have, key=word_key(m), default=None)
+    extra = min(have - want, key=word_key(m), default=None)
     return VerificationReport(mode="bounded", horizon=h, ok=want == have,
                               missing=missing, extra=extra,
                               extra_local=image.get(extra), set_sizes=sizes,
@@ -74,7 +74,7 @@ def assert_same_report(m, dec, mode, **kwargs) -> VerificationReport:
         claimed = projected_language(dec, m.alphabet)
         diff = (set(sk.enumerate_language(m, len(witness)))
                 ^ set(sk.enumerate_language(claimed, len(witness))))
-        assert witness == min(diff, key=m.word_key)
+        assert witness == min(diff, key=word_key(m))
     return report
 
 
