@@ -12,7 +12,7 @@ import math
 import shlex
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Word = tuple[str, ...]
 Transition = tuple[int, str, int]
@@ -120,11 +120,12 @@ class Table:
     letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
     states.  Nothing is validated or re-sorted: tables are built by code
     that already holds canonical data, such as :func:`nfa_table` or the slt
-    compiler.
+    compiler.  Rows that are never changed after they are built are tuples,
+    which the cyclic garbage collector stops tracking.
     """
 
     alphabet: tuple[str, ...]
-    succ: list[list[tuple[int, ...]]]
+    succ: list[Sequence[tuple[int, ...]]]
     finals: frozenset[int]
     initial: tuple[int, ...]
 
@@ -311,6 +312,27 @@ def trim(m: Nfa) -> Nfa:
                initial=index[m.initial], finals=frozenset(index[q] for q in m.finals & useful))
 
 
+def subset_trace(moves: Mapping[tuple[int, str], Iterable[int]], start: frozenset[int],
+                 word: Iterable[str]) -> list[frozenset[int]]:
+    """The state sets reached from ``start`` along ``word``, ``start`` first.
+
+    ``moves`` maps (state, letter) to states, such as a machine's
+    successors or its predecessors.  A run visits few distinct sets, so
+    the image of each (set, letter) pair is computed once per call.
+    """
+    memo: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+    trace = [start]
+    states = start
+    for letter in word:
+        image = memo.get((states, letter))
+        if image is None:
+            image = memo[states, letter] = frozenset(
+                dst for q in states for dst in moves.get((q, letter), ()))
+        trace.append(image)
+        states = image
+    return trace
+
+
 def accepts(m: Nfa, word: Sequence[str]) -> bool:
     """True iff some successful run is labelled by ``word``; the empty word
     is always rejected."""
@@ -319,12 +341,7 @@ def accepts(m: Nfa, word: Sequence[str]) -> bool:
             raise ValueError(f"unknown letter: {a!r}")
     if not word:
         return False
-    states = {m.initial}
-    for a in word:
-        states = {dst for q in states for dst in m.step(q, a)}
-        if not states:
-            return False
-    return bool(states & m.finals)
+    return not m.finals.isdisjoint(subset_trace(m._step, frozenset((m.initial,)), word)[-1])
 
 
 def _distance_to_final(t: Table) -> list[float]:
@@ -349,7 +366,7 @@ def _distance_to_final(t: Table) -> list[float]:
     return dist
 
 
-def _step(succ: list[list[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
+def _step(succ: list[Sequence[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
     """The ascending subset a table moves the subset ``s`` to on letter ``a``."""
     if len(s) == 1:
         return succ[s[0]][a]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .automata import (
@@ -25,10 +26,11 @@ from .automata import (
     enumerate_m_paths,
     format_word,
     parse_word,
+    subset_trace,
     trim,
 )
 from .codes import Code, build_code
-from .slt import SltSpec, slt_membership, word_encoder
+from .slt import SltSpec, word_encoder
 
 WIDTH2 = "width2"
 MAIN = "main"
@@ -58,7 +60,10 @@ class Homomorphism:
             raise ValueError(f"unknown symbol: {symbol!r}") from None
 
     def __call__(self, word: Sequence[str]) -> Word:
-        return tuple(self.letter(s) for s in word)
+        try:
+            return tuple(map(self._map.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"unknown symbol: {exc.args[0]!r}") from None
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -385,7 +390,8 @@ def _reference_main_sets(m: Nfa, code: Code, cap: int = DEFAULT_WORD_CAP):
 
 def _find_path(m: Nfa, word: Word) -> Path:
     """Deterministic successful path labelled by ``word``: at each step the
-    least viable successor in canonical transition order is taken."""
+    least viable successor in canonical transition order is taken.
+    Definitional reference for :func:`_run`."""
     by_letter: dict[str, list[tuple[int, int]]] = {a: [] for a in m.alphabet}
     for src, a, dst in m.transitions:
         by_letter[a].append((src, dst))
@@ -408,6 +414,32 @@ def _find_path(m: Nfa, word: Word) -> Path:
     return Path(m.initial, tuple(transitions))
 
 
+def _run(m: Nfa, word: Word) -> list[int]:
+    """The states of the run :func:`_find_path` takes on ``word``, from the
+    initial state on.  The sets of states that can still finish, one per
+    position, come from memoised subset steps along the reversed word."""
+    unknown = next((a for a in word if a not in m._letter_index), None)
+    if unknown is not None:
+        raise ValueError(f"unknown letter: {unknown!r}")
+    before: dict[tuple[int, str], list[int]] = {}
+    for src, a, dst in m.transitions:
+        before.setdefault((dst, a), []).append(src)
+    viable = subset_trace(before, m.finals, reversed(word))
+    viable.reverse()
+    if m.initial not in viable[0]:
+        raise ValueError("word is not in the machine's language")
+    step = m._step
+    current = m.initial
+    states = [current]
+    for a, ahead in zip(word, islice(viable, 1, None)):
+        for q in step[current, a]:
+            if q in ahead:
+                break
+        current = q
+        states.append(q)
+    return states
+
+
 def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[Word]:
     """Encode a member of the machine's language into the local language.
 
@@ -416,13 +448,16 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     A decomposition built for another machine is rejected: one whose block
     length differs from the prepared machine's state code, or whose
     ``source_fingerprint`` is set and differs from the prepared machine's.
-    The encoded word is checked against ``dec.slt`` before it is returned.
+    The result equals :func:`_encode_blocks` of the :func:`_find_path` run,
+    written straight into an index string over ``dec.slt``'s alphabet,
+    which is checked against ``dec.slt`` and decoded into the spec's own
+    symbols on return.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
     prepared = prepare(nfa)
     word = tuple(word)
-    path = _find_path(prepared, word)
+    states = _run(prepared, word)
     assert dec.m is not None and dec.h is not None
     code = state_code(prepared, dec.h)
     if code.m != dec.m:
@@ -433,10 +468,30 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
         raise ValueError(mismatch)
     if len(word) < 3 * dec.m:
         return None
-    z = _encode_blocks(code, path)
-    if not slt_membership(dec.slt, z):
+    spec = dec.slt
+    cell: dict[tuple[str, str], str] = {}  # (letter, digit) -> the spec's index character
+    for a in prepared.alphabet:
+        for d, digit in enumerate(code.digits):
+            symbol = pair_symbol(a, digit)
+            if symbol in spec._chars:
+                cell[a, chr(d)] = spec._chars[symbol]
+    origins: dict[int, str] = {}  # codeword of each block origin
+    parts: list[str] = []
+    try:
+        for start in range(0, len(word), dec.m):
+            origin = states[start]
+            codeword = origins.get(origin)
+            if codeword is None:
+                codeword = origins[origin] = code.codewords[origin]
+            parts.extend(map(cell.__getitem__, zip(word[start:start + dec.m], codeword)))
+    except KeyError as exc:
+        a, d = exc.args[0]
+        symbol = pair_symbol(a, code.digits[ord(d)])
+        raise ValueError(f"unknown symbol: {symbol!r}") from None
+    z = "".join(parts)
+    if not spec.accepts(z):
         raise ValueError("encoded word is not in the decomposition's slt language")
-    return z
+    return spec.decode(z)
 
 
 def decode_word(dec: Decomposition, word: Sequence[str]) -> Word:
@@ -527,10 +582,12 @@ def parse_decomposition(text: str) -> Decomposition:
         raise ParseError("missing 'symbol' lines")
     alphabet = tuple(s for s, _ in symbol_pairs)
     encode = word_encoder(alphabet)
+    # tuples, so that sections already in canonical order are not re-sorted
     spec = SltSpec(width=numbers["k"], alphabet=alphabet,
-                   prefixes=map(encode, sections["I"]), suffixes=map(encode, sections["T"]),
-                   factors=map(encode, sections["F"]),
-                   short_words=map(encode, sections["SHORT"]))
+                   prefixes=tuple(map(encode, sections["I"])),
+                   suffixes=tuple(map(encode, sections["T"])),
+                   factors=tuple(map(encode, sections["F"])),
+                   short_words=tuple(map(encode, sections["SHORT"])))
     return Decomposition(kind=kind, slt=spec, pi=Homomorphism(tuple(symbol_pairs)),
                          residual=tuple(sections["RESIDUAL"]),
                          h=numbers.get("h"), m=numbers.get("m"),

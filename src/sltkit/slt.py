@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import (
@@ -52,7 +52,8 @@ class SltSpec:
     and :meth:`decode` convert from and to symbol words.  The word sets are
     stored as deduplicated tuples in native ``str`` order, which is the
     order by symbol position in ``alphabet``, so equality of specs is
-    structural.
+    structural.  A word set given as a tuple already in that order, without
+    duplicates, is kept as it is; any other is deduplicated and sorted.
     """
 
     width: int
@@ -61,7 +62,7 @@ class SltSpec:
     suffixes: tuple[str, ...]
     factors: tuple[str, ...]
     short_words: tuple[str, ...] = ()
-    _encode: Callable[[Iterable[str]], str] = field(init=False, repr=False, compare=False)
+    _chars: dict[str, str] = field(init=False, repr=False, compare=False)
     _prefix_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _suffix_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _factor_set: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -79,7 +80,8 @@ class SltSpec:
                                      ("suffixes", "_suffix_set", range(k - 1, k)),
                                      ("factors", "_factor_set", range(k, k + 1)),
                                      ("short_words", "_short_set", range(1, k))):
-            words = frozenset(getattr(self, attr))
+            given = getattr(self, attr)
+            words = frozenset(given)
             kinds = set(map(type, words)) - {str}
             if kinds:
                 raise ValueError(f"{attr} must be index strings (see word_encoder), "
@@ -92,17 +94,30 @@ class SltSpec:
             if top and ord(top) >= len(alphabet):
                 raise ValueError(f"unknown symbol index {ord(top)} in {attr} "
                                  f"over {len(alphabet)} symbols")
-            object.__setattr__(self, attr, tuple(sorted(words)))
+            if not (isinstance(given, tuple)
+                    and all(map(str.__lt__, given, islice(given, 1, None)))):
+                given = tuple(sorted(words))
+            object.__setattr__(self, attr, given)
             object.__setattr__(self, cache, words)
-        object.__setattr__(self, "_encode", word_encoder(alphabet))
+        object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(alphabet)})
 
     def encode(self, symbols: Iterable[str]) -> str:
         """The index string of a symbol word; ValueError on unknown symbols."""
-        return self._encode(symbols)
+        return _encode_with(self._chars, symbols)
 
     def decode(self, z: str) -> Word:
         """The symbol word of an index string."""
         return tuple(map(self.alphabet.__getitem__, map(ord, z)))
+
+    def accepts(self, z: str) -> bool:
+        """Decide membership of an index string in the spec's language."""
+        k = self.width
+        if len(z) < k:
+            return z in self._short_set
+        if z[:k - 1] not in self._prefix_set or z[-(k - 1):] not in self._suffix_set:
+            return False
+        windows = map(z.__getitem__, map(slice, range(len(z) - k + 1), range(k, len(z) + 1)))
+        return all(map(self._factor_set.__contains__, windows))
 
 
 def window_ops(word: Sequence[str], k: int) -> tuple[Word, Word, frozenset[Word]]:
@@ -124,14 +139,7 @@ def window_ops(word: Sequence[str], k: int) -> tuple[Word, Word, frozenset[Word]
 
 def slt_membership(spec: SltSpec, word: Sequence[str]) -> bool:
     """Decide membership of a symbol word in the spec's language."""
-    z = spec.encode(word)
-    k = spec.width
-    if len(z) < k:
-        return z in spec._short_set
-    if z[:k - 1] not in spec._prefix_set or z[-(k - 1):] not in spec._suffix_set:
-        return False
-    factor_set = spec._factor_set
-    return all(z[i:i + k] in factor_set for i in range(len(z) - k + 1))
+    return spec.accepts(spec.encode(word))
 
 
 class StreamRecognizer:
@@ -140,10 +148,15 @@ class StreamRecognizer:
     After feeding a word and calling :meth:`finish`, the verdict equals
     :func:`slt_membership` on the same word.  ``reset`` returns the
     recogniser to its initial state; feeding after ``finish`` is an error.
+    A symbol outside the spec's alphabet raises ValueError and leaves the
+    state as it was.
     """
 
     def __init__(self, spec: SltSpec) -> None:
         self._spec = spec
+        self._chars = spec._chars
+        self._factor_set = spec._factor_set
+        self._width = spec.width
         self.reset()
 
     def reset(self) -> None:
@@ -156,15 +169,17 @@ class StreamRecognizer:
     def feed(self, symbol: str) -> None:
         if self._finished:
             raise RuntimeError("feed after finish; call reset() first")
-        spec = self._spec
-        c = spec.encode((symbol,))
+        try:
+            c = self._chars[symbol]
+        except KeyError:
+            raise ValueError(f"unknown symbol: {symbol!r}") from None
         window = self._tail + c
-        if len(window) == spec.width:
-            if self._factors_ok and window not in spec._factor_set:
+        if len(window) < self._width:  # still within the first width-1 symbols
+            self._head = window
+        else:
+            if window not in self._factor_set:
                 self._factors_ok = False
             window = window[1:]
-        if self._count < spec.width - 1:
-            self._head += c
         self._tail = window
         self._count += 1
 
@@ -190,6 +205,7 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
     each state has at most one successor per symbol.  State 0 is initial;
     the shorter words are visited in canonical order, then the windows
     breadth first, and states are numbered as they are first reached.
+    Each row is built once, as a tuple, when its state is expanded.
     """
     k = spec.width
     chars = [chr(a) for a in range(len(spec.alphabet))]
@@ -199,7 +215,8 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
     for w in chain(fresh_pool, spec.short_words):
         prefix_pool.update(w[:i] for i in range(min(len(w), k - 1)))
 
-    succ: list[list[tuple[int, ...]]] = []
+    empty_row: tuple[tuple[int, ...], ...] = ((),) * len(chars)
+    succ: list[Sequence[tuple[int, ...]]] = []
     finals: set[int] = set()
     growing: dict[str, int] = {}  # words shorter than k-1
     fresh: dict[str, int] = {}    # the first full (k-1)-window
@@ -209,7 +226,7 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
     def new_state() -> int:
         if len(succ) >= state_cap:
             raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
-        succ.append([()] * len(chars))
+        succ.append(empty_row)
         return len(succ) - 1
 
     def state(ids: dict[str, int], word: str) -> int:
@@ -218,27 +235,30 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
             q = ids[word] = new_state()
         return q
 
-    def enter(row: list[tuple[int, ...]], u: str) -> None:
-        """Add the moves of window ``u`` to ``row``, queueing new windows."""
+    def moves(u: str) -> tuple[tuple[int, ...], ...]:
+        """The row of window ``u``, queueing the windows it reaches first."""
+        row: list[tuple[int, ...]] = [()] * len(chars)
         for a, v in continuations.get(u, ()):
             q = windows.get(v)
             if q is None:
                 q = windows[v] = new_state()
                 window_queue.append((v, q))
             row[a] = (q,)
+        return tuple(row)
 
     state(growing, "")
     for u in sorted(prefix_pool):
         src = state(growing, u)
         if u in spec._short_set:
             finals.add(src)
-        row = succ[src]
+        row: list[tuple[int, ...]] = [()] * len(chars)
         for a, c in enumerate(chars):
             ext = u + c
             if len(ext) <= k - 2 and ext in prefix_pool:
                 row[a] = (state(growing, ext),)
             elif len(ext) == k - 1 and ext in fresh_pool:
                 row[a] = (state(fresh, ext),)
+        succ[src] = tuple(row)
 
     # each factor u + a moves window u on symbol a to window factor[1:]
     continuations: dict[str, list[tuple[int, str]]] = {}
@@ -250,13 +270,13 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
         if u in spec._short_set:
             finals.add(src)
         if u in spec._prefix_set:
-            enter(succ[src], u)
+            succ[src] = moves(u)
 
     while window_queue:
         u, src = window_queue.popleft()
         if u in spec._suffix_set:
             finals.add(src)
-        enter(succ[src], u)
+        succ[src] = moves(u)
 
     return Table(spec.alphabet, succ, frozenset(finals), (0,))
 

@@ -84,38 +84,40 @@ def _project(dec: Decomposition, compiled: Table, letters: tuple[str, ...]) -> T
         if letter not in index:
             raise ValueError(f"mapped letter not in target alphabet: {letter!r}")
         letter_of.append(index[letter])
-    succ: list[list[tuple[int, ...]]] = []
+    succ: list[Sequence[tuple[int, ...]]] = []
     for row in compiled.succ:
         out: list[tuple[int, ...]] = [()] * len(letters)
         for symbol, targets in enumerate(row):
             if targets:
                 a = letter_of[symbol]
                 out[a] = tuple(sorted(out[a] + targets)) if out[a] else targets
-        succ.append(out)
+        succ.append(tuple(out))
     return Table(letters, succ, compiled.finals, compiled.initial)
 
 
 def _claimed(dec: Decomposition, compiled: Table, alphabet: tuple[str, ...]) -> Table:
     """A table for the claimed language: the projected slt table, with the
-    residual appended as a trie whose root joins the start subset."""
+    residual appended as a trie whose root joins the start subset.  Only
+    the trie's rows are lists, filled in as the words are added."""
     table = _project(dec, compiled, alphabet)
     index = {a: i for i, a in enumerate(alphabet)}
-    succ = table.succ
-    root = len(succ)
-    succ.append([()] * len(alphabet))
+    root = len(table.succ)
+    trie: list[list[tuple[int, ...]]] = [[()] * len(alphabet)]  # state root + i
     finals = set(table.finals)
     for word in sorted(dec.residual):
-        node = root
+        row = trie[0]
         for letter in word:
             if letter not in index:
                 raise ValueError(f"unknown letter: {letter!r}")
             a = index[letter]
-            if not succ[node][a]:
-                succ[node][a] = (len(succ),)
-                succ.append([()] * len(alphabet))
-            node = succ[node][a][0]
+            if not row[a]:
+                row[a] = (root + len(trie),)
+                trie.append([()] * len(alphabet))
+            node = row[a][0]
+            row = trie[node - root]
         finals.add(node)
-    return Table(alphabet, succ, frozenset(finals), table.initial + (root,))
+    table.succ.extend(trie)
+    return Table(alphabet, table.succ, frozenset(finals), table.initial + (root,))
 
 
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",

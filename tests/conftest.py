@@ -1,8 +1,10 @@
 import pathlib
+import random
 
 import pytest
 
 import sltkit as sk
+from sltkit.construction import _encode_blocks, _find_path
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
 
@@ -45,6 +47,30 @@ def word_key(m: sk.Nfa):
         return index[letter]
 
     return lambda word: (len(word), tuple(map(position, word)))
+
+
+def random_member(m: sk.Nfa, length: int, rng: random.Random):
+    """A member of exactly ``length`` letters, drawn letter by letter, or None."""
+    ahead = [set(m.finals)]  # ahead[r]: states with a final state exactly r steps on
+    for _ in range(length):
+        ahead.append({src for src, _, dst in m.transitions if dst in ahead[-1]})
+    if m.initial not in ahead[length]:
+        return None
+    word, states = [], {m.initial}
+    for r in range(length, 0, -1):
+        successors = {a: {dst for q in states for dst in m.step(q, a) if dst in ahead[r - 1]}
+                      for a in m.alphabet}
+        a = rng.choice([a for a, targets in successors.items() if targets])
+        word.append(a)
+        states = successors[a]
+    return tuple(word)
+
+
+def reference_encoding(m: sk.Nfa, dec: sk.Decomposition, word) -> sk.Word:
+    """The definitional encoding of a member: the block-wise encoding of the
+    least-viable-successor run on the prepared machine."""
+    prepared = sk.prepare(m)
+    return _encode_blocks(sk.state_code(prepared, dec.h), _find_path(prepared, tuple(word)))
 
 
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:

@@ -1,14 +1,17 @@
 import dataclasses
 import pickle
+import random
 
 import pytest
 
 import sltkit as sk
 from sltkit import Nfa, Path
-from sltkit.codes import build_code
+from sltkit.cli import main
+from sltkit.codes import Codewords, build_code
 from sltkit.construction import _encode_blocks, _find_path, _reference_main_sets
 
-from conftest import CORPUS_NAMES, corpus_text, projected_language, symbol_spec, symbol_words
+from conftest import (CORPUS_NAMES, corpus_text, projected_language, random_member,
+                      reference_encoding, symbol_spec, symbol_words)
 
 
 def W(s: str):
@@ -329,6 +332,108 @@ class TestWordEncoding:
         assert sk.decode_word(dec, ()) == ()
         with pytest.raises(ValueError):
             sk.decode_word(dec, ("z|9",))
+
+
+def members(machine, m: int, count: int, seed: int):
+    """Up to ``count`` random members with lengths from 3m to 6m."""
+    rng = random.Random(seed)
+    words = (random_member(machine, rng.randint(3 * m, 6 * m), rng) for _ in range(count))
+    return [w for w in words if w is not None]
+
+
+def permuted(dec: sk.Decomposition, seed: int) -> sk.Decomposition:
+    """``dec`` over a shuffled local alphabet: the same symbol sets, re-encoded."""
+    spec = dec.slt
+    alphabet = list(spec.alphabet)
+    random.Random(seed).shuffle(alphabet)
+    assert tuple(alphabet) != spec.alphabet
+    sets = {attr: [spec.decode(z) for z in getattr(spec, attr)]
+            for attr in ("prefixes", "suffixes", "factors", "short_words")}
+    return dataclasses.replace(dec, slt=symbol_spec(spec.width, alphabet, **sets))
+
+
+class TestFusedEncoder:
+    """``encode_word`` against its definition: the block encoding of the
+    least-viable-successor run."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_equals_reference(self, machines, build_main, name, h):
+        machine, dec = machines[name], build_main(name, h)
+        shuffled = permuted(dec, seed=h)
+        reloaded = sk.parse_decomposition(sk.serialize_decomposition(shuffled))
+        assert reloaded.slt.alphabet == shuffled.slt.alphabet
+        words = members(machine, dec.m, 12, seed=len(name) * h)
+        assert words
+        for word in words:
+            expected = reference_encoding(machine, dec, word)
+            for d in (dec, shuffled, reloaded):
+                z = sk.encode_word(machine, d, word)
+                assert z == expected
+                own = {id(s) for s in d.slt.alphabet}
+                assert all(id(s) in own for s in z)  # the spec's own strings
+
+    def test_symbol_missing_from_the_spec_is_named(self, machines, build_main):
+        machine, dec = machines["nondet"], build_main("nondet", 2)
+        word = members(machine, dec.m, 1, seed=3)[0]
+        gone = reference_encoding(machine, dec, word)[dec.m]
+        spec = dec.slt
+        alphabet = [s for s in spec.alphabet if s != gone]
+        sets = {attr: [w for w in map(spec.decode, getattr(spec, attr)) if gone not in w]
+                for attr in ("prefixes", "suffixes", "factors", "short_words")}
+        pi = sk.Homomorphism(tuple(p for p in dec.pi.pairs if p[0] != gone))
+        reduced = dataclasses.replace(dec, slt=symbol_spec(spec.width, alphabet, **sets), pi=pi)
+        with pytest.raises(ValueError, match=f"unknown symbol: {gone!r}"):
+            sk.encode_word(machine, reduced, word)
+
+    def test_unranks_each_block_origin_once(self, machines, build_main, monkeypatch):
+        machine, dec = machines["nondet"], build_main("nondet", 2)
+        words = members(machine, dec.m, 20, seed=5) + [("a",) * (12 * dec.m)]
+        unranked: list[int] = []
+        unrank = Codewords.__getitem__
+
+        def counting(self, q):
+            unranked.append(q)
+            return unrank(self, q)
+
+        monkeypatch.setattr(Codewords, "__getitem__", counting)
+        prepared = sk.prepare(machine)
+        for word in words:
+            unranked.clear()
+            assert sk.encode_word(machine, dec, word) is not None
+            blocks = sk.canonical_decomposition(_find_path(prepared, word), dec.m)
+            assert len(unranked) == len(set(unranked)) <= len({b.origin for b in blocks})
+
+    def test_rejections_keep_their_order(self, machines, build_main):
+        aplus, abplus = machines["aplus"], machines["abplus"]
+        foreign = build_main("abbplus", 2)  # m=6, while aplus has m=4
+        same_m = build_main("abbplus", 3)  # m=4, as abplus at h=3
+        cases = [
+            (aplus, sk.medvedev_width2(aplus), ("z",), "main-kind"),
+            (aplus, foreign, ("a", "z") * 9, "unknown letter: 'z'"),
+            (aplus, foreign, (), "not in the machine's language"),
+            (aplus, foreign, ("a",) * 2, "block length"),
+            (abplus, same_m, ("a", "b"), "built for machine"),
+            (abplus, dataclasses.replace(same_m, source_fingerprint=""), ("a", "b") * 6,
+             "not in the decomposition's slt language"),
+        ]
+        for machine, dec, word, message in cases:
+            with pytest.raises(ValueError, match=message):
+                sk.encode_word(machine, dec, word)
+
+    def test_rejections_exit_two(self, tmp_path, machines, build_main, capsys):
+        for name in ("aplus", "abplus"):
+            (tmp_path / f"{name}.nfa").write_text(corpus_text(name))
+        dec_path = tmp_path / "abbplus.h3.dec"
+        dec_path.write_text(sk.serialize_decomposition(build_main("abbplus", 3)))
+        for name, word, message in (("aplus", "a.z", "unknown letter: 'z'"),
+                                    ("abplus", "a.b.b", "not in the machine's language"),
+                                    ("aplus", "a.a", "block length"),
+                                    ("abplus", "a.b", "built for machine")):
+            status = main(["encode", "--nfa", str(tmp_path / f"{name}.nfa"),
+                           "--dec", str(dec_path), "--word", word])
+            assert status == 2
+            assert message in capsys.readouterr().err
 
 
 class TestPreparedMachine:

@@ -8,6 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sltkit as sk
 from sltkit import Nfa
 
+from conftest import random_member, reference_encoding
+
 
 @st.composite
 def random_machines(draw):
@@ -40,23 +42,6 @@ def stream_decides(spec: sk.SltSpec, word) -> bool:
     return recognizer.finish()
 
 
-def random_member(m: Nfa, length: int, rng: random.Random):
-    """A member of exactly ``length`` letters, drawn letter by letter, or None."""
-    ahead = [set(m.finals)]  # ahead[r]: states with a final state exactly r steps on
-    for _ in range(length):
-        ahead.append({src for src, _, dst in m.transitions if dst in ahead[-1]})
-    if m.initial not in ahead[length]:
-        return None
-    word, states = [], {m.initial}
-    for r in range(length, 0, -1):
-        successors = {a: {dst for q in states for dst in m.step(q, a) if dst in ahead[r - 1]}
-                      for a in m.alphabet}
-        a = rng.choice([a for a, targets in successors.items() if targets])
-        word.append(a)
-        states = successors[a]
-    return tuple(word)
-
-
 NON_TRIM_MULTI_FINAL = Nfa(n=5, alphabet=("a", "b"),
                            transitions=((1, "a", 2), (1, "b", 3), (2, "a", 2), (3, "b", 0),
                                         (4, "a", 1)),
@@ -81,6 +66,7 @@ def test_both_constructions_verify_exactly(machine, h, seed):
             continue
         z = sk.encode_word(machine, dec, word)
         assert z is not None and sk.slt_membership(dec.slt, z)
+        assert z == reference_encoding(machine, dec, word)
         assert sk.decode_word(dec, z) == word
         i = rng.randrange(len(z))
         mutant = z[:i] + (rng.choice([s for s in dec.slt.alphabet if s != z[i]]),) + z[i + 1:]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +121,38 @@ class TestMembership:
             with pytest.raises(ValueError, match=message):
                 SltSpec(**{**ok, field: words})
 
+    def test_shuffled_input_with_duplicates_equals_sorted_input(self):
+        built = sk.medvedev_main(sk.parse_nfa(corpus_text("nondet")), 2).slt
+        attrs = ("prefixes", "suffixes", "factors")
+        rng = random.Random(7)
+
+        def shuffled(words):
+            out = list(words) + list(words[:2])
+            rng.shuffle(out)
+            return out
+
+        def spec(make):
+            return SltSpec(width=built.width, alphabet=built.alphabet,
+                           **{attr: make(getattr(built, attr)) for attr in attrs})
+
+        with_duplicates = spec(lambda words: tuple(sorted(words + words[:2])))
+        for other in (spec(tuple), spec(shuffled), spec(iter), with_duplicates):
+            assert other == built
+            assert all(getattr(other, attr) == getattr(built, attr) for attr in attrs)
+        k = built.width
+        for field, bad, message in (("prefixes", ("a",) * (k - 1), "index strings"),
+                                    ("prefixes", "\x00" * k, "length in"),
+                                    ("factors", "\x09" * k, "unknown symbol index 9")):
+            messages = set()
+            for make in (lambda words: words + (bad,), lambda words: (bad,) + words,
+                         lambda words: shuffled(words + (bad,))):
+                with pytest.raises(ValueError) as error:
+                    SltSpec(width=k, alphabet=built.alphabet,
+                            **{attr: (make if attr == field else tuple)(getattr(built, attr))
+                               for attr in attrs})
+                messages.add(str(error.value))
+            assert len(messages) == 1 and message in messages.pop()
+
     def test_spec_equality_is_structural(self, paired):
         reordered = symbol_spec(width=2, alphabet=("a'", "a", "b'", "b"),
                                 prefixes=[("b'",), ("a'",)], suffixes=[("b",), ("a",)],
@@ -155,6 +189,27 @@ class TestStreaming:
         r.feed("a'")
         r.feed("a")
         assert r.finish()
+
+    def test_unknown_symbol_leaves_the_state_untouched(self, paired):
+        r = sk.StreamRecognizer(paired)
+        for s in ("a'", "a", "a'"):
+            r.feed(s)
+        before = dict(vars(r))
+        with pytest.raises(ValueError, match="unknown symbol: 'z'"):
+            r.feed("z")
+        assert vars(r) == before
+        r.feed("a")
+        assert r.finish()
+
+    def test_feed_does_not_encode_through_the_spec(self, paired, monkeypatch):
+        def refuse(self, symbols):
+            raise AssertionError("SltSpec.encode called")
+
+        monkeypatch.setattr(SltSpec, "encode", refuse)
+        r = sk.StreamRecognizer(paired)
+        for s in ("a'", "a", "b'", "b"):
+            r.feed(s)
+        assert r.finish() is False
 
     @settings(max_examples=200, deadline=None)
     @given(symbols=st.lists(st.sampled_from(["a'", "a", "b'", "b"]),
