@@ -120,8 +120,10 @@ class Table:
     letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
     states.  Nothing is validated or re-sorted: tables are built by code
     that already holds canonical data, such as :func:`nfa_table` or the slt
-    compiler.  Rows that are never changed after they are built are tuples,
-    which the cyclic garbage collector stops tracking.
+    compiler, which can also read each symbol as its projected letter.
+    Rows that are never changed after they are built are tuples, which the
+    cyclic garbage collector stops tracking; :func:`differences` reads rows
+    as they are and names the subsets it reaches by ints.
     """
 
     alphabet: tuple[str, ...]
@@ -366,11 +368,40 @@ def _distance_to_final(t: Table) -> list[float]:
     return dist
 
 
-def _step(succ: list[Sequence[tuple[int, ...]]], s: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """The ascending subset a table moves the subset ``s`` to on letter ``a``."""
-    if len(s) == 1:
-        return succ[s[0]][a]
-    return tuple(sorted({dst for q in s for dst in succ[q][a]}))
+class _Subsets:
+    """The subsets of a table's states that a search reaches, as ints.
+
+    The singleton {q} is q.  Any other subset becomes a new state when it
+    is first reached, numbered from ``len(t.succ)`` upward, whose row is
+    the union of its members' rows and which is final if a member is; so
+    ``succ[s]`` and ``s in finals`` hold for every id.  With ``max_len``,
+    a subset keeps only the states that can reach a final state in the
+    length left.
+    """
+
+    def __init__(self, t: Table, max_len: Optional[int]) -> None:
+        self.succ, self.finals, self.letters = list(t.succ), set(t.finals), range(len(t.alphabet))
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.dist = None if max_len is None else _distance_to_final(t)
+        self.start = self.intern(self.viable(t.initial, max_len or 0))
+
+    def viable(self, states: tuple[int, ...], left: int) -> tuple[int, ...]:
+        if self.dist is None:
+            return states
+        return tuple(q for q in states if self.dist[q] <= left)
+
+    def intern(self, states: tuple[int, ...]) -> int:
+        if len(states) == 1:
+            return states[0]
+        s = self.ids.get(states)
+        if s is None:
+            succ = self.succ
+            s = self.ids[states] = len(succ)
+            succ.append(tuple(tuple(sorted({dst for q in states for dst in succ[q][a]}))
+                              for a in self.letters))
+            if not self.finals.isdisjoint(states):
+                self.finals.add(s)
+        return s
 
 
 def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
@@ -383,8 +414,8 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> lis
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     t = nfa_table(m)
-    dist = _distance_to_final(t)
-    succ, finals, letters = t.succ, t.finals, tuple(enumerate(t.alphabet))
+    dist, subsets = _distance_to_final(t), _Subsets(t, None)
+    succ, finals, letters = subsets.succ, t.finals, tuple(enumerate(t.alphabet))
     words: list[Word] = []
     frontier: dict[Word, tuple[int, ...]] = {}
     if dist[m.initial] <= max_len:
@@ -393,8 +424,9 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> lis
         remaining = max_len - length
         nxt: dict[Word, tuple[int, ...]] = {}
         for w, states in frontier.items():
+            row = succ[subsets.intern(states)]
             for a, letter in letters:
-                viable = tuple(q for q in _step(succ, states, a) if dist[q] <= remaining)
+                viable = tuple(q for q in row[a] if dist[q] <= remaining)
                 if not viable:
                     continue
                 word = w + (letter,)
@@ -479,50 +511,51 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     no longer word is read: pairs at that depth are not expanded, and
     states that cannot reach a final state in the length left are dropped.
     Raises :class:`CapacityError` past ``cap`` visited product states.
+
+    Product states are integer keys.  Subsets are ints (see
+    :class:`_Subsets`), the pair (s1, s2) is ``s1 * stride + s2`` with
+    ``stride`` above every id of ``t2``, and the pair first reached on
+    letter a from key p links back to ``p * len(alphabet) + a``.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
-    succ1, succ2 = t1.succ, t2.succ
-    fin1, fin2 = t1.finals, t2.finals
-    letters = range(len(t1.alphabet))
-    dist1 = dist2 = None
-    start = (t1.initial, t2.initial)
-    if max_len is not None:
-        dist1, dist2 = _distance_to_final(t1), _distance_to_final(t2)
-        start = (tuple(q for q in t1.initial if dist1[q] <= max_len),
-                 tuple(q for q in t2.initial if dist2[q] <= max_len))
-
-    def accepting(s: tuple[int, ...], finals: frozenset[int]) -> bool:
-        return s[0] in finals if len(s) == 1 else not finals.isdisjoint(s)
-
-    parent: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                 Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]]] = {start: None}
-    queue = deque([(start, 0)])
-    while queue:
-        pair, depth = queue.popleft()
-        s1, s2 = pair
-        if accepting(s1, fin1) != accepting(s2, fin2):
-            word: list[str] = []
-            link = parent[pair]
-            while link is not None:
-                last, a = link
-                word.append(t1.alphabet[a])
-                link = parent[last]
-            yield tuple(reversed(word)), accepting(s1, fin1)
-        if depth == max_len:
-            continue
-        for a in letters:
-            nxt = (_step(succ1, s1, a), _step(succ2, s2, a))
-            if dist1 is not None:
-                left = max_len - depth - 1
-                nxt = (tuple(q for q in nxt[0] if dist1[q] <= left),
-                       tuple(q for q in nxt[1] if dist2[q] <= left))
-            if nxt not in parent:
-                if len(parent) >= cap:
-                    raise CapacityError(
-                        f"equivalence check exceeds cap of {cap} product states")
-                parent[nxt] = (pair, a)
-                queue.append((nxt, depth + 1))
+    side1, side2 = _Subsets(t1, max_len), _Subsets(t2, max_len)
+    succ1, succ2, fin1, fin2 = side1.succ, side2.succ, side1.finals, side2.finals
+    letters = side1.letters
+    # past the singletons, each id of t2 is an image of one of at most cap pairs
+    stride = len(t2.succ) + max(cap, 1) * len(letters) + 1
+    level = [side1.start * stride + side2.start]
+    parent, depth = {level[0]: -1}, 0
+    while level:
+        left, reached = (max_len or 0) - depth - 1, []
+        for key in level:
+            s1, s2 = divmod(key, stride)
+            accepted = s1 in fin1
+            if accepted != (s2 in fin2):
+                word, link = [], parent[key]
+                while link >= 0:
+                    link, a = divmod(link, len(letters))
+                    word.append(t1.alphabet[a])
+                    link = parent[link]
+                yield tuple(reversed(word)), accepted
+            if depth == max_len:
+                continue
+            row1, row2 = succ1[s1], succ2[s2]
+            if max_len is not None:
+                row1 = [side1.viable(image, left) for image in row1]
+                row2 = [side2.viable(image, left) for image in row2]
+            for a in letters:
+                # singletons, by far the most images, are their own ids
+                image1, image2 = row1[a], row2[a]
+                child = ((image1[0] if len(image1) == 1 else side1.intern(image1)) * stride
+                         + (image2[0] if len(image2) == 1 else side2.intern(image2)))
+                if child not in parent:
+                    if len(parent) >= cap:
+                        raise CapacityError(
+                            f"equivalence check exceeds cap of {cap} product states")
+                    parent[child] = key * len(letters) + a
+                    reached.append(child)
+        level, depth = reached, depth + 1
 
 
 def relabel(m: Nfa, mapping: dict[str, str], alphabet: Sequence[str]) -> Nfa:

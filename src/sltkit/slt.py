@@ -8,7 +8,7 @@ those of length exactly k-1) are decided by an explicit finite set.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -76,6 +76,7 @@ class SltSpec:
             raise ValueError("alphabet must be nonempty with distinct symbols")
         object.__setattr__(self, "alphabet", alphabet)
         k = self.width
+        known = dict.fromkeys(range(len(alphabet)))  # str.translate deletes these
         for attr, cache, lengths in (("prefixes", "_prefix_set", range(k - 1, k)),
                                      ("suffixes", "_suffix_set", range(k - 1, k)),
                                      ("factors", "_factor_set", range(k, k + 1)),
@@ -90,13 +91,14 @@ class SltSpec:
             if bad:
                 raise ValueError(f"{attr} must have length in "
                                  f"{lengths.start}..{lengths.stop - 1}, got {min(bad)}")
-            top = max("".join(words), default="")
-            if top and ord(top) >= len(alphabet):
-                raise ValueError(f"unknown symbol index {ord(top)} in {attr} "
-                                 f"over {len(alphabet)} symbols")
             if not (isinstance(given, tuple)
                     and all(map(str.__lt__, given, islice(given, 1, None)))):
                 given = tuple(sorted(words))
+            unknown = "".join(given).translate(known)
+            if unknown:
+                top = max(unknown)
+                raise ValueError(f"unknown symbol index {ord(top)} in {attr} "
+                                 f"over {len(alphabet)} symbols")
             object.__setattr__(self, attr, given)
             object.__setattr__(self, cache, words)
         object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(alphabet)})
@@ -195,39 +197,56 @@ class StreamRecognizer:
                 and self._tail in spec._suffix_set)
 
 
-def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
-    """Compile a spec to a table accepting exactly its language.
+def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
+                 onto: Optional[tuple[Sequence[str], Callable[[str], str]]] = None) -> Table:
+    """Compile a spec to a table accepting its language, or the image of
+    that language under a letter-to-letter map.
 
     States track the word read so far while it is shorter than the window,
     then the most recent (k-1)-window.  Entry into the first full window is
     kept distinct from later windows so that words of length exactly k-1
-    are decided by the short-word set alone.  The table is deterministic:
-    each state has at most one successor per symbol.  State 0 is initial;
-    the shorter words are visited in canonical order, then the windows
-    breadth first, and states are numbered as they are first reached.
-    Each row is built once, as a tuple, when its state is expanded.
+    are decided by the short-word set alone.  State 0 is initial; the
+    shorter words are visited in canonical order, then the windows breadth
+    first, and states are numbered as they are first reached.  The moves
+    out of window u are read off the run of ``spec.factors`` that starts
+    with u.  Each row is built once, as a tuple, when its state is expanded.
+
+    Without ``onto`` the table reads symbols and is deterministic.  With
+    ``onto = (letters, letter)`` it reads each symbol s as ``letter(s)``,
+    which must be in ``letters``, and accepts the projected language: a
+    row entry holds the ascending successors on every symbol with that
+    letter.  The states and their numbering are the same either way.
     """
     k = spec.width
-    chars = [chr(a) for a in range(len(spec.alphabet))]
+    chars = [chr(b) for b in range(len(spec.alphabet))]
+    letters, letter = onto if onto is not None else (spec.alphabet, lambda symbol: symbol)
+    index = {a: i for i, a in enumerate(letters)}
+    outside = [a for a in map(letter, spec.alphabet) if a not in index]
+    if outside:
+        raise ValueError(f"mapped letter not in target alphabet: {outside[0]!r}")
+    letter_of = [index[letter(symbol)] for symbol in spec.alphabet]
 
     fresh_pool = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
     prefix_pool: set[str] = set()
     for w in chain(fresh_pool, spec.short_words):
         prefix_pool.update(w[:i] for i in range(min(len(w), k - 1)))
 
-    empty_row: tuple[tuple[int, ...], ...] = ((),) * len(chars)
+    empty_row: tuple[tuple[int, ...], ...] = ((),) * len(letters)
     succ: list[Sequence[tuple[int, ...]]] = []
+    single: list[tuple[int]] = []  # single[q] == (q,), shared by every row entering q alone
     finals: set[int] = set()
     growing: dict[str, int] = {}  # words shorter than k-1
     fresh: dict[str, int] = {}    # the first full (k-1)-window
     windows: dict[str, int] = {}  # every later (k-1)-window
-    window_queue: deque[tuple[str, int]] = deque()
+    queue: list[str] = []         # the windows in the order first reached
 
     def new_state() -> int:
-        if len(succ) >= state_cap:
+        q = len(succ)
+        if q >= state_cap:
             raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
         succ.append(empty_row)
-        return len(succ) - 1
+        single.append((q,))
+        return q
 
     def state(ids: dict[str, int], word: str) -> int:
         q = ids.get(word)
@@ -235,15 +254,28 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
             q = ids[word] = new_state()
         return q
 
+    def enter(row: list[tuple[int, ...]], b: int, q: int) -> None:
+        """Add q to the row's successors on the letter of symbol b."""
+        a = letter_of[b]
+        row[a] = tuple(sorted(row[a] + single[q])) if row[a] else single[q]
+
+    # each factor u + b moves window u on symbol b to window factor[1:]; the
+    # factors are sorted, so those of u are the run from where u would go
+    factors, end = spec.factors, len(spec.factors)
+
     def moves(u: str) -> tuple[tuple[int, ...], ...]:
-        """The row of window ``u``, queueing the windows it reaches first."""
-        row: list[tuple[int, ...]] = [()] * len(chars)
-        for a, v in continuations.get(u, ()):
+        """The row of window ``u``, numbering the windows it reaches first."""
+        row: list[tuple[int, ...]] = [()] * len(letters)
+        i = bisect_left(factors, u)
+        while i < end and factors[i].startswith(u):
+            f = factors[i]
+            v = f[1:]
             q = windows.get(v)
             if q is None:
                 q = windows[v] = new_state()
-                window_queue.append((v, q))
-            row[a] = (q,)
+                queue.append(v)
+            enter(row, ord(f[-1]), q)
+            i += 1
         return tuple(row)
 
     state(growing, "")
@@ -251,19 +283,14 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
         src = state(growing, u)
         if u in spec._short_set:
             finals.add(src)
-        row: list[tuple[int, ...]] = [()] * len(chars)
-        for a, c in enumerate(chars):
+        row: list[tuple[int, ...]] = [()] * len(letters)
+        for b, c in enumerate(chars):
             ext = u + c
             if len(ext) <= k - 2 and ext in prefix_pool:
-                row[a] = (state(growing, ext),)
+                enter(row, b, state(growing, ext))
             elif len(ext) == k - 1 and ext in fresh_pool:
-                row[a] = (state(fresh, ext),)
+                enter(row, b, state(fresh, ext))
         succ[src] = tuple(row)
-
-    # each factor u + a moves window u on symbol a to window factor[1:]
-    continuations: dict[str, list[tuple[int, str]]] = {}
-    for f in spec.factors:
-        continuations.setdefault(f[:-1], []).append((ord(f[-1]), f[1:]))
 
     for u in sorted(fresh_pool):
         src = state(fresh, u)
@@ -272,13 +299,13 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Table:
         if u in spec._prefix_set:
             succ[src] = moves(u)
 
-    while window_queue:
-        u, src = window_queue.popleft()
+    for u in queue:  # grows while it is read: breadth first
+        src = windows[u]
         if u in spec._suffix_set:
             finals.add(src)
         succ[src] = moves(u)
 
-    return Table(spec.alphabet, succ, frozenset(finals), (0,))
+    return Table(tuple(letters), succ, frozenset(finals), (0,))
 
 
 def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:

@@ -74,50 +74,30 @@ def _set_sizes(dec: Decomposition) -> dict[str, int]:
             "residual": len(dec.residual)}
 
 
-def _project(dec: Decomposition, compiled: Table, letters: tuple[str, ...]) -> Table:
-    """The compiled slt table with every symbol replaced by its source
-    letter, as an index into ``letters``."""
-    index = {a: i for i, a in enumerate(letters)}
-    letter_of = []
-    for symbol in dec.slt.alphabet:
-        letter = dec.pi.letter(symbol)
-        if letter not in index:
-            raise ValueError(f"mapped letter not in target alphabet: {letter!r}")
-        letter_of.append(index[letter])
-    succ: list[Sequence[tuple[int, ...]]] = []
-    for row in compiled.succ:
-        out: list[tuple[int, ...]] = [()] * len(letters)
-        for symbol, targets in enumerate(row):
-            if targets:
-                a = letter_of[symbol]
-                out[a] = tuple(sorted(out[a] + targets)) if out[a] else targets
-        succ.append(tuple(out))
-    return Table(letters, succ, compiled.finals, compiled.initial)
-
-
-def _claimed(dec: Decomposition, compiled: Table, alphabet: tuple[str, ...]) -> Table:
+def _claimed(dec: Decomposition, projected: Table) -> Table:
     """A table for the claimed language: the projected slt table, with the
-    residual appended as a trie whose root joins the start subset.  Only
-    the trie's rows are lists, filled in as the words are added."""
-    table = _project(dec, compiled, alphabet)
+    residual, in its stored order, appended as a trie whose root joins the
+    start subset.  Only the trie's rows are lists, filled in as the words
+    are added."""
+    alphabet, succ = projected.alphabet, projected.succ
     index = {a: i for i, a in enumerate(alphabet)}
-    root = len(table.succ)
-    trie: list[list[tuple[int, ...]]] = [[()] * len(alphabet)]  # state root + i
-    finals = set(table.finals)
-    for word in sorted(dec.residual):
-        row = trie[0]
-        for letter in word:
-            if letter not in index:
-                raise ValueError(f"unknown letter: {letter!r}")
-            a = index[letter]
+    root = len(succ)
+    succ.append([()] * len(alphabet))
+    finals = set(projected.finals)
+    for word in dec.residual:
+        try:
+            path = list(map(index.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+        node = root
+        for a in path:
+            row = succ[node]
             if not row[a]:
-                row[a] = (root + len(trie),)
-                trie.append([()] * len(alphabet))
+                row[a] = (len(succ),)
+                succ.append([()] * len(alphabet))
             node = row[a][0]
-            row = trie[node - root]
         finals.add(node)
-    table.succ.extend(trie)
-    return Table(alphabet, table.succ, frozenset(finals), table.initial + (root,))
+    return Table(alphabet, succ, frozenset(finals), projected.initial + (root,))
 
 
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
@@ -126,14 +106,18 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                          state_cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
     """Check that the projected slt language plus residual equals L(m).
 
-    Both modes compile the spec once into a table, project it onto source
-    letters, join the residual to it as a trie, and search the subset
-    product of that table and the machine's for words on which they
-    disagree.  Exact mode reports the least such word; if it visits more
-    than ``state_cap`` product states it downgrades itself to bounded mode
-    with a notice.  Bounded mode reads no word longer than the horizon, so
-    residual words past it are not compared; it reports the least word on
-    each failing side and is capped at ``word_cap`` product states.  A
+    Both modes compile the spec once, straight onto source letters (see
+    :func:`compile_spec`), append the residual to that table as a trie, and
+    search the subset product of it and the machine's table, on integer
+    keys, for words on which they disagree.  Exact mode reports the least
+    such word; if it visits more than ``state_cap`` product states it
+    downgrades itself to bounded mode with a notice.  A spec whose table
+    exceeds the compiler's cap raises :class:`CapacityError` in either
+    mode, since both search the same table.  Bounded mode reads no word
+    longer than the horizon, so residual words past it are not compared; it
+    reports the least word on each failing side and is capped at
+    ``word_cap`` product states.  Only an extra word makes the spec compile
+    over its own symbols too, to find the word's local preimage.  A
     decomposition whose recorded source fingerprint is not the prepared
     machine's is still checked, with a notice saying so.
     """
@@ -141,8 +125,8 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     notices = [mismatch] if mismatch else []
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
-    compiled = compile_spec(dec.slt)
-    claimed, machine = _claimed(dec, compiled, m.alphabet), nfa_table(m)
+    claimed = _claimed(dec, compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter)))
+    machine = nfa_table(m)
 
     def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
         found: dict[bool, Word] = {}
@@ -153,7 +137,7 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
         extra = found.get(True)
         return VerificationReport(
             mode=how, horizon=h, ok=not found, missing=found.get(False), extra=extra,
-            extra_local=None if extra is None else _local_preimage(dec, compiled, extra),
+            extra_local=None if extra is None else _local_preimage(dec, extra),
             set_sizes=_set_sizes(dec), notice="; ".join(notices) or None)
 
     if mode == "exact":
@@ -165,13 +149,16 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                   word_cap, 2)
 
 
-def _local_preimage(dec: Decomposition, compiled: Table, word: Word) -> Optional[Word]:
+def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
     """The least word of the slt language that projects onto ``word``, if any.
 
-    Walks the deterministic compiled table along ``word``, keeping for each
-    state the least index string that reaches it.  Strings are extended in
-    ascending order, so the first to reach a state is the least one.
+    Compiles the spec over its own symbols, which only a failing report
+    needs, and walks that deterministic table along ``word``, keeping for
+    each state the least index string that reaches it.  Strings are
+    extended in ascending order, so the first to reach a state is the least
+    one.
     """
+    compiled = compile_spec(dec.slt)
     preimages: dict[str, list[int]] = {}
     for b, symbol in enumerate(dec.slt.alphabet):
         preimages.setdefault(dec.pi.letter(symbol), []).append(b)

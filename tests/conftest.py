@@ -1,9 +1,12 @@
 import pathlib
 import random
+from collections import deque
+from typing import Iterator, Optional
 
 import pytest
 
 import sltkit as sk
+from sltkit.automata import DEFAULT_STATE_CAP, CapacityError, Table, _distance_to_final
 from sltkit.construction import _encode_blocks, _find_path
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
@@ -79,6 +82,71 @@ def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
     if dec.residual:
         image = sk.union_nfa(image, sk.word_set_nfa(dec.residual, alphabet))
     return image
+
+
+def _step(succ, s: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The ascending subset a table moves the subset ``s`` to on letter ``a``."""
+    if len(s) == 1:
+        return succ[s[0]][a]
+    return tuple(sorted({dst for q in s for dst in succ[q][a]}))
+
+
+def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
+                          max_len: Optional[int] = None) -> Iterator[tuple[sk.Word, bool]]:
+    """The subset product keyed by pairs of subset tuples, with a depth per
+    queue entry: the definition :func:`sltkit.automata.differences` keeps.
+
+    Runs the subset construction on both tables at once, breadth first with
+    letters in alphabet order, and yields ``(word, accepted by t1)`` for the
+    least word reaching each pair of subsets that disagree on acceptance.
+    With ``max_len``, no longer word is read: pairs at that depth are not
+    expanded, and states that cannot reach a final state in the length left
+    are dropped.  Raises :class:`CapacityError` past ``cap`` visited
+    product states.
+    """
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    succ1, succ2 = t1.succ, t2.succ
+    fin1, fin2 = t1.finals, t2.finals
+    letters = range(len(t1.alphabet))
+    dist1 = dist2 = None
+    start = (t1.initial, t2.initial)
+    if max_len is not None:
+        dist1, dist2 = _distance_to_final(t1), _distance_to_final(t2)
+        start = (tuple(q for q in t1.initial if dist1[q] <= max_len),
+                 tuple(q for q in t2.initial if dist2[q] <= max_len))
+
+    def accepting(s: tuple[int, ...], finals: frozenset[int]) -> bool:
+        return s[0] in finals if len(s) == 1 else not finals.isdisjoint(s)
+
+    parent: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                 Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]]] = {start: None}
+    queue = deque([(start, 0)])
+    while queue:
+        pair, depth = queue.popleft()
+        s1, s2 = pair
+        if accepting(s1, fin1) != accepting(s2, fin2):
+            word: list[str] = []
+            link = parent[pair]
+            while link is not None:
+                last, a = link
+                word.append(t1.alphabet[a])
+                link = parent[last]
+            yield tuple(reversed(word)), accepting(s1, fin1)
+        if depth == max_len:
+            continue
+        for a in letters:
+            nxt = (_step(succ1, s1, a), _step(succ2, s2, a))
+            if dist1 is not None:
+                left = max_len - depth - 1
+                nxt = (tuple(q for q in nxt[0] if dist1[q] <= left),
+                       tuple(q for q in nxt[1] if dist2[q] <= left))
+            if nxt not in parent:
+                if len(parent) >= cap:
+                    raise CapacityError(
+                        f"equivalence check exceeds cap of {cap} product states")
+                parent[nxt] = (pair, a)
+                queue.append((nxt, depth + 1))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,81 @@
+"""``automata.differences`` against the subset product it replaces.
+
+``reference_differences`` (tests/conftest.py) keys product states by pairs
+of subset tuples and stores a depth per queue entry; ``differences`` keys
+them by ints and walks one level at a time.  Both must yield the same
+``(word, side)`` sequence and stop with ``CapacityError`` at the same point,
+in exact mode and at any ``max_len``.
+"""
+
+import random
+
+from hypothesis import assume, given, settings, strategies as st
+
+import sltkit as sk
+from sltkit import CapacityError
+from sltkit.automata import differences, nfa_table
+from sltkit.slt import compile_spec
+from sltkit.verification import _claimed
+
+from conftest import reference_differences
+from test_random_machines import random_machines, small_residual
+from test_verification_reference import mutate
+
+CAPS = (1, 2, 3, 4, 5, 6, 10**6)
+MAX_LENS = (None, 1, 2, 5)
+
+
+def outcome(search):
+    """Everything a search yields, then the CapacityError it ends with, if any."""
+    out = []
+    try:
+        out.extend(search)
+    except CapacityError as exc:
+        out.append(("CapacityError", str(exc)))
+    return out
+
+
+def assert_same_searches(t1, t2):
+    for first, second in ((t1, t2), (t2, t1)):
+        for max_len in MAX_LENS:
+            for cap in CAPS:
+                assert (outcome(differences(first, second, cap, max_len))
+                        == outcome(reference_differences(first, second, cap, max_len))), \
+                    (cap, max_len)
+
+
+def claimed_table(machine, dec):
+    """The table ``verify_decomposition`` searches for ``dec``."""
+    return _claimed(dec, compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter)))
+
+
+def has_multi_state_subset(t):
+    return any(len(targets) > 1 for row in t.succ for targets in row) or len(t.initial) > 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alphabet=st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+def test_machine_tables_match_reference(data, alphabet):
+    m1 = data.draw(random_machines(alphabet))
+    m2 = data.draw(random_machines(alphabet))
+    assert_same_searches(nfa_table(m1), nfa_table(m2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=random_machines(), kind=st.sampled_from(["width2", 2]),
+       seed=st.integers(0, 2**16))
+def test_projected_specs_match_reference(machine, kind, seed):
+    assume(kind == "width2" or small_residual(machine, kind, limit=512))
+    dec = sk.medvedev_width2(machine) if kind == "width2" else sk.medvedev_main(machine, kind)
+    rng = random.Random(seed)
+    for candidate in (dec, mutate(dec, rng)):
+        assert_same_searches(claimed_table(machine, candidate), nfa_table(machine))
+
+
+def test_corpus_claims_have_multi_state_subsets(machines, build_main):
+    # the projected tables the hypothesis tests draw are nondeterministic
+    # wherever two symbols share a letter, as in every main build
+    for name, machine in machines.items():
+        claimed = claimed_table(machine, build_main(name, 2))
+        assert has_multi_state_subset(claimed)
+        assert_same_searches(claimed, nfa_table(machine))

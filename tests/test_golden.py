@@ -1,9 +1,12 @@
-"""Pinned ``serialize_decomposition`` output.
+"""Pinned ``serialize_decomposition`` output and CLI stdout.
 
-The digests were computed before local words became index strings inside
-the spec; the serialized form must not change with the representation.
-The random machines are the ``total-dfa`` benchmark's, drawn by the
-benchmark's own generator.
+The build digests were computed before local words became index strings
+inside the spec; the serialized form must not change with the
+representation.  The random machines are the ``total-dfa`` benchmark's,
+drawn by the benchmark's own generator.  The CLI digests were computed
+before verification compiled the spec straight onto source letters; what
+``sltkit corpus`` and ``sltkit verify`` print must not change with how the
+claimed language is searched.
 """
 
 import hashlib
@@ -14,8 +17,10 @@ import random
 import pytest
 
 import sltkit as sk
+from sltkit.cli import main
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, corpus_text
+from test_verification_reference import mutate
 
 GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -79,3 +84,71 @@ def test_random_total_dfa_builds_are_pinned(seed):
     for n, h in RANDOM_DFA_CASES:
         dec = sk.medvedev_main(sk.parse_nfa(draw(rng, n)), h)
         assert digest(dec) == RANDOM_DFA_DIGESTS[(seed, n, h)], (seed, n, h)
+
+
+# sha256 of stdout (with the exit status of each run) of `sltkit corpus` on
+# the bundled directory, and of `sltkit verify` on the 18 corpus builds and
+# on one mutation of each, per mode
+CLI_DIGESTS = {
+    ("corpus", "exact"):
+        "0306a8a1c2863ddafc882ccc0d324b6d324e193528a6f2c6ffb23070674c69b6",
+    ("corpus", "bounded"):
+        "ce26fdabd48bfe187464e4a7c7f9bd43112266178266d7d909755df16b21d2db",
+    ("verify builds", "exact"):
+        "933299045cb43c5fabf0d725e353541a4376babadad911ad88c8ba0506c1bb1d",
+    ("verify builds", "bounded"):
+        "1dd4fe342d04f0596ca6fdba0b80ef53171828edfb834e936814b49da8bfcc05",
+    ("verify mutations", "exact"):
+        "b8fa567d600eb2c9915dfa71925371dddbf53eac56d1e0cd26b19a5c4ebf14cf",
+    ("verify mutations", "bounded"):
+        "ab3fab0e01e14b683f2fe9d3c8847591e739f68cfe43c437beb31fa6c977e175",
+}
+
+
+def cli_stdout(capsys, *argv) -> str:
+    status = main([str(a) for a in argv])
+    return capsys.readouterr().out + f"status={status}\n"
+
+
+def verify_stdout(capsys, tmp_path, machines, decs, mode) -> str:
+    out = []
+    for (name, kind), dec in decs:
+        nfa_path, dec_path = tmp_path / f"{name}.nfa", tmp_path / f"{name}.{kind}.dec"
+        nfa_path.write_text(corpus_text(name))
+        dec_path.write_text(sk.serialize_decomposition(dec))
+        out.append(f"{name} {kind}\n")
+        out.append(cli_stdout(capsys, "verify", "--nfa", nfa_path, "--dec", dec_path,
+                              "--mode", mode))
+    return "".join(out)
+
+
+def corpus_builds(machines, build_main):
+    return [((name, kind), sk.medvedev_width2(machines[name]) if kind == "width2"
+             else build_main(name, kind))
+            for name in CORPUS_NAMES for kind in ("width2", 2, 3)]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+def test_corpus_cli_stdout_is_pinned(capsys, mode):
+    out = cli_stdout(capsys, "corpus", "--dir", sk.corpus_dir(), "--ratio", "2,3",
+                     "--mode", mode)
+    assert sha256(out) == CLI_DIGESTS[("corpus", mode)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+def test_verify_cli_stdout_is_pinned(capsys, tmp_path, machines, build_main, mode):
+    out = verify_stdout(capsys, tmp_path, machines, corpus_builds(machines, build_main), mode)
+    assert sha256(out) == CLI_DIGESTS[("verify builds", mode)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+def test_verify_cli_stdout_on_mutations_is_pinned(capsys, tmp_path, machines, build_main,
+                                                  mode):
+    decs = [(key, mutate(dec, random.Random(f"golden {key}")))
+            for key, dec in corpus_builds(machines, build_main)]
+    out = verify_stdout(capsys, tmp_path, machines, decs, mode)
+    assert sha256(out) == CLI_DIGESTS[("verify mutations", mode)]

@@ -12,9 +12,10 @@ from conftest import random_member, reference_encoding
 
 
 @st.composite
-def random_machines(draw):
+def random_machines(draw, alphabet=None):
     n = draw(st.integers(1, 5))
-    alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    if alphabet is None:
+        alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
     initial = draw(st.integers(0, n - 1))
     others = [q for q in range(n) if q != initial]
     finals = draw(st.frozensets(st.sampled_from(others), min_size=1)) if others else frozenset()

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
-from sltkit import Nfa, SltSpec
+from sltkit import CapacityError, Nfa, SltSpec
+from sltkit.slt import compile_spec
 
-from conftest import corpus_text, lh_nfa, symbol_spec, symbol_words
+from conftest import CORPUS_NAMES, corpus_text, lh_nfa, symbol_spec, symbol_words
 
 
 def W(s: str):
@@ -285,6 +286,27 @@ class TestCompile:
         spec = symbol_spec(width=3, alphabet=("a", "b"), prefixes=[W("ab")],
                            suffixes=[W("bb")], factors=[W("abb")], short_words=[W("ba")])
         assert sk.enumerate_language(sk.slt_to_nfa(spec), 3) == [W("ba"), W("abb")]
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_state_cap_is_the_state_count(self, machines, build_main, name):
+        dec = build_main(name, 2)
+        for onto in (None, (machines[name].alphabet, dec.pi.letter)):
+            count = len(compile_spec(dec.slt, onto=onto).succ)
+            for cap in range(count):
+                with pytest.raises(CapacityError, match=f"cap of {cap} states"):
+                    compile_spec(dec.slt, state_cap=cap, onto=onto)
+            assert len(compile_spec(dec.slt, state_cap=count, onto=onto).succ) == count
+
+    def test_projection_keeps_the_states_and_merges_rows(self, machines, build_main):
+        machine, dec = machines["nondet"], build_main("nondet", 2)
+        symbols = compile_spec(dec.slt)
+        letters = compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter))
+        assert letters.alphabet == machine.alphabet and letters.finals == symbols.finals
+        for row, projected in zip(symbols.succ, letters.succ, strict=True):
+            for a, letter in enumerate(machine.alphabet):
+                assert projected[a] == tuple(sorted(
+                    dst for b, targets in enumerate(row) for dst in targets
+                    if dec.pi.letter(dec.slt.alphabet[b]) == letter))
 
 
 class TestInfer:

@@ -1,10 +1,12 @@
 import dataclasses
 import pathlib
+from functools import partial
 
 import pytest
 
 import sltkit as sk
-from sltkit import SltSpec
+from sltkit import CapacityError, SltSpec, verification
+from sltkit.slt import compile_spec
 
 from conftest import corpus_text, symbol_spec
 
@@ -71,6 +73,17 @@ class TestVerify:
         report = sk.verify_decomposition(aplus, aplus_main, mode="exact", state_cap=2)
         assert report.mode == "bounded" and report.notice is not None
         assert report.ok
+
+    def test_compile_cap_is_not_a_fallback(self, machines, build_main, monkeypatch):
+        # bounded mode searches the same compiled table, so there is no
+        # cheaper check to fall back to when the spec does not compile
+        machine, dec = machines["nondet"], build_main("nondet", 2)
+        count = len(compile_spec(dec.slt).succ)
+        monkeypatch.setattr(verification, "compile_spec",
+                            partial(compile_spec, state_cap=count - 1))
+        for mode in ("exact", "bounded"):
+            with pytest.raises(CapacityError, match=f"cap of {count - 1} states"):
+                sk.verify_decomposition(machine, dec, mode=mode)
 
     def test_decomposition_of_another_machine_gets_a_notice(self, machines, build_main):
         abplus = machines["abplus"]
