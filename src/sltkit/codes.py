@@ -303,43 +303,45 @@ class CodeCheck:
 
 
 def verify_factor_decodable(code: Code, cap: int = DEFAULT_SET_CAP) -> CodeCheck:
-    """Sweep every (2m-1)-window over all codeword triples.
+    """Check that every (2m-1)-window of a codeword stream decodes.
 
-    Windows of that length span at most three codewords, so triples cover
-    every window of an arbitrarily long codeword stream.  Distinct window
-    contents are checked once against every alignment that produces them:
-    the check passes iff each window has exactly one codeword occurrence
-    and it sits where the true alignment put it.
+    A window spans at most three codewords: a codeword suffix, a full
+    codeword and a codeword prefix, or, aligned, a codeword and a prefix.
+    Its own codeword always occurs where the alignment puts it, and any
+    other occurrence of a codeword c straddles one junction: c[:s] ends
+    some codeword and c[s:] starts some codeword, for a split s in 1..m-1.
+    Every such pair of pieces shows up in some window, so the check passes
+    iff no codeword splits that way.  One pass per split over the n
+    codewords decides it, holding the n tails and the n heads of that
+    split; ``cap`` bounds n, the codewords held.
+
+    ``windows_checked`` counts the (window, alignment) pairs a sweep over
+    all windows would check: n * |P(m-1)| plus, for each s, |S(s)| * n *
+    |P(m-1-s)|, where P(i) and S(i) are the distinct codeword prefixes and
+    suffixes of length i.  When the check passes, these windows are
+    distinct.  On failure the witness is the window c[:s] + v + p, where v
+    is the first codeword starting with c[s:] and p the least codeword
+    prefix of length m-1-s: it holds c at position 1 and v at s+1.
     """
-    m = code.m
-    state_of = {w: q for q, w in enumerate(code.codewords)}
-    cws = list(state_of)
-    prefixes = {length: sorted({w[:length] for w in cws}) for length in range(m)}
-    suffixes = {length: sorted({w[-length:] for w in cws}) for length in range(1, m)}
-
-    expected: dict[str, set[tuple[int, int]]] = {}
-
-    def add(window: str, pos: int, state: int) -> None:
-        expected.setdefault(window, set()).add((pos, state))
-        if len(expected) > cap:
-            raise CapacityError(f"window sweep exceeds cap of {cap} distinct windows")
-
-    # window aligned with the start of the first codeword
-    for state, w in enumerate(cws):
-        for pre in prefixes[m - 1]:
-            add(w + pre, 1, state)
-    # window starting offset positions into the first codeword: it shows a
-    # codeword suffix, a full middle codeword, then a codeword prefix
-    for offset in range(1, m):
-        for suf in suffixes[m - offset]:
-            for state in range(len(cws)):
-                middle = cws[state]
-                for pre in prefixes[offset - 1]:
-                    add(suf + middle + pre, m + 1 - offset, state)
-
-    for window, exp in expected.items():
-        matches = [(j + 1, state_of[window[j:j + m]])
-                   for j in range(m) if window[j:j + m] in state_of]
-        if len(matches) != 1 or set(matches) != exp:
-            return CodeCheck(False, window, len(expected))
-    return CodeCheck(True, None, len(expected))
+    n, m = code.n, code.m
+    if n > cap:
+        raise CapacityError(f"factor-decodability check holds {n} codewords, "
+                            f"over the cap of {cap}")
+    words = list(code.codewords)
+    heads = [1] * m  # heads[i] = |P(i)|
+    tails = [0] * m  # tails[i] = |S(i)|
+    straddle = None
+    for s in range(1, m):
+        ends = {w[-s:] for w in words}
+        starts = {w[:m - s] for w in words}
+        tails[s], heads[m - s] = len(ends), len(starts)
+        if straddle is None:
+            straddle = next(((w, s) for w in words if w[:s] in ends and w[s:] in starts),
+                            None)
+    windows = n * (heads[m - 1] + sum(tails[s] * heads[m - 1 - s] for s in range(1, m)))
+    if straddle is None:
+        return CodeCheck(True, None, windows)
+    c, s = straddle
+    v = next(w for w in words if w.startswith(c[s:]))
+    p = min(w[:m - 1 - s] for w in words)
+    return CodeCheck(False, c[:s] + v + p, windows)

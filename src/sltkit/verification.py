@@ -10,6 +10,7 @@ horizon.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
@@ -116,8 +117,8 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     mode, since both search the same table.  Bounded mode reads no word
     longer than the horizon, so residual words past it are not compared; it
     reports the least word on each failing side and is capped at
-    ``word_cap`` product states.  Only an extra word makes the spec compile
-    over its own symbols too, to find the word's local preimage.  A
+    ``word_cap`` product states.  An extra word's least local preimage is
+    found by walking the spec's states along that word alone.  A
     decomposition whose recorded source fingerprint is not the prepared
     machine's is still checked, with a notice saying so.
     """
@@ -152,26 +153,48 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
 def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
     """The least word of the slt language that projects onto ``word``, if any.
 
-    Compiles the spec over its own symbols, which only a failing report
-    needs, and walks that deterministic table along ``word``, keeping for
-    each state the least index string that reaches it.  Strings are
-    extended in ascending order, so the first to reach a state is the least
-    one.
+    Walks the states of the spec's symbol-level table (see
+    :func:`compile_spec`) along ``word`` without building the table.  A
+    string shorter than k-1 lives while it is a proper prefix of an allowed
+    prefix or short word, one of length k-1 while it is an allowed prefix
+    or a short word, and a longer one while it started with an allowed
+    prefix and its last k-window is an allowed factor.  A string's state is
+    its last k-1 symbols, so for each state the least string reaching it is
+    kept.  Strings are extended in ascending order, so the first to reach a
+    state is the least one.
     """
-    compiled = compile_spec(dec.slt)
-    preimages: dict[str, list[int]] = {}
-    for b, symbol in enumerate(dec.slt.alphabet):
-        preimages.setdefault(dec.pi.letter(symbol), []).append(b)
-    least = {q: "" for q in compiled.initial}
+    spec = dec.slt
+    k = spec.width
+    preimages: dict[str, list[str]] = {}
+    for b, symbol in enumerate(spec.alphabet):
+        preimages.setdefault(dec.pi.letter(symbol), []).append(chr(b))
+
+    def grows(z: str) -> bool:
+        for pool in (spec.prefixes, spec.short_words):
+            i = bisect_right(pool, z)  # the least word above z starts with z, if any does
+            if i < len(pool) and pool[i].startswith(z):
+                return True
+        return False
+
+    def lives(z: str) -> bool:
+        if len(z) < k - 1:
+            return grows(z)
+        if len(z) == k - 1:
+            return z in spec._prefix_set or z in spec._short_set
+        return z[-k:] in spec._factor_set and (len(z) > k or z[:-1] in spec._prefix_set)
+
+    least = {"": ""}
     for letter in word:
-        reached: dict[int, str] = {}
-        for q, z in least.items():
-            for b in preimages.get(letter, ()):
-                for dst in compiled.succ[q][b]:
-                    reached.setdefault(dst, z + chr(b))
+        reached: dict[str, str] = {}
+        for z in least.values():
+            for c in preimages.get(letter, ()):
+                ext = z + c
+                if lives(ext):
+                    reached.setdefault(ext[1 - k:], ext)
         least = reached
-    z = next((z for q, z in least.items() if q in compiled.finals), None)
-    return None if z is None else dec.slt.decode(z)
+    accepting = spec._suffix_set if len(word) >= k else spec._short_set
+    z = next((z for state, z in least.items() if state in accepting), None)
+    return None if z is None else spec.decode(z)
 
 
 @dataclass(frozen=True)
@@ -289,9 +312,9 @@ def _witness_detail(report: VerificationReport) -> str:
     return " ".join(parts)
 
 
-def _code_detail(machine: Nfa, h: int) -> tuple[bool, str]:
-    code = state_code(prepare(machine), h)
-    check = verify_factor_decodable(code)
+def _code_detail(prepared: Nfa, h: int, cap: int) -> tuple[bool, str]:
+    code = state_code(prepared, h)
+    check = verify_factor_decodable(code, cap)
     detail = f"windows={check.windows_checked}"
     if check.witness is not None:
         detail += " witness=" + ".".join(code.digits[ord(d)] for d in check.witness)
@@ -305,6 +328,7 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
         machine = parse_nfa(nfa_path.read_text())
     except (OSError, ValueError) as exc:
         return [CorpusEntry(name, "parse", False, f"error={exc}")]
+    prepared = prepare(machine)
     entries: list[CorpusEntry] = []
 
     def run(task: str, check: Callable[[], tuple[bool, str]]) -> None:
@@ -322,7 +346,7 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
     for h in ratios:
         run(f"main h={h}", lambda: verified(
             medvedev_main(machine, h, cap=cap), mode, horizon))
-        run(f"code h={h}", lambda: _code_detail(machine, h))
+        run(f"code h={h}", lambda: _code_detail(prepared, h, cap))
     for path in dec_paths:
         run(f"fixture {path.name}", lambda: verified(
             parse_decomposition(path.read_text()), mode, horizon))
@@ -336,9 +360,10 @@ def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "b
     Picks up ``<stem>.nfa`` machine files plus any ``<stem>[.tag].dec``
     decomposition fixtures, which are verified against their machine: the
     one with the longest stem the fixture's name starts with.  ``cap``
-    bounds set sizes, enumerated words and bounded-mode product states.  Per-file problems are
-    reported as failing entries without aborting the run; entries come in
-    file-name order.
+    bounds set sizes, enumerated words, bounded-mode product states and
+    the codewords a state-code check holds.  Per-file problems are reported
+    as failing entries without aborting the run; entries come in file-name
+    order.
     """
     nfa_files = sorted(FsPath(directory).glob("*.nfa"))
     fixtures: dict[str, list[FsPath]] = {p.stem: [] for p in nfa_files}

@@ -6,7 +6,8 @@ from typing import Iterator, Optional
 import pytest
 
 import sltkit as sk
-from sltkit.automata import DEFAULT_STATE_CAP, CapacityError, Table, _distance_to_final
+from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, CapacityError, Table,
+                             _distance_to_final)
 from sltkit.construction import _encode_blocks, _find_path
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
@@ -147,6 +148,49 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
                         f"equivalence check exceeds cap of {cap} product states")
                 parent[nxt] = (pair, a)
                 queue.append((nxt, depth + 1))
+
+
+def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_SET_CAP) -> sk.CodeCheck:
+    """Sweep every (2m-1)-window over all codeword triples.
+
+    Windows of that length span at most three codewords, so triples cover
+    every window of an arbitrarily long codeword stream.  Distinct window
+    contents are checked once against every alignment that produces them:
+    the check passes iff each window has exactly one codeword occurrence
+    and it sits where the true alignment put it.
+    """
+    m = code.m
+    state_of = {w: q for q, w in enumerate(code.codewords)}
+    cws = list(state_of)
+    prefixes = {length: sorted({w[:length] for w in cws}) for length in range(m)}
+    suffixes = {length: sorted({w[-length:] for w in cws}) for length in range(1, m)}
+
+    expected: dict[str, set[tuple[int, int]]] = {}
+
+    def add(window: str, pos: int, state: int) -> None:
+        expected.setdefault(window, set()).add((pos, state))
+        if len(expected) > cap:
+            raise CapacityError(f"window sweep exceeds cap of {cap} distinct windows")
+
+    # window aligned with the start of the first codeword
+    for state, w in enumerate(cws):
+        for pre in prefixes[m - 1]:
+            add(w + pre, 1, state)
+    # window starting offset positions into the first codeword: it shows a
+    # codeword suffix, a full middle codeword, then a codeword prefix
+    for offset in range(1, m):
+        for suf in suffixes[m - offset]:
+            for state in range(len(cws)):
+                middle = cws[state]
+                for pre in prefixes[offset - 1]:
+                    add(suf + middle + pre, m + 1 - offset, state)
+
+    for window, exp in expected.items():
+        matches = [(j + 1, state_of[window[j:j + m]])
+                   for j in range(m) if window[j:j + m] in state_of]
+        if len(matches) != 1 or set(matches) != exp:
+            return sk.CodeCheck(False, window, len(expected))
+    return sk.CodeCheck(True, None, len(expected))
 
 
 @pytest.fixture(scope="session")

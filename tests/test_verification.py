@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import pathlib
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, SltSpec, verification
@@ -133,6 +135,39 @@ class TestVerify:
         assert report.extra_local is None     # it came from the residual
 
 
+@st.composite
+def random_specs(draw):
+    """Width-2 and width-4 specs over three symbols, each word set about half
+    of its pool; short words of every length below the width included."""
+    k = draw(st.sampled_from([2, 4]))
+
+    def words(length: int) -> list[str]:
+        return ["".join(w) for w in itertools.product("\0\1\2", repeat=length)]
+
+    def subset(pool: list[str]) -> list[str]:
+        keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        return [w for w, kept in zip(pool, keep) if kept]
+
+    return SltSpec(width=k, alphabet=("a1", "a2", "b1"), prefixes=subset(words(k - 1)),
+                   suffixes=subset(words(k - 1)), factors=subset(words(k)),
+                   short_words=subset([w for i in range(1, k) for w in words(i)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=random_specs())
+def test_local_preimage_is_the_least_compiled_preimage(spec):
+    # the least word of the compiled slt machine with each image, by enumeration
+    pi = sk.Homomorphism((("a1", "a"), ("a2", "a"), ("b1", "b")))
+    dec = (sk.Decomposition(kind="width2", slt=spec, pi=pi) if spec.width == 2
+           else sk.Decomposition(kind="main", slt=spec, pi=pi, h=2, m=2))
+    least = {}
+    for z in sk.enumerate_language(sk.slt_to_nfa(spec), 6):
+        least.setdefault(pi(z), z)
+    for length in range(1, 7):
+        for word in itertools.product("ab", repeat=length):
+            assert verification._local_preimage(dec, word) == least.get(word)
+
+
 class TestRefute:
     ALPHABET = ("a", "b")
 
@@ -231,6 +266,13 @@ class TestCorpus:
         details = {(e.name, e.task): e.detail for e in report.entries}
         windows = sk.verify_factor_decodable(code).windows_checked
         assert details[("needs_sink.nfa", "code h=2")] == f"windows={windows}"
+
+    def test_cap_bounds_the_code_check(self, tmp_path):
+        report = sk.run_corpus(self.make_dir(tmp_path, ["needs_sink"]), ratios=(2,), cap=1)
+        details = {e.task: e for e in report.entries}
+        assert not details["code h=2"].ok
+        assert details["code h=2"].detail == ("error=factor-decodability check holds "
+                                              "2 codewords, over the cap of 1")
 
     def test_empty_language_machine_passes(self, tmp_path):
         (tmp_path / "none.nfa").write_text(
