@@ -120,10 +120,12 @@ class Table:
     letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
     states.  Nothing is validated or re-sorted: tables are built by code
     that already holds canonical data, such as :func:`nfa_table` or the slt
-    compiler, which can also read each symbol as its projected letter.
+    compiler, which can also read each symbol as its projected letter, or
+    the verifier's residual trie, whose rows hold at most one successor.
     Rows that are never changed after they are built are tuples, which the
     cyclic garbage collector stops tracking; :func:`differences` reads rows
-    as they are and names the subsets it reaches by ints.
+    as they are and names the subsets it reaches by ints, and reads a
+    trie's rows once, into ints, before it searches.
     """
 
     alphabet: tuple[str, ...]
@@ -499,7 +501,8 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
 
 
 def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
-                max_len: Optional[int] = None) -> Iterator[tuple[Word, bool]]:
+                max_len: Optional[int] = None,
+                trie: Optional[Table] = None) -> Iterator[tuple[Word, bool]]:
     """Words on which two tables over the same alphabet disagree.
 
     Runs the subset construction on both tables at once, breadth first with
@@ -512,10 +515,20 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     states that cannot reach a final state in the length left are dropped.
     Raises :class:`CapacityError` past ``cap`` visited product states.
 
+    ``trie``, a deterministic table over the same alphabet such as the
+    trie of a finite word set, joins the first side: the search compares
+    the union of its language and t1's with t2's.  The trie's node is a
+    product coordinate of its own beside t1's subset, never merged into
+    it.  The product states correspond one to one with those of the same
+    search on t1 with the trie appended to it, so the same words are
+    yielded and the cap is reached at the same point.
+
     Product states are integer keys.  Subsets are ints (see
-    :class:`_Subsets`), the pair (s1, s2) is ``s1 * stride + s2`` with
-    ``stride`` above every id of ``t2``, and the pair first reached on
-    letter a from key p links back to ``p * len(alphabet) + a``.
+    :class:`_Subsets`); the trie node is 0 for none and i + 1 for node i,
+    of ``nodes`` such values; the triple (s1, node, s2) is
+    ``(s1 * nodes + node) * stride + s2`` with ``stride`` above every id of
+    ``t2``, and the triple first reached on letter a from key p links back
+    to ``p * len(alphabet) + a``.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -524,13 +537,26 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     letters = side1.letters
     # past the singletons, each id of t2 is an image of one of at most cap pairs
     stride = len(t2.succ) + max(cap, 1) * len(letters) + 1
-    level = [side1.start * stride + side2.start]
+    nodes, start = 1, 0
+    trie_succ: list[list[int]] = [[0] * len(letters)]
+    trie_final, trie_dist = [False], [0.0]
+    if trie is not None:
+        nodes += len(trie.succ)
+        trie_succ += [[targets[0] + 1 if targets else 0 for targets in row]
+                      for row in trie.succ]
+        trie_final += [q in trie.finals for q in range(len(trie.succ))]
+        if max_len is not None:
+            trie_dist += _distance_to_final(trie)
+        if trie.initial and (max_len is None or trie_dist[trie.initial[0] + 1] <= max_len):
+            start = trie.initial[0] + 1
+    level = [(side1.start * nodes + start) * stride + side2.start]
     parent, depth = {level[0]: -1}, 0
     while level:
         left, reached = (max_len or 0) - depth - 1, []
         for key in level:
-            s1, s2 = divmod(key, stride)
-            accepted = s1 in fin1
+            pair, s2 = divmod(key, stride)
+            s1, node = divmod(pair, nodes)
+            accepted = s1 in fin1 or trie_final[node]
             if accepted != (s2 in fin2):
                 word, link = [], parent[key]
                 while link >= 0:
@@ -540,14 +566,16 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
                 yield tuple(reversed(word)), accepted
             if depth == max_len:
                 continue
-            row1, row2 = succ1[s1], succ2[s2]
+            row1, row2, trie_row = succ1[s1], succ2[s2], trie_succ[node]
             if max_len is not None:
                 row1 = [side1.viable(image, left) for image in row1]
                 row2 = [side2.viable(image, left) for image in row2]
+                trie_row = [q if trie_dist[q] <= left else 0 for q in trie_row]
             for a in letters:
                 # singletons, by far the most images, are their own ids
                 image1, image2 = row1[a], row2[a]
-                child = ((image1[0] if len(image1) == 1 else side1.intern(image1)) * stride
+                child = (((image1[0] if len(image1) == 1 else side1.intern(image1)) * nodes
+                          + trie_row[a]) * stride
                          + (image2[0] if len(image2) == 1 else side2.intern(image2)))
                 if child not in parent:
                     if len(parent) >= cap:

@@ -35,6 +35,9 @@ from .slt import SltSpec, word_encoder
 WIDTH2 = "width2"
 MAIN = "main"
 
+Context = int | tuple[int, ...]  # a context automaton state, or several
+Row = tuple[str, list[Context]]  # a context's symbols and, beside each, its target
+
 
 @dataclass(frozen=True)
 class Homomorphism:
@@ -80,6 +83,9 @@ class Decomposition:
     residual word set whose union is claimed to equal the source language.
 
     The claim is checked by the verification module, never assumed here.
+    The residual is stored as a deduplicated tuple in length-then-lex
+    order; a tuple of tuples already in that order, without duplicates, is
+    kept as it is, and any other is deduplicated and sorted.
     """
 
     kind: str
@@ -95,8 +101,12 @@ class Decomposition:
             raise ValueError(f"unknown decomposition kind: {self.kind!r}")
         if set(self.pi.domain) != set(self.slt.alphabet):
             raise ValueError("projection domain must equal the local alphabet")
-        residual = tuple(sorted({tuple(w) for w in self.residual}, key=lambda w: (len(w), w)))
-        if any(len(w) == 0 for w in residual):
+        residual = self.residual
+        if not (isinstance(residual, tuple) and all(type(w) is tuple for w in residual)
+                and all(len(u) < len(v) or (len(u) == len(v) and u < v)
+                        for u, v in zip(residual, islice(residual, 1, None)))):
+            residual = tuple(sorted({tuple(w) for w in residual}, key=lambda w: (len(w), w)))
+        if residual and not residual[0]:
             raise ValueError("residual may not contain the empty word")
         if self.kind == WIDTH2:
             if self.slt.width != 2 or residual or self.h is not None or self.m is not None:
@@ -246,7 +256,10 @@ def _context_automaton(m: Nfa, code: Code):
     Contexts are (current state, block origin, offset into the block);
     block boundaries roll the origin over to the state just entered.  Only
     contexts reachable from block starts exist.  Edges carry their symbol
-    as an index character of the letter-major local alphabet.
+    as an index character of the letter-major local alphabet.  A context's
+    row is its symbols in ascending order, as one string, and beside each
+    symbol the context it leads to, or the tuple of them when the machine
+    branches on that letter.
     """
     blen = code.m
     h = code.h
@@ -263,48 +276,81 @@ def _context_automaton(m: Nfa, code: Code):
 
     for q in range(m.n):
         ctx((q, q, 0))
-    fwd: list[list[tuple[str, int]]] = []
+    fwd: list[Row] = []
     i = 0
     while i < len(keys):
         state, origin, offset = keys[i]
         digit = ord(cw[origin][offset])
-        edges: list[tuple[str, int]] = []
+        symbols: list[str] = []
+        targets: list[Context] = []
         for a_idx, a in enumerate(m.alphabet):
-            sym = chr(a_idx * h + digit)
-            for dst in m.step(state, a):
-                target = (dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0)
-                edges.append((sym, ctx(target)))
-        fwd.append(edges)
+            dsts = [ctx((dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0))
+                    for dst in m.step(state, a)]
+            if dsts:
+                symbols.append(chr(a_idx * h + digit))
+                targets.append(dsts[0] if len(dsts) == 1 else tuple(dsts))
+        fwd.append(("".join(symbols), targets))
         i += 1
     return keys, ids, fwd
 
 
-def _window_words(edges: list[list[tuple[str, int]]],
-                  last: list[list[tuple[str, int]]], starts: Iterable[int],
-                  steps: int, cap: int, what: str) -> set[str]:
+def _group(edges: Iterable[tuple[str, int]]) -> Row:
+    """The row of edges given as (symbol, context) pairs in ascending order."""
+    symbols: list[str] = []
+    targets: list[Context] = []
+    for c, dst in edges:
+        if symbols and symbols[-1] == c:
+            last = targets[-1]
+            targets[-1] = last + (dst,) if type(last) is tuple else (last, dst)
+        else:
+            symbols.append(c)
+            targets.append(dst)
+    return "".join(symbols), targets
+
+
+def _contexts(t: Context) -> tuple[int, ...]:
+    return (t,) if type(t) is int else t
+
+
+def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
+                  steps: int, cap: int, what: str) -> tuple[str, ...]:
     """The index strings of all ``steps``-edge walks from ``starts`` whose
-    final edge is in ``last``.  Each step keys the frontier by the word read
-    so far, with the set of contexts it ends in; on reversed edges the words
-    come out reversed."""
-    frontier: dict[str, set[int]] = {"": set(starts)}
+    final symbol is one of ``last`` for the context it leaves, as a
+    strictly increasing tuple.  ``rows`` are the contexts' rows (see
+    :func:`_context_automaton`) and ``last`` their final symbols, each in
+    ascending order.
+
+    The frontier is two parallel lists: the words read so far, in
+    ascending order, and the context each ends in, or the tuple of them.
+    A word's children append its row's symbols in order, so they come out
+    sorted, and the children of different words never collide.  Only a
+    word ending in several contexts merges their rows, once per distinct
+    tuple.  On reversed edges the words come out reversed."""
+    merged: dict[Context, Row] = dict(enumerate(rows))
+    ends: dict[Context, str] = dict(enumerate(last))
+
+    def merge(t: tuple[int, ...]) -> Row:
+        pairs = {(c, dst) for q in t for c, target in zip(*rows[q]) for dst in _contexts(target)}
+        row = merged[t] = _group(sorted(pairs))
+        return row
+
+    def end(t: tuple[int, ...]) -> str:
+        symbols = ends[t] = "".join(sorted(set("".join(map(last.__getitem__, t)))))
+        return symbols
+
+    words: list[str] = [""]
+    contexts: list[Context] = [starts[0] if len(starts) == 1 else tuple(starts)]
     for _ in range(steps - 1):
-        nxt: dict[str, set[int]] = {}
-        for w, states in frontier.items():
-            for st in states:
-                for c, dst in edges[st]:
-                    key = w + c
-                    bucket = nxt.get(key)
-                    if bucket is None:
-                        nxt[key] = {dst}
-                    else:
-                        bucket.add(dst)
-        if len(nxt) > cap:
-            raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} {what}")
-        frontier = nxt
-    words = {w + c for w, states in frontier.items() for st in states for c, _ in last[st]}
-    if len(words) > cap:
-        raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
-    return words
+        here = [merged.get(t) or merge(t) for t in contexts]
+        next_words = [w + c for w, (symbols, _) in zip(words, here) for c in symbols]
+        if len(next_words) > cap:
+            raise CapacityError(f"window set exceeds cap of {cap}: {len(next_words)} {what}")
+        words, contexts = next_words, [t for _, targets in here for t in targets]
+    finals = [ends[t] if t in ends else end(t) for t in contexts]
+    out = tuple(w + c for w, symbols in zip(words, finals) for c in symbols)
+    if len(out) > cap:
+        raise CapacityError(f"window set exceeds cap of {cap}: {len(out)} {what}")
+    return out
 
 
 def _states_with_incoming_block(m: Nfa, blen: int) -> set[int]:
@@ -323,8 +369,9 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     encodings; suffixes are windows of runs that end in a final state
     part-way through a block.  Source words shorter than 3m are carried by
     the residual, so the short-word set stays empty.  The window sets are
-    swept out of a context automaton with per-prefix deduplication rather
-    than by materialising path triples.  The machine is prepared first.
+    swept out of a context automaton in sorted order (see
+    :func:`_window_words`) rather than by materialising path triples.  The
+    machine is prepared first.
     ``cap`` bounds the context automaton, each window set and the residual.
     """
     m = prepare(m)
@@ -337,21 +384,26 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     if len(keys) > cap:
         raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
     rev: list[list[tuple[str, int]]] = [[] for _ in keys]
-    for src, edges in enumerate(fwd):
-        for c, dst in edges:
-            rev[dst].append((c, src))
+    for src, row in enumerate(fwd):
+        for c, target in zip(*row):
+            for dst in _contexts(target):
+                rev[dst].append((c, src))
+    for edges in rev:
+        edges.sort()
     # a suffix is read from a block-aligned context: part-way through a
     # block, or at the start of one that some full block leads into
     incoming = _states_with_incoming_block(m, blen)
     admissible = [offset >= 1 or state in incoming for state, _, offset in keys]
-    rev_admissible = [[(c, src) for c, src in row if admissible[src]] for row in rev]
+    rev_last = ["".join(dict.fromkeys(c for c, src in edges if admissible[src]))
+                for edges in rev]
 
-    prefixes = _window_words(fwd, fwd, [ids[(m.initial, m.initial, 0)]], width - 1,
+    fwd_last = [symbols for symbols, _ in fwd]
+    prefixes = _window_words(fwd, fwd_last, [ids[(m.initial, m.initial, 0)]], width - 1,
                              cap, "prefixes")
-    factors = _window_words(fwd, fwd, range(len(keys)), width, cap, "factors")
+    factors = _window_words(fwd, fwd_last, range(len(keys)), width, cap, "factors")
     ends = [i for i, (state, _, _) in enumerate(keys) if state in m.finals]
-    suffixes = {w[::-1] for w in _window_words(rev, rev_admissible, ends, width - 1,
-                                               cap, "suffixes")}
+    suffixes = tuple(sorted(w[::-1] for w in _window_words(
+        list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
 
     spec = SltSpec(width=width, alphabet=symbols, prefixes=prefixes,
                    suffixes=suffixes, factors=factors, short_words=())

@@ -202,14 +202,16 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
     """Compile a spec to a table accepting its language, or the image of
     that language under a letter-to-letter map.
 
-    States track the word read so far while it is shorter than the window,
-    then the most recent (k-1)-window.  Entry into the first full window is
-    kept distinct from later windows so that words of length exactly k-1
-    are decided by the short-word set alone.  State 0 is initial; the
-    shorter words are visited in canonical order, then the windows breadth
-    first, and states are numbered as they are first reached.  The moves
-    out of window u are read off the run of ``spec.factors`` that starts
-    with u.  Each row is built once, as a tuple, when its state is expanded.
+    States track the word read so far while it is shorter than the window
+    and is a short word or a proper prefix of an allowed prefix or short
+    word, then the most recent (k-1)-window.  Entry into the first full
+    window is kept distinct from later windows so that words of length
+    exactly k-1 are decided by the short-word set alone.  State 0 is
+    initial; the shorter words are visited in canonical order, then the
+    windows breadth first, and states are numbered as they are first
+    reached.  The moves out of window u are read off the run of
+    ``spec.factors`` that starts with u.  Each row is built once, as a
+    tuple, when its state is expanded.
 
     Without ``onto`` the table reads symbols and is deterministic.  With
     ``onto = (letters, letter)`` it reads each symbol s as ``letter(s)``,
@@ -229,7 +231,7 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
     fresh_pool = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
     prefix_pool: set[str] = set()
     for w in chain(fresh_pool, spec.short_words):
-        prefix_pool.update(w[:i] for i in range(min(len(w), k - 1)))
+        prefix_pool.update(w[:i] for i in range(min(len(w) + 1, k - 1)))
 
     empty_row: tuple[tuple[int, ...], ...] = ((),) * len(letters)
     succ: list[Sequence[tuple[int, ...]]] = []

@@ -75,22 +75,18 @@ def _set_sizes(dec: Decomposition) -> dict[str, int]:
             "residual": len(dec.residual)}
 
 
-def _claimed(dec: Decomposition, projected: Table) -> Table:
-    """A table for the claimed language: the projected slt table, with the
-    residual, in its stored order, appended as a trie whose root joins the
-    start subset.  Only the trie's rows are lists, filled in as the words
-    are added."""
-    alphabet, succ = projected.alphabet, projected.succ
+def _residual_trie(dec: Decomposition, alphabet: tuple[str, ...]) -> Table:
+    """The residual, in its stored order, as a trie over ``alphabet`` whose
+    root is state 0.  Its rows are lists, filled in as the words are added."""
     index = {a: i for i, a in enumerate(alphabet)}
-    root = len(succ)
-    succ.append([()] * len(alphabet))
-    finals = set(projected.finals)
+    succ: list[list[tuple[int, ...]]] = [[()] * len(alphabet)]
+    finals: set[int] = set()
     for word in dec.residual:
         try:
             path = list(map(index.__getitem__, word))
         except KeyError as exc:
             raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
-        node = root
+        node = 0
         for a in path:
             row = succ[node]
             if not row[a]:
@@ -98,7 +94,7 @@ def _claimed(dec: Decomposition, projected: Table) -> Table:
                 succ.append([()] * len(alphabet))
             node = row[a][0]
         finals.add(node)
-    return Table(alphabet, succ, frozenset(finals), projected.initial + (root,))
+    return Table(alphabet, succ, frozenset(finals), (0,))
 
 
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
@@ -108,9 +104,10 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     """Check that the projected slt language plus residual equals L(m).
 
     Both modes compile the spec once, straight onto source letters (see
-    :func:`compile_spec`), append the residual to that table as a trie, and
-    search the subset product of it and the machine's table, on integer
-    keys, for words on which they disagree.  Exact mode reports the least
+    :func:`compile_spec`), build the residual as a trie, and search the
+    product of that table's subsets, the trie's nodes and the machine's
+    subsets, on integer keys, for words on which the claim and the machine
+    disagree (see :func:`differences`).  Exact mode reports the least
     such word; if it visits more than ``state_cap`` product states it
     downgrades itself to bounded mode with a notice.  A spec whose table
     exceeds the compiler's cap raises :class:`CapacityError` in either
@@ -126,12 +123,13 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     notices = [mismatch] if mismatch else []
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
-    claimed = _claimed(dec, compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter)))
+    projected = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
+    residual = _residual_trie(dec, m.alphabet)
     machine = nfa_table(m)
 
     def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
         found: dict[bool, Word] = {}
-        for word, is_extra in differences(claimed, machine, cap, h):
+        for word, is_extra in differences(projected, machine, cap, h, residual):
             found.setdefault(is_extra, word)
             if len(found) == sides:
                 break
@@ -155,10 +153,10 @@ def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
 
     Walks the states of the spec's symbol-level table (see
     :func:`compile_spec`) along ``word`` without building the table.  A
-    string shorter than k-1 lives while it is a proper prefix of an allowed
-    prefix or short word, one of length k-1 while it is an allowed prefix
-    or a short word, and a longer one while it started with an allowed
-    prefix and its last k-window is an allowed factor.  A string's state is
+    string shorter than k-1 lives while it is a short word or a proper
+    prefix of an allowed prefix or short word, one of length k-1 while it
+    is an allowed prefix or a short word, and a longer one while it started
+    with an allowed prefix and its last k-window is an allowed factor.  A string's state is
     its last k-1 symbols, so for each state the least string reaching it is
     kept.  Strings are extended in ascending order, so the first to reach a
     state is the least one.
@@ -178,7 +176,7 @@ def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
 
     def lives(z: str) -> bool:
         if len(z) < k - 1:
-            return grows(z)
+            return z in spec._short_set or grows(z)
         if len(z) == k - 1:
             return z in spec._prefix_set or z in spec._short_set
         return z[-k:] in spec._factor_set and (len(z) > k or z[:-1] in spec._prefix_set)

@@ -6,9 +6,11 @@ from typing import Iterator, Optional
 import pytest
 
 import sltkit as sk
-from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, CapacityError, Table,
-                             _distance_to_final)
-from sltkit.construction import _encode_blocks, _find_path
+from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
+                             CapacityError, Table, _distance_to_final, differences, nfa_table)
+from sltkit.construction import _encode_blocks, _find_path, source_mismatch
+from sltkit.slt import compile_spec
+from sltkit.verification import _local_preimage, _set_sizes
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
 
@@ -148,6 +150,88 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
                         f"equivalence check exceeds cap of {cap} product states")
                 parent[nxt] = (pair, a)
                 queue.append((nxt, depth + 1))
+
+
+def reference_claimed(dec: sk.Decomposition, alphabet) -> Table:
+    """One table for the claimed language: the projected slt table with the
+    residual, in its stored order, appended as a trie whose root joins the
+    start subset.  Its subsets merge window states and trie nodes, where
+    :func:`sltkit.verify_decomposition` keeps the trie as a coordinate of
+    its own."""
+    projected = compile_spec(dec.slt, onto=(tuple(alphabet), dec.pi.letter))
+    succ = list(projected.succ)
+    index = {a: i for i, a in enumerate(alphabet)}
+    root = len(succ)
+    succ.append([()] * len(alphabet))
+    finals = set(projected.finals)
+    for word in dec.residual:
+        try:
+            path = list(map(index.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+        node = root
+        for a in path:
+            row = succ[node]
+            if not row[a]:
+                row[a] = (len(succ),)
+                succ.append([()] * len(alphabet))
+            node = row[a][0]
+        finals.add(node)
+    return Table(tuple(alphabet), succ, frozenset(finals), projected.initial + (root,))
+
+
+def reference_verify(m: sk.Nfa, dec: sk.Decomposition, mode: str = "bounded",
+                     horizon: Optional[int] = None, word_cap: int = DEFAULT_WORD_CAP,
+                     state_cap: int = DEFAULT_STATE_CAP) -> sk.VerificationReport:
+    """:func:`sltkit.verify_decomposition` searching the merged claim of
+    :func:`reference_claimed` against the machine."""
+    mismatch = source_mismatch(dec, sk.prepare(m))
+    notices = [mismatch] if mismatch else []
+    claimed, machine = reference_claimed(dec, m.alphabet), nfa_table(m)
+
+    def report(how, h, cap, sides):
+        found = {}
+        for word, is_extra in differences(claimed, machine, cap, h):
+            found.setdefault(is_extra, word)
+            if len(found) == sides:
+                break
+        extra = found.get(True)
+        return sk.VerificationReport(
+            mode=how, horizon=h, ok=not found, missing=found.get(False), extra=extra,
+            extra_local=None if extra is None else _local_preimage(dec, extra),
+            set_sizes=_set_sizes(dec), notice="; ".join(notices) or None)
+
+    if mode == "exact":
+        try:
+            return report("exact", None, state_cap, 1)
+        except CapacityError as exc:
+            notices.append(f"exact mode hit a resource cap ({exc}); fell back to bounded")
+    return report("bounded", horizon if horizon is not None else sk.default_horizon(dec),
+                  word_cap, 2)
+
+
+def reference_window_words(rows, last, starts, steps: int, cap: int, what: str) -> set[str]:
+    """The window sweep keyed by the word read so far, with the set of
+    contexts it ends in, over each context's edges one by one: the
+    definition ``construction._window_words`` keeps, with the same caps,
+    counts and messages.  ``rows`` and ``last`` are as that function takes
+    them."""
+    edges = [[(c, dst) for c, target in zip(*row)
+              for dst in ((target,) if isinstance(target, int) else target)] for row in rows]
+    frontier: dict[str, set[int]] = {"": set(starts)}
+    for _ in range(steps - 1):
+        nxt: dict[str, set[int]] = {}
+        for w, states in frontier.items():
+            for st in states:
+                for c, dst in edges[st]:
+                    nxt.setdefault(w + c, set()).add(dst)
+        if len(nxt) > cap:
+            raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} {what}")
+        frontier = nxt
+    words = {w + c for w, states in frontier.items() for st in states for c in last[st]}
+    if len(words) > cap:
+        raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
+    return words
 
 
 def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_SET_CAP) -> sk.CodeCheck:

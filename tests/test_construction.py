@@ -485,6 +485,44 @@ class TestSerialization:
         assert sk.nfa_fingerprint(aplus) == sk.nfa_fingerprint(sk.parse_nfa(corpus_text("aplus")))
 
 
+class TestResidualOrder:
+    """The residual is kept as given when it is already a strictly increasing
+    length-lex tuple of tuples, and canonicalised otherwise."""
+
+    @staticmethod
+    def with_residual(dec, residual):
+        return dataclasses.replace(dec, residual=residual)
+
+    def test_ordered_residual_is_kept(self, build_main):
+        dec = build_main("nondet", 2)
+        ordered = tuple(dec.residual)
+        assert self.with_residual(dec, ordered).residual is ordered
+
+    def test_build_keeps_the_enumerated_residual(self, build_main):
+        dec = build_main("evens", 2)
+        assert dec.residual == tuple(sk.enumerate_language(sk.prepare(sk.parse_nfa(
+            corpus_text("evens"))), 3 * dec.m - 1))
+
+    @pytest.mark.parametrize("residual", [
+        (W("ba"), W("a")),                      # length order broken
+        (W("b"), W("a")),                       # lex order broken
+        (W("a"), W("a"), W("ab")),              # duplicate
+        [W("a"), W("ab")],                      # not a tuple
+        (W("a"), ["a", "b"]),                   # a word not a tuple
+        ("a", "ab"),                            # words as strings
+    ])
+    def test_other_residuals_are_canonicalised(self, build_main, residual):
+        dec = self.with_residual(build_main("aplus", 2), residual)
+        canonical = tuple(sorted({tuple(w) for w in residual}, key=lambda w: (len(w), w)))
+        assert dec.residual == canonical and type(dec.residual) is tuple
+        assert all(type(w) is tuple for w in dec.residual)
+
+    @pytest.mark.parametrize("residual", [((), W("a")), (W("a"), ()), ((),)])
+    def test_empty_word_is_rejected(self, build_main, residual):
+        with pytest.raises(ValueError, match="empty word"):
+            self.with_residual(build_main("aplus", 2), residual)
+
+
 class TestLargeLocalAlphabets:
     """Local alphabets of more than 256 symbols build, round trip and verify."""
 

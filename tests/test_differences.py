@@ -4,7 +4,10 @@
 of subset tuples and stores a depth per queue entry; ``differences`` keys
 them by ints and walks one level at a time.  Both must yield the same
 ``(word, side)`` sequence and stop with ``CapacityError`` at the same point,
-in exact mode and at any ``max_len``.
+in exact mode and at any ``max_len``.  With the residual as a trie
+coordinate of its own, ``differences`` must do the same as the reference
+on the merged claim (``reference_claimed``), which appends the trie to the
+projected table.
 """
 
 import random
@@ -15,9 +18,9 @@ import sltkit as sk
 from sltkit import CapacityError
 from sltkit.automata import differences, nfa_table
 from sltkit.slt import compile_spec
-from sltkit.verification import _claimed
+from sltkit.verification import _residual_trie
 
-from conftest import reference_differences
+from conftest import reference_claimed, reference_differences
 from test_random_machines import random_machines, small_residual
 from test_verification_reference import mutate
 
@@ -44,9 +47,17 @@ def assert_same_searches(t1, t2):
                     (cap, max_len)
 
 
-def claimed_table(machine, dec):
-    """The table ``verify_decomposition`` searches for ``dec``."""
-    return _claimed(dec, compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter)))
+def assert_trie_search_matches_merged(machine, dec):
+    """The search ``verify_decomposition`` runs, with the residual trie as
+    its own coordinate, against the reference on the merged claim."""
+    projected = compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter))
+    trie, merged = _residual_trie(dec, machine.alphabet), reference_claimed(dec, machine.alphabet)
+    table = nfa_table(machine)
+    for max_len in MAX_LENS:
+        for cap in CAPS:
+            assert (outcome(differences(projected, table, cap, max_len, trie))
+                    == outcome(reference_differences(merged, table, cap, max_len))), \
+                (cap, max_len)
 
 
 def has_multi_state_subset(t):
@@ -69,13 +80,17 @@ def test_projected_specs_match_reference(machine, kind, seed):
     dec = sk.medvedev_width2(machine) if kind == "width2" else sk.medvedev_main(machine, kind)
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng)):
-        assert_same_searches(claimed_table(machine, candidate), nfa_table(machine))
+        assert_same_searches(reference_claimed(candidate, machine.alphabet),
+                             nfa_table(machine))
+        assert_trie_search_matches_merged(machine, candidate)
 
 
 def test_corpus_claims_have_multi_state_subsets(machines, build_main):
     # the projected tables the hypothesis tests draw are nondeterministic
     # wherever two symbols share a letter, as in every main build
     for name, machine in machines.items():
-        claimed = claimed_table(machine, build_main(name, 2))
+        dec = build_main(name, 2)
+        claimed = reference_claimed(dec, machine.alphabet)
         assert has_multi_state_subset(claimed)
         assert_same_searches(claimed, nfa_table(machine))
+        assert_trie_search_matches_merged(machine, dec)

@@ -88,7 +88,11 @@ def test_random_total_dfa_builds_are_pinned(seed):
 
 # sha256 of stdout (with the exit status of each run) of `sltkit corpus` on
 # the bundled directory, and of `sltkit verify` on the 18 corpus builds and
-# on one mutation of each, per mode
+# on one mutation of each, per mode.  The mutation digests were recomputed
+# when the compiled spec started to accept short words below k-1 that
+# nothing extends: the abbplus h=3 mutation adds one such short word,
+# b|0.a|0.b|0.a|0.b|1.b|1, whose image b.a.b.a.b.b is not in the machine's
+# language, and its verdict changed from a wrong pass to that extra word.
 CLI_DIGESTS = {
     ("corpus", "exact"):
         "0306a8a1c2863ddafc882ccc0d324b6d324e193528a6f2c6ffb23070674c69b6",
@@ -99,9 +103,9 @@ CLI_DIGESTS = {
     ("verify builds", "bounded"):
         "1dd4fe342d04f0596ca6fdba0b80ef53171828edfb834e936814b49da8bfcc05",
     ("verify mutations", "exact"):
-        "b8fa567d600eb2c9915dfa71925371dddbf53eac56d1e0cd26b19a5c4ebf14cf",
+        "52a75226c52abb44e2cb8a432c9fed1439e3578f7c303ac78f18a425c91a47c3",
     ("verify mutations", "bounded"):
-        "ab3fab0e01e14b683f2fe9d3c8847591e739f68cfe43c437beb31fa6c977e175",
+        "35728ea7fcde7ad46d2fcddb3fcca16fa2fc921d0aec73f8965c3683e5eea814",
 }
 
 

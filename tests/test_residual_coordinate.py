@@ -1,0 +1,65 @@
+"""verify_decomposition with the residual as a product coordinate of its
+own, against the merged claim it replaces.
+
+``reference_verify`` (tests/conftest.py) appends the residual trie to the
+projected table, so its subsets merge window states and trie nodes;
+``verify_decomposition`` keys product states by (spec subset, trie node,
+machine subset).  The two searches visit corresponding product states in
+the same order, so every report field must match, and an exact search
+must hit ``state_cap`` at the same point and fall back with the same
+notice.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import sltkit as sk
+from sltkit.automata import DEFAULT_STATE_CAP
+
+from conftest import CORPUS_NAMES, reference_verify
+from test_random_machines import random_machines, small_residual
+from test_verification_reference import build, mutate
+
+
+def assert_same_reports(machine, dec, **kwargs):
+    for mode in ("exact", "bounded"):
+        report = sk.verify_decomposition(machine, dec, mode=mode, **kwargs)
+        assert report == reference_verify(machine, dec, mode=mode, **kwargs), mode
+
+
+@pytest.mark.parametrize("kind", ["width2", 2, 3])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_builds_and_mutations_match_merged_claim(machines, name, kind):
+    machine = machines[name]
+    dec = build(machine, kind)
+    rng = random.Random(f"residual coordinate {name} {kind}")
+    for candidate in [dec] + [mutate(dec, rng) for _ in range(10)]:
+        assert_same_reports(machine, candidate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=random_machines(), h=st.integers(2, 3), seed=st.integers(0, 2**16),
+       state_cap=st.sampled_from([2, 5, DEFAULT_STATE_CAP]))
+def test_random_machines_match_merged_claim(machine, h, seed, state_cap):
+    assume(small_residual(machine, h, limit=512))
+    dec = sk.medvedev_main(machine, h)
+    rng = random.Random(seed)
+    for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):
+        assert_same_reports(machine, candidate, horizon=min(sk.default_horizon(dec), 10),
+                            state_cap=state_cap)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_state_cap_falls_back_at_the_same_point(machines, build_main, name):
+    machine, dec = machines[name], build_main(name, 2)
+    modes = []
+    for state_cap in range(1, 60):
+        report = sk.verify_decomposition(machine, dec, mode="exact", state_cap=state_cap)
+        assert report == reference_verify(machine, dec, mode="exact", state_cap=state_cap)
+        modes.append(report.mode)
+        if report.mode == "bounded":
+            assert report.notice.startswith("exact mode hit a resource cap")
+    # every corpus build needs between 16 and 46 product states
+    assert modes[0] == "bounded" and modes[-1] == "exact"

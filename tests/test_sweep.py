@@ -1,0 +1,121 @@
+"""``construction._window_words`` against the sweep it replaces.
+
+``reference_window_words`` (tests/conftest.py) keys the frontier by word
+in a dict of context sets; ``_window_words`` keeps the words in ascending
+order beside their contexts.  On every sweep a main build runs, the new
+one must return the same words as a strictly increasing tuple, and stop
+with ``CapacityError`` at the same count and with the same message under
+any cap.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sltkit as sk
+from sltkit import CapacityError, construction
+from sltkit.construction import _reference_main_sets, _window_words
+
+from conftest import CORPUS_NAMES, reference_window_words
+from test_random_machines import random_machines
+
+
+def recorded_sweeps(machine, h):
+    """The arguments of each ``_window_words`` call of a main build."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _window_words(*args)
+
+    with mock.patch.object(construction, "_window_words", spy):
+        dec = sk.medvedev_main(machine, h)
+    return dec, [(args[:4], args[5]) for args in calls]
+
+
+def outcome(sweep, args, what, cap):
+    try:
+        return sorted(sweep(*args, cap, what))
+    except CapacityError as exc:
+        return str(exc)
+
+
+def is_strictly_increasing(words) -> bool:
+    return all(u < v for u, v in zip(words, words[1:]))
+
+
+def assert_same_sweeps(machine, h):
+    dec, sweeps = recorded_sweeps(machine, h)
+    assert len(sweeps) == 3
+    for args, what in sweeps:
+        words = _window_words(*args, 10**6, what)
+        assert type(words) is tuple and is_strictly_increasing(words)
+        assert words == tuple(sorted(reference_window_words(*args, 10**6, what)))
+    return dec, sweeps
+
+
+def is_nondeterministic(machine) -> bool:
+    return any(len(targets) > 1 for targets in machine._step.values())
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("h", [2, 3])
+def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
+    dec, _ = assert_same_sweeps(machines[name], h)
+    prepared = sk.prepare(machines[name])
+    prefixes, suffixes, factors = _reference_main_sets(prepared, sk.state_code(prepared, h))
+    assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
+    assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
+    assert set(map(dec.slt.decode, dec.slt.factors)) == factors
+
+
+def test_corpus_has_a_word_ending_in_several_contexts(machines):
+    # nondet's runs branch, so a forward sweep word ends in several contexts
+    assert is_nondeterministic(sk.prepare(machines["nondet"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(machine=random_machines(), h=st.integers(2, 3))
+def test_random_machines_match_reference(machine, h):
+    assert_same_sweeps(machine, h)
+
+
+@st.composite
+def branching_machines(draw):
+    """Trim machines along a spine 0 -> 1 -> ... -> n-1, with one state
+    moving on one letter to two states, so a sweep word ends in several
+    contexts."""
+    n = draw(st.integers(2, 5))
+    alphabet = ("a", "b")[:draw(st.integers(1, 2))]
+    letter, state = st.sampled_from(alphabet), st.integers(0, n - 1)
+    transitions = [(q, draw(letter), q + 1) for q in range(n - 1)]
+    transitions += draw(st.lists(st.tuples(state, letter, state), max_size=n))
+    q, a = draw(state), draw(letter)
+    first, second = draw(st.lists(state, min_size=2, max_size=2, unique=True))
+    transitions += [(q, a, first), (q, a, second)]
+    finals = {n - 1} | draw(st.frozensets(st.integers(1, n - 1)))
+    return sk.Nfa(n=n, alphabet=alphabet, transitions=tuple(transitions), initial=0,
+                  finals=frozenset(finals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(machine=branching_machines(), h=st.integers(2, 3))
+def test_random_nfas_match_reference(machine, h):
+    assert is_nondeterministic(sk.prepare(machine))
+    assert_same_sweeps(machine, h)
+
+
+@pytest.mark.parametrize("name", ["aplus", "nondet", "evens"])
+def test_cap_is_hit_at_the_same_count(machines, name):
+    _, sweeps = recorded_sweeps(machines[name], 2)
+    assert [what for _, what in sweeps] == ["prefixes", "factors", "suffixes"]
+    for args, what in sweeps:
+        total = len(_window_words(*args, 10**6, what))
+        outcomes = [outcome(_window_words, args, what, cap) for cap in range(total + 2)]
+        assert outcomes == [outcome(reference_window_words, args, what, cap)
+                            for cap in range(total + 2)]
+        # a frontier or the window set itself is over the cap
+        refused = outcomes[total - 1]
+        assert refused.startswith(f"window set exceeds cap of {total - 1}: ")
+        assert refused.endswith(f" {what}")

@@ -138,14 +138,18 @@ class TestVerify:
 @st.composite
 def random_specs(draw):
     """Width-2 and width-4 specs over three symbols, each word set about half
-    of its pool; short words of every length below the width included."""
+    or about a quarter of its pool; short words of every length below the
+    width included."""
     k = draw(st.sampled_from([2, 4]))
 
     def words(length: int) -> list[str]:
         return ["".join(w) for w in itertools.product("\0\1\2", repeat=length)]
 
     def subset(pool: list[str]) -> list[str]:
-        keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        flags = st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))
+        keep = draw(flags)
+        if draw(st.booleans()):
+            keep = [a and b for a, b in zip(keep, draw(flags))]
         return [w for w, kept in zip(pool, keep) if kept]
 
     return SltSpec(width=k, alphabet=("a1", "a2", "b1"), prefixes=subset(words(k - 1)),
@@ -166,6 +170,27 @@ def test_local_preimage_is_the_least_compiled_preimage(spec):
     for length in range(1, 7):
         for word in itertools.product("ab", repeat=length):
             assert verification._local_preimage(dec, word) == least.get(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=random_specs())
+def test_compiled_spec_accepts_exactly_the_spec_language(spec):
+    words = ("".join(z) for length in range(1, 7) for z in itertools.product("\0\1\2",
+                                                                           repeat=length))
+    members = {spec.decode(z) for z in words if spec.accepts(z)}
+    assert set(sk.enumerate_language(sk.slt_to_nfa(spec), 6)) == members
+
+
+def test_short_word_that_nothing_extends_is_compiled():
+    # ba is shorter than k-1 = 3 and is no proper prefix of a prefix or short word
+    spec = symbol_spec(width=4, alphabet=("a", "b"), prefixes=[W("abb")],
+                       suffixes=[W("bbb")], factors=[W("abbb")],
+                       short_words=[W("a"), W("b"), W("ba")])
+    assert sk.enumerate_language(sk.slt_to_nfa(spec), 4) == [W("a"), W("b"), W("ba"),
+                                                              W("abbb")]
+    pi = sk.Homomorphism((("a", "a"), ("b", "b")))
+    dec = sk.Decomposition(kind="main", slt=spec, pi=pi, h=2, m=2)
+    assert verification._local_preimage(dec, W("ba")) == W("ba")
 
 
 class TestRefute:
