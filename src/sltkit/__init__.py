@@ -40,6 +40,7 @@ from .codes import (
 from .construction import (
     Decomposition,
     Homomorphism,
+    Source,
     canonical_decomposition,
     decode_word,
     encode_m_path,
@@ -51,7 +52,6 @@ from .construction import (
     parse_decomposition,
     prepare,
     serialize_decomposition,
-    state_code,
 )
 from .slt import (
     MinWidthResult,

@@ -63,6 +63,7 @@ class Nfa:
     total: bool = field(init=False, compare=False)
     _letter_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _step: dict[tuple[int, str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _prepared: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -50,15 +50,14 @@ def _read_dec(path: str) -> Decomposition:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; scientific forms like 1e40 stay exact."""
+    """Comma-separated integers; scientific forms like 1e40 stay exact, and
+    a negative exponent, which would give a fraction, is rejected."""
     values = []
     for item in text.split(","):
-        item = item.strip()
-        if "e" in item or "E" in item:
-            base, _, exp = item.lower().partition("e")
-            values.append(int(base) * 10 ** int(exp))
-        else:
-            values.append(int(item))
+        base, _, exp = item.strip().lower().partition("e")
+        if int(exp or 0) < 0:
+            raise ValueError(f"not an integer: {item.strip()!r}")
+        values.append(int(base) * 10 ** int(exp or 0))
     return values
 
 
@@ -71,7 +70,7 @@ def _check_out_path(path: str) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     machine = _read_nfa(args.nfa)
-    states = prepare(machine).n
+    states = prepare(machine).machine.n
     if args.ratio >= states:
         print(f"warning: ratio {args.ratio} >= state count {states}; "
               "the width-2 construction would use no more symbols", file=sys.stderr)

@@ -131,34 +131,43 @@ def nfa_fingerprint(m: Nfa) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def prepare(m: Nfa) -> Nfa:
-    """The machine both constructions and the word encoder work on.
-
-    It is the trim part of ``m`` (see :func:`~sltkit.automata.trim`):
-    states that no successful run visits would only lengthen the state
-    code and enlarge the window sets.  Every machine with the same trim
-    part, such as ``m`` and ``totalize(m)``, gives the same decomposition.
+@dataclass(frozen=True)
+class Source:
+    """The machine both constructions and the word encoder work on: the
+    trim part of a given machine (see :func:`~sltkit.automata.trim`),
+    without the states no successful run visits, and its fingerprint.
+    Machines with the same trim part, such as ``m`` and ``totalize(m)``,
+    have the same source and so give the same decomposition.
     """
-    return trim(m)
+
+    machine: Nfa
+    fingerprint: str
+    _codes: dict[int, Code] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def code(self, h: int) -> Code:
+        """The main construction's state code at ratio ``h``, built once, for
+        at least two states: an empty-language machine trims to one state,
+        and two is the smallest pool the recurrence has."""
+        if h not in self._codes:
+            self._codes[h] = build_code(max(self.machine.n, 2), h)
+        return self._codes[h]
+
+    def mismatch(self, dec: Decomposition) -> Optional[str]:
+        """Why ``dec`` was not built for this source, or None: its
+        ``source_fingerprint`` is set and differs from this one."""
+        if dec.source_fingerprint and dec.source_fingerprint != self.fingerprint:
+            return (f"decomposition was built for machine {dec.source_fingerprint}, "
+                    f"not for this one ({self.fingerprint})")
+        return None
 
 
-def source_mismatch(dec: Decomposition, prepared: Nfa) -> Optional[str]:
-    """Why ``dec`` was not built for the prepared machine, or None: its
-    ``source_fingerprint`` is set and differs from the machine's."""
-    fingerprint = nfa_fingerprint(prepared)
-    if dec.source_fingerprint and dec.source_fingerprint != fingerprint:
-        return (f"decomposition was built for machine {dec.source_fingerprint}, "
-                f"not for this one ({fingerprint})")
-    return None
-
-
-def state_code(prepared: Nfa, h: int) -> Code:
-    """The main construction's state code for a prepared machine.
-
-    An empty-language machine prepares to a single state; the code is
-    built for at least two states, the smallest pool the recurrence has.
-    """
-    return build_code(max(prepared.n, 2), h)
+def prepare(m: Nfa) -> Source:
+    """The :class:`Source` of ``m``, computed once per machine object and
+    kept on it, so every build, encoding and check of ``m`` shares it."""
+    if m._prepared is None:
+        machine = trim(m)
+        object.__setattr__(m, "_prepared", Source(machine, nfa_fingerprint(machine)))
+    return m._prepared
 
 
 def pair_symbol(first: str, second: str) -> str:
@@ -178,10 +187,11 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     takes appear in a prefix or factor: <q,b> needs a b-transition out of
     q.  The projection keeps the letter.  Single-symbol members are exactly
     the symbols that are both an allowed prefix and an allowed suffix.  The
-    machine is prepared first, so the alphabet has ``prepare(m).n * |A|``
-    symbols.
+    machine is prepared first, so the alphabet has
+    ``prepare(m).machine.n * |A|`` symbols.
     """
-    m = prepare(m)
+    source = prepare(m)
+    m = source.machine
     symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
     alphabet = tuple(symbols.values())
     encode = word_encoder(alphabet)
@@ -192,8 +202,7 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     spec = SltSpec(width=2, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
                    factors=factors, short_words=prefixes & suffixes)
     pi = Homomorphism(tuple((s, a) for (_, a), s in symbols.items()))
-    return Decomposition(kind=WIDTH2, slt=spec, pi=pi,
-                         source_fingerprint=nfa_fingerprint(m))
+    return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
 
 
 def encode_path_width2(m: Nfa, path: Path) -> Word:
@@ -353,14 +362,6 @@ def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
     return out
 
 
-def _states_with_incoming_block(m: Nfa, blen: int) -> set[int]:
-    """States at the end of at least one path of exactly ``blen`` transitions."""
-    reach = {dst for _, _, dst in m.transitions}
-    for _ in range(blen - 1):
-        reach = {dst for src, _, dst in m.transitions if src in reach}
-    return reach
-
-
 def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
     """Width-2m decomposition over letter-digit pairs at alphabetic ratio h.
 
@@ -374,8 +375,9 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     machine is prepared first.
     ``cap`` bounds the context automaton, each window set and the residual.
     """
-    m = prepare(m)
-    code = state_code(m, h)
+    source = prepare(m)
+    m = source.machine
+    code = source.code(h)
     blen = code.m
     width = 2 * blen
     symbols = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
@@ -391,9 +393,8 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     for edges in rev:
         edges.sort()
     # a suffix is read from a block-aligned context: part-way through a
-    # block, or at the start of one that some full block leads into
-    incoming = _states_with_incoming_block(m, blen)
-    admissible = [offset >= 1 or state in incoming for state, _, offset in keys]
+    # block, or at a block start that has an edge in, so a full block ends there
+    admissible = [offset >= 1 or bool(into) for (_, _, offset), into in zip(keys, rev)]
     rev_last = ["".join(dict.fromkeys(c for c, src in edges if admissible[src]))
                 for edges in rev]
 
@@ -411,7 +412,7 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
                             for a in m.alphabet for d in code.digits))
     residual = tuple(enumerate_language(m, 3 * blen - 1, cap=cap))
     return Decomposition(kind=MAIN, slt=spec, pi=pi, residual=residual, h=h, m=blen,
-                         source_fingerprint=nfa_fingerprint(m))
+                         source_fingerprint=source.fingerprint)
 
 
 def _reference_main_sets(m: Nfa, code: Code, cap: int = DEFAULT_WORD_CAP):
@@ -496,10 +497,11 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     """Encode a member of the machine's language into the local language.
 
     Words shorter than 3m are residual-handled and yield ``None``.  The
-    machine is prepared as in the build, so block encodings line up with it.
-    A decomposition built for another machine is rejected: one whose block
-    length differs from the prepared machine's state code, or whose
-    ``source_fingerprint`` is set and differs from the prepared machine's.
+    machine is prepared as in the build, once per machine object, so block
+    encodings line up with it.  A decomposition built for another machine
+    is rejected: one whose block length differs from the source's state
+    code, or whose ``source_fingerprint`` is set and differs from the
+    source's.
     The result equals :func:`_encode_blocks` of the :func:`_find_path` run,
     written straight into an index string over ``dec.slt``'s alphabet,
     which is checked against ``dec.slt`` and decoded into the spec's own
@@ -507,22 +509,22 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
-    prepared = prepare(nfa)
+    source = prepare(nfa)
     word = tuple(word)
-    states = _run(prepared, word)
+    states = _run(source.machine, word)
     assert dec.m is not None and dec.h is not None
-    code = state_code(prepared, dec.h)
+    code = source.code(dec.h)
     if code.m != dec.m:
         raise ValueError(f"decomposition has block length {dec.m}, but the machine's "
                          f"state code has block length {code.m}")
-    mismatch = source_mismatch(dec, prepared)
+    mismatch = source.mismatch(dec)
     if mismatch:
         raise ValueError(mismatch)
     if len(word) < 3 * dec.m:
         return None
     spec = dec.slt
     cell: dict[tuple[str, str], str] = {}  # (letter, digit) -> the spec's index character
-    for a in prepared.alphabet:
+    for a in source.machine.alphabet:
         for d, digit in enumerate(code.digits):
             symbol = pair_symbol(a, digit)
             if symbol in spec._chars:

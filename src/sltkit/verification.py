@@ -35,8 +35,6 @@ from .construction import (
     medvedev_width2,
     parse_decomposition,
     prepare,
-    source_mismatch,
-    state_code,
 )
 from .slt import compile_spec, slt_membership, window_ops
 
@@ -116,10 +114,10 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     reports the least word on each failing side and is capped at
     ``word_cap`` product states.  An extra word's least local preimage is
     found by walking the spec's states along that word alone.  A
-    decomposition whose recorded source fingerprint is not the prepared
-    machine's is still checked, with a notice saying so.
+    decomposition whose recorded source fingerprint is not that of
+    ``prepare(m)`` is still checked against ``m``, with a notice saying so.
     """
-    mismatch = source_mismatch(dec, prepare(m))
+    mismatch = prepare(m).mismatch(dec)
     notices = [mismatch] if mismatch else []
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -310,8 +308,8 @@ def _witness_detail(report: VerificationReport) -> str:
     return " ".join(parts)
 
 
-def _code_detail(prepared: Nfa, h: int, cap: int) -> tuple[bool, str]:
-    code = state_code(prepared, h)
+def _code_detail(machine: Nfa, h: int, cap: int) -> tuple[bool, str]:
+    code = prepare(machine).code(h)
     check = verify_factor_decodable(code, cap)
     detail = f"windows={check.windows_checked}"
     if check.witness is not None:
@@ -326,7 +324,6 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
         machine = parse_nfa(nfa_path.read_text())
     except (OSError, ValueError) as exc:
         return [CorpusEntry(name, "parse", False, f"error={exc}")]
-    prepared = prepare(machine)
     entries: list[CorpusEntry] = []
 
     def run(task: str, check: Callable[[], tuple[bool, str]]) -> None:
@@ -344,7 +341,7 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
     for h in ratios:
         run(f"main h={h}", lambda: verified(
             medvedev_main(machine, h, cap=cap), mode, horizon))
-        run(f"code h={h}", lambda: _code_detail(prepared, h, cap))
+        run(f"code h={h}", lambda: _code_detail(machine, h, cap))
     for path in dec_paths:
         run(f"fixture {path.name}", lambda: verified(
             parse_decomposition(path.read_text()), mode, horizon))

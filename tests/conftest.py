@@ -8,7 +8,7 @@ import pytest
 import sltkit as sk
 from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
                              CapacityError, Table, _distance_to_final, differences, nfa_table)
-from sltkit.construction import _encode_blocks, _find_path, source_mismatch
+from sltkit.construction import _encode_blocks, _find_path
 from sltkit.slt import compile_spec
 from sltkit.verification import _local_preimage, _set_sizes
 
@@ -75,8 +75,8 @@ def random_member(m: sk.Nfa, length: int, rng: random.Random):
 def reference_encoding(m: sk.Nfa, dec: sk.Decomposition, word) -> sk.Word:
     """The definitional encoding of a member: the block-wise encoding of the
     least-viable-successor run on the prepared machine."""
-    prepared = sk.prepare(m)
-    return _encode_blocks(sk.state_code(prepared, dec.h), _find_path(prepared, tuple(word)))
+    source = sk.prepare(m)
+    return _encode_blocks(source.code(dec.h), _find_path(source.machine, tuple(word)))
 
 
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
@@ -185,7 +185,7 @@ def reference_verify(m: sk.Nfa, dec: sk.Decomposition, mode: str = "bounded",
                      state_cap: int = DEFAULT_STATE_CAP) -> sk.VerificationReport:
     """:func:`sltkit.verify_decomposition` searching the merged claim of
     :func:`reference_claimed` against the machine."""
-    mismatch = source_mismatch(dec, sk.prepare(m))
+    mismatch = sk.prepare(m).mismatch(dec)
     notices = [mismatch] if mismatch else []
     claimed, machine = reference_claimed(dec, m.alphabet), nfa_table(m)
 

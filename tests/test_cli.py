@@ -166,6 +166,12 @@ class TestTablesAndCodes:
         status, out = run(capsys, "table", "--h", "1000", "--n", "1e40")
         assert "width h=1000 n=" + "1" + "0" * 40 + " closed=32" in out
 
+    @pytest.mark.parametrize("flag", ["--h", "--n"])
+    def test_negative_exponent_is_a_usage_error(self, capsys, flag):
+        assert main(["table", flag, "2,25e-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not an integer: '25e-1'" in captured.err
+
     def test_minwidth(self, workdir, capsys):
         status, out = run(capsys, "minwidth", "--nfa", workdir / "abbplus.nfa",
                           "--max-k", 6, "--max-len", 18)
@@ -217,6 +223,11 @@ class TestCorpusCommand:
         assert lines[-1].startswith("tasks=") and lines[-1].endswith("failures=0")
         assert any(line.startswith("file=aplus.nfa task=width2 result=pass")
                    for line in lines)
+
+    def test_negative_exponent_ratio_is_a_usage_error(self, capsys):
+        assert main(["corpus", "--dir", sk.corpus_dir(), "--ratio", "25e-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not an integer: '25e-1'" in captured.err
 
 
 def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:

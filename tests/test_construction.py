@@ -177,10 +177,9 @@ class TestMainSets:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     @pytest.mark.parametrize("h", [2, 3])
     def test_sweep_matches_on_prepared_corpus_machines(self, machines, name, h):
-        prepared = sk.prepare(machines[name])
+        source = sk.prepare(machines[name])
         dec = sk.medvedev_main(machines[name], h)
-        prefixes, suffixes, factors = _reference_main_sets(prepared,
-                                                           sk.state_code(prepared, h))
+        prefixes, suffixes, factors = _reference_main_sets(source.machine, source.code(h))
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -317,8 +316,8 @@ class TestWordEncoding:
     def test_machine_mismatch_with_equal_block_length_rejected(self, machines):
         dec = sk.medvedev_main(machines["abbplus"], 3)
         other = machines["abplus"]
-        assert dec.m == sk.state_code(sk.prepare(other), 3).m == 4
-        assert dec.source_fingerprint != sk.nfa_fingerprint(sk.prepare(other))
+        assert dec.m == sk.prepare(other).code(3).m == 4
+        assert dec.source_fingerprint != sk.prepare(other).fingerprint
         with pytest.raises(ValueError, match="built for machine"):
             sk.encode_word(other, dec, ("a", "b") * 6)
         # without a fingerprint, the encoder's own output check refuses it
@@ -397,7 +396,7 @@ class TestFusedEncoder:
             return unrank(self, q)
 
         monkeypatch.setattr(Codewords, "__getitem__", counting)
-        prepared = sk.prepare(machine)
+        prepared = sk.prepare(machine).machine
         for word in words:
             unranked.clear()
             assert sk.encode_word(machine, dec, word) is not None
@@ -500,7 +499,7 @@ class TestResidualOrder:
 
     def test_build_keeps_the_enumerated_residual(self, build_main):
         dec = build_main("evens", 2)
-        assert dec.residual == tuple(sk.enumerate_language(sk.prepare(sk.parse_nfa(
+        assert dec.residual == tuple(sk.enumerate_language(sk.trim(sk.parse_nfa(
             corpus_text("evens"))), 3 * dec.m - 1))
 
     @pytest.mark.parametrize("residual", [

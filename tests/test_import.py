@@ -1,5 +1,6 @@
 """Importing the package stays cheap: it pulls in no process-pool machinery,
-and no module other than ``__init__`` imports a name it never reads."""
+and no module other than ``__init__`` imports a name it never reads.  A
+machine is trimmed and fingerprinted only in ``construction.prepare``."""
 
 import ast
 import os
@@ -48,3 +49,32 @@ def test_unread_import_scan_finds_an_unread_name():
     source = ("from __future__ import annotations\nimport os.path\n"
               "from typing import Optional, Sequence\nx: Optional[int] = os.sep\n")
     assert unread_imports(source) == ["line 3: Sequence"]
+
+
+def call_sites(source: str, names: set[str]) -> list[str]:
+    """The calls a module makes to ``names``, by plain or attribute name, as
+    ``outer:name``, where ``outer`` is the top-level function or class the
+    call is in, or ``<module>``."""
+    sites = []
+    for top in ast.parse(source).body:
+        outer = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    sites.append(f"{outer}:{name}")
+    return sorted(sites)
+
+
+def test_only_prepare_trims_and_fingerprints():
+    sites = {path.name: call_sites(path.read_text(), {"trim", "nfa_fingerprint"})
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: calls for name, calls in sites.items() if calls} == {
+        "construction.py": ["prepare:nfa_fingerprint", "prepare:trim"]}
+
+
+def test_call_site_scan_finds_calls_anywhere():
+    source = ("from . import automata\nx = automata.trim(m)\n"
+              "class C:\n    def f(self):\n        return [g(trim(m)) for m in ()]\n")
+    assert call_sites(source, {"trim"}) == ["<module>:trim", "C:trim"]

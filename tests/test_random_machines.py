@@ -28,7 +28,7 @@ def random_machines(draw, alphabet=None):
 def small_residual(m: Nfa, h: int, limit: int = 4096) -> bool:
     """Whether the main construction at ratio ``h`` lists at most ``limit``
     residual words; dense machines list millions."""
-    blen = sk.state_code(sk.prepare(m), h).m
+    blen = sk.prepare(m).code(h).m
     try:
         sk.enumerate_language(m, 3 * blen - 1, cap=limit)
     except sk.CapacityError:

@@ -63,8 +63,8 @@ def is_nondeterministic(machine) -> bool:
 @pytest.mark.parametrize("h", [2, 3])
 def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
     dec, _ = assert_same_sweeps(machines[name], h)
-    prepared = sk.prepare(machines[name])
-    prefixes, suffixes, factors = _reference_main_sets(prepared, sk.state_code(prepared, h))
+    source = sk.prepare(machines[name])
+    prefixes, suffixes, factors = _reference_main_sets(source.machine, source.code(h))
     assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
     assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
     assert set(map(dec.slt.decode, dec.slt.factors)) == factors
@@ -72,7 +72,7 @@ def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
 
 def test_corpus_has_a_word_ending_in_several_contexts(machines):
     # nondet's runs branch, so a forward sweep word ends in several contexts
-    assert is_nondeterministic(sk.prepare(machines["nondet"]))
+    assert is_nondeterministic(sk.trim(machines["nondet"]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -102,7 +102,7 @@ def branching_machines(draw):
 @settings(max_examples=40, deadline=None)
 @given(machine=branching_machines(), h=st.integers(2, 3))
 def test_random_nfas_match_reference(machine, h):
-    assert is_nondeterministic(sk.prepare(machine))
+    assert is_nondeterministic(sk.trim(machine))
     assert_same_sweeps(machine, h)
 
 

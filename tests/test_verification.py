@@ -90,7 +90,7 @@ class TestVerify:
     def test_decomposition_of_another_machine_gets_a_notice(self, machines, build_main):
         abplus = machines["abplus"]
         foreign = build_main("abbplus", 3)
-        fingerprint = sk.nfa_fingerprint(sk.prepare(abplus))
+        fingerprint = sk.prepare(abplus).fingerprint
         assert foreign.source_fingerprint != fingerprint
         expected = (f"decomposition was built for machine {foreign.source_fingerprint}, "
                     f"not for this one ({fingerprint})")
@@ -286,7 +286,7 @@ class TestCorpus:
         assert ("needs_sink.nfa", "code h=2") in tasks
         # the code check covers the code the build uses: two states, m=4
         machine = sk.parse_nfa(corpus_text("needs_sink"))
-        code = sk.state_code(sk.prepare(machine), 2)
+        code = sk.prepare(machine).code(2)
         assert code.m == sk.medvedev_main(machine, 2).m == 4
         details = {(e.name, e.task): e.detail for e in report.entries}
         windows = sk.verify_factor_decodable(code).windows_checked
