@@ -8,11 +8,9 @@ from .automata import (
     EquivalenceResult,
     Nfa,
     ParseError,
-    Path,
     Word,
     accepts,
     enumerate_language,
-    enumerate_m_paths,
     format_word,
     nfa_equivalent,
     parse_nfa,
@@ -41,10 +39,7 @@ from .construction import (
     Decomposition,
     Homomorphism,
     Source,
-    canonical_decomposition,
     decode_word,
-    encode_m_path,
-    encode_path_width2,
     encode_word,
     medvedev_main,
     medvedev_width2,

@@ -121,12 +121,10 @@ class Table:
     letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
     states.  Nothing is validated or re-sorted: tables are built by code
     that already holds canonical data, such as :func:`nfa_table` or the slt
-    compiler, which can also read each symbol as its projected letter, or
-    the verifier's residual trie, whose rows hold at most one successor.
+    compiler, which can also read each symbol as its projected letter.
     Rows that are never changed after they are built are tuples, which the
     cyclic garbage collector stops tracking; :func:`differences` reads rows
-    as they are and names the subsets it reaches by ints, and reads a
-    trie's rows once, into ints, before it searches.
+    as they are and names the subsets it reaches by ints.
     """
 
     alphabet: tuple[str, ...]
@@ -140,35 +138,6 @@ def nfa_table(m: Nfa) -> Table:
     step = m._step
     return Table(m.alphabet, [[step.get((q, a), ()) for a in m.alphabet] for q in range(m.n)],
                  m.finals, (m.initial,))
-
-
-@dataclass(frozen=True)
-class Path:
-    """A run through an NFA: an origin state plus consecutive transitions.
-
-    Zero-length paths are allowed; they consist of the origin alone.
-    """
-
-    origin: int
-    transitions: tuple[Transition, ...] = ()
-
-    def __post_init__(self) -> None:
-        prev = self.origin
-        for src, _, dst in self.transitions:
-            if src != prev:
-                raise ValueError("transitions are not consecutive")
-            prev = dst
-
-    @property
-    def end(self) -> int:
-        return self.transitions[-1][2] if self.transitions else self.origin
-
-    @property
-    def label(self) -> Word:
-        return tuple(a for _, a, _ in self.transitions)
-
-    def __len__(self) -> int:
-        return len(self.transitions)
 
 
 def parse_nfa(text: str) -> Nfa:
@@ -442,35 +411,6 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> lis
     return words
 
 
-def enumerate_m_paths(m: Nfa, origin: int, length: int,
-                      cap: int = DEFAULT_WORD_CAP) -> list[Path]:
-    """All paths of exactly ``length`` transitions starting at ``origin``.
-
-    ``length == 0`` yields the single empty path.  Output order follows the
-    canonical transition order at every step.
-    """
-    if not (0 <= origin < m.n):
-        raise ValueError(f"unknown state: {origin}")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    out_by_state: dict[int, list[Transition]] = {q: [] for q in range(m.n)}
-    for t in m.transitions:
-        out_by_state[t[0]].append(t)
-    seqs: list[tuple[Transition, ...]] = [()]
-    for _ in range(length):
-        nxt: list[tuple[Transition, ...]] = []
-        for seq in seqs:
-            here = seq[-1][2] if seq else origin
-            for t in out_by_state[here]:
-                nxt.append(seq + (t,))
-                if len(nxt) > cap:
-                    raise CapacityError(f"path enumeration exceeds cap of {cap}")
-        seqs = nxt
-        if not seqs:
-            break
-    return [Path(origin, seq) for seq in seqs]
-
-
 @dataclass(frozen=True)
 class EquivalenceResult:
     equivalent: bool
@@ -503,7 +443,7 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
 
 def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
                 max_len: Optional[int] = None,
-                trie: Optional[Table] = None) -> Iterator[tuple[Word, bool]]:
+                residual: Optional[Sequence[Word]] = None) -> Iterator[tuple[Word, bool]]:
     """Words on which two tables over the same alphabet disagree.
 
     Runs the subset construction on both tables at once, breadth first with
@@ -516,13 +456,14 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     states that cannot reach a final state in the length left are dropped.
     Raises :class:`CapacityError` past ``cap`` visited product states.
 
-    ``trie``, a deterministic table over the same alphabet such as the
-    trie of a finite word set, joins the first side: the search compares
-    the union of its language and t1's with t2's.  The trie's node is a
-    product coordinate of its own beside t1's subset, never merged into
-    it.  The product states correspond one to one with those of the same
-    search on t1 with the trie appended to it, so the same words are
-    yielded and the cap is reached at the same point.
+    ``residual``, a finite set of nonempty words over the same alphabet,
+    joins the first side: the search compares the union of its words and
+    t1's language with t2's.  The words are read, in the order given, into
+    a trie whose node is a product coordinate of its own beside t1's
+    subset, never merged into it.  The product states correspond one to
+    one with those of the same search on t1 with the trie appended to it,
+    so the same words are yielded and the cap is reached at the same point.
+    A letter outside the alphabet raises ``ValueError``.
 
     Product states are integer keys.  Subsets are ints (see
     :class:`_Subsets`); the trie node is 0 for none and i + 1 for node i,
@@ -538,18 +479,34 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     letters = side1.letters
     # past the singletons, each id of t2 is an image of one of at most cap pairs
     stride = len(t2.succ) + max(cap, 1) * len(letters) + 1
-    nodes, start = 1, 0
-    trie_succ: list[list[int]] = [[0] * len(letters)]
-    trie_final, trie_dist = [False], [0.0]
-    if trie is not None:
-        nodes += len(trie.succ)
-        trie_succ += [[targets[0] + 1 if targets else 0 for targets in row]
-                      for row in trie.succ]
-        trie_final += [q in trie.finals for q in range(len(trie.succ))]
-        if max_len is not None:
-            trie_dist += _distance_to_final(trie)
-        if trie.initial and (max_len is None or trie_dist[trie.initial[0] + 1] <= max_len):
-            start = trie.initial[0] + 1
+    trie_succ, trie_final = [[0] * len(letters)], [False]
+    if residual is not None:
+        trie_succ.append([0] * len(letters))
+        trie_final.append(False)
+        index = {a: i for i, a in enumerate(t1.alphabet)}
+        for word in residual:
+            try:
+                path = list(map(index.__getitem__, word))
+            except KeyError as exc:
+                raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+            node = 1
+            for a in path:
+                row = trie_succ[node]
+                node = row[a]
+                if not node:
+                    node = row[a] = len(trie_succ)
+                    trie_succ.append([0] * len(letters))
+                    trie_final.append(False)
+            trie_final[node] = True
+    nodes = len(trie_succ)
+    # each node's distance to a final node; a child's id is above its parent's
+    trie_dist = [0.0] * nodes
+    if max_len is not None:
+        for q in range(nodes - 1, 0, -1):
+            if not trie_final[q]:
+                trie_dist[q] = min((trie_dist[c] for c in trie_succ[q] if c),
+                                   default=math.inf) + 1
+    start = 1 if nodes > 1 and (max_len is None or trie_dist[1] <= max_len) else 0
     level = [(side1.start * nodes + start) * stride + side2.start]
     parent, depth = {level[0]: -1}, 0
     while level:

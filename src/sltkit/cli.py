@@ -61,6 +61,17 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _cap(text: str) -> int:
+    """A resource cap given on the command line: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+    return value
+
+
 def _check_out_path(path: str) -> None:
     parent = FsPath(path).resolve().parent
     if not parent.is_dir():
@@ -168,14 +179,16 @@ def _cmd_code(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     h_values = _parse_int_list(args.h)
     n_values = _parse_int_list(args.n)
+    lines = []  # every value is computed, and so checked, before any is printed
     for h in h_values:
         vals = fg_values(h)
-        print(f"h={h} f={vals.f:.4f} g={vals.g_reconciled:.4f} "
-              f"g_printed={vals.g_printed:.4f}")
+        lines.append(f"h={h} f={vals.f:.4f} g={vals.g_reconciled:.4f} "
+                     f"g_printed={vals.g_printed:.4f}")
     for h in h_values:
         for n in n_values:
-            print(f"width h={h} n={n} closed={2 * closed_form_m(n, h)} "
-                  f"exact={2 * choose_m(n, h)}")
+            lines.append(f"width h={h} n={n} closed={2 * closed_form_m(n, h)} "
+                         f"exact={2 * choose_m(n, h)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -225,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cap(p: argparse.ArgumentParser,
                 help: str = "resource cap on enumerated words / set elements") -> None:
-        p.add_argument("--cap", type=int, default=DEFAULT_SET_CAP, help=help)
+        p.add_argument("--cap", type=_cap, default=DEFAULT_SET_CAP, help=help)
 
     p = sub.add_parser("build", help="build the width-2m decomposition at a ratio")
     p.add_argument("--nfa", required=True)
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded-mode horizon (default: max(3m+6, 2k+4))")
     add_cap(p, "cap on bounded-mode product states, each reached by a distinct "
                "enumerated word within the horizon")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+    p.add_argument("--state-cap", type=_cap, default=DEFAULT_STATE_CAP,
                    help="cap on determinized states in exact checks")
     p.set_defaults(func=_cmd_verify)
 

@@ -16,14 +16,11 @@ from typing import Iterable, Optional, Sequence
 
 from .automata import (
     DEFAULT_SET_CAP,
-    DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
     ParseError,
-    Path,
     Word,
     enumerate_language,
-    enumerate_m_paths,
     format_word,
     parse_word,
     subset_trace,
@@ -205,60 +202,6 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
 
 
-def encode_path_width2(m: Nfa, path: Path) -> Word:
-    """Encode a successful run transition-by-transition as state-letter pairs."""
-    if len(path) < 1 or path.origin != m.initial or path.end not in m.finals:
-        raise ValueError("path is not successful")
-    for src, a, dst in path.transitions:
-        if dst not in m.step(src, a):
-            raise ValueError(f"not a transition of the machine: ({src}, {a!r}, {dst})")
-    return tuple(state_symbol(src, a) for src, a, _ in path.transitions)
-
-
-def canonical_decomposition(path: Path, m: int) -> list[Path]:
-    """Split a path into maximal m-blocks plus one trailing block.
-
-    The result always ends with the trailing block, which is empty when the
-    length is an exact multiple of m.
-    """
-    if m < 1:
-        raise ValueError("block length must be at least 1")
-    if len(path) < m:
-        raise ValueError("path shorter than the block length")
-    blocks: list[Path] = []
-    ts = path.transitions
-    full = len(ts) // m
-    for b in range(full):
-        seg = ts[b * m:(b + 1) * m]
-        blocks.append(Path(seg[0][0], seg))
-    blocks.append(Path(blocks[-1].end, ts[full * m:]))
-    return blocks
-
-
-def encode_m_path(code: Code, path: Path) -> Word:
-    """Pair a path's letters with the leading digits of its origin's codeword.
-
-    A full m-block carries the whole codeword; a shorter trailing block
-    carries only as many digits as it has letters.  The empty path encodes
-    to the empty word.
-    """
-    if len(path) > code.m:
-        raise ValueError(f"path longer than the block length {code.m}")
-    codeword = code.codewords[path.origin]
-    return tuple(pair_symbol(a, code.digits[ord(codeword[i])])
-                 for i, (_, a, _) in enumerate(path.transitions))
-
-
-def _encode_blocks(code: Code, path: Path) -> Word:
-    """Block-wise encoding of an arbitrary path (definitional reference)."""
-    if len(path) <= code.m:
-        return encode_m_path(code, path)
-    out: list[str] = []
-    for block in canonical_decomposition(path, code.m):
-        out.extend(encode_m_path(code, block))
-    return tuple(out)
-
-
 def _context_automaton(m: Nfa, code: Code):
     """Automaton emitting the letter-digit stream of block-encoded runs.
 
@@ -415,62 +358,12 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
                          source_fingerprint=source.fingerprint)
 
 
-def _reference_main_sets(m: Nfa, code: Code, cap: int = DEFAULT_WORD_CAP):
-    """Window sets by brute-force enumeration of block triples.
-
-    Definitional oracle for the swept construction; feasible only on small
-    machines.  Returns (prefixes, suffixes, factors) as sets of words.
-    Unlike the constructions it does not prepare ``m``: it enumerates the
-    block triples of the machine it is given.
-    """
-    blen = code.m
-    width = 2 * blen
-    prefixes: set[Word] = set()
-    suffixes: set[Word] = set()
-    factors: set[Word] = set()
-    for path in enumerate_m_paths(m, m.initial, 2 * blen, cap=cap):
-        prefixes.add(_encode_blocks(code, path)[:width - 1])
-    for origin in range(m.n):
-        for path in enumerate_m_paths(m, origin, 3 * blen, cap=cap):
-            z = _encode_blocks(code, path)
-            factors.update(z[i:i + width] for i in range(len(z) - width + 1))
-        for tail in range(blen):
-            for path in enumerate_m_paths(m, origin, 2 * blen + tail, cap=cap):
-                if path.end in m.finals:
-                    suffixes.add(_encode_blocks(code, path)[-(width - 1):])
-    return prefixes, suffixes, factors
-
-
-def _find_path(m: Nfa, word: Word) -> Path:
-    """Deterministic successful path labelled by ``word``: at each step the
-    least viable successor in canonical transition order is taken.
-    Definitional reference for :func:`_run`."""
-    by_letter: dict[str, list[tuple[int, int]]] = {a: [] for a in m.alphabet}
-    for src, a, dst in m.transitions:
-        by_letter[a].append((src, dst))
-    unknown = next((a for a in word if a not in by_letter), None)
-    if unknown is not None:
-        raise ValueError(f"unknown letter: {unknown!r}")
-    viable: list[set[int]] = [set(m.finals)]
-    for a in reversed(word):
-        ahead = viable[-1]
-        viable.append({src for src, dst in by_letter[a] if dst in ahead})
-    viable.reverse()
-    if m.initial not in viable[0]:
-        raise ValueError("word is not in the machine's language")
-    current = m.initial
-    transitions: list[tuple[int, str, int]] = []
-    for t, a in enumerate(word):
-        nxt = min(q for q in m.step(current, a) if q in viable[t + 1])
-        transitions.append((current, a, nxt))
-        current = nxt
-    return Path(m.initial, tuple(transitions))
-
-
 def _run(m: Nfa, word: Word) -> list[int]:
-    """The states of the run :func:`_find_path` takes on ``word``, from the
-    initial state on.  The sets of states that can still finish, one per
-    position, come from memoised subset steps along the reversed word."""
+    """The states of the successful run on ``word`` that takes, at each
+    step, the least successor from which the rest of the word can still
+    reach a final state, from the initial state on.  The sets of states
+    that can still finish, one per position, come from memoised subset
+    steps along the reversed word."""
     unknown = next((a for a in word if a not in m._letter_index), None)
     if unknown is not None:
         raise ValueError(f"unknown letter: {unknown!r}")
@@ -502,10 +395,14 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     is rejected: one whose block length differs from the source's state
     code, or whose ``source_fingerprint`` is set and differs from the
     source's.
-    The result equals :func:`_encode_blocks` of the :func:`_find_path` run,
-    written straight into an index string over ``dec.slt``'s alphabet,
-    which is checked against ``dec.slt`` and decoded into the spec's own
-    symbols on return.
+    The word is read along the run :func:`_run` takes, which moves to the
+    least viable successor at each step, and cut into blocks of m letters
+    from its start.  Letter i of the word, counted from 0, is paired with
+    digit i mod m of the codeword of its block's origin, the state the run
+    is in at the block's start, so a last, shorter block takes only the
+    leading digits.  The pairs are written straight into an index string
+    over ``dec.slt``'s alphabet, which is checked against ``dec.slt`` and
+    decoded into the spec's own symbols on return.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")

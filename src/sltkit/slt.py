@@ -197,6 +197,22 @@ class StreamRecognizer:
                 and self._tail in spec._suffix_set)
 
 
+def start_pools(spec: SltSpec) -> tuple[set[str], set[str]]:
+    """The strings a spec's table tracks before its first full window.
+
+    The first pool holds the strings shorter than k-1, the empty one
+    included, that are a short word or a proper prefix of an allowed
+    prefix or short word; the second the (k-1)-strings that are an allowed
+    prefix or a short word.
+    """
+    k = spec.width
+    fresh = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
+    growing: set[str] = set()
+    for w in chain(fresh, spec.short_words):
+        growing.update(w[:i] for i in range(min(len(w) + 1, k - 1)))
+    return growing, fresh
+
+
 def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
                  onto: Optional[tuple[Sequence[str], Callable[[str], str]]] = None) -> Table:
     """Compile a spec to a table accepting its language, or the image of
@@ -228,10 +244,7 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
         raise ValueError(f"mapped letter not in target alphabet: {outside[0]!r}")
     letter_of = [index[letter(symbol)] for symbol in spec.alphabet]
 
-    fresh_pool = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
-    prefix_pool: set[str] = set()
-    for w in chain(fresh_pool, spec.short_words):
-        prefix_pool.update(w[:i] for i in range(min(len(w) + 1, k - 1)))
+    prefix_pool, fresh_pool = start_pools(spec)
 
     empty_row: tuple[tuple[int, ...], ...] = ((),) * len(letters)
     succ: list[Sequence[tuple[int, ...]]] = []

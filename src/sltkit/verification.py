@@ -10,7 +10,6 @@ horizon.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
@@ -21,7 +20,6 @@ from .automata import (
     DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
-    Table,
     Word,
     differences,
     nfa_table,
@@ -36,7 +34,7 @@ from .construction import (
     parse_decomposition,
     prepare,
 )
-from .slt import compile_spec, slt_membership, window_ops
+from .slt import compile_spec, slt_membership, start_pools, window_ops
 
 
 @dataclass(frozen=True)
@@ -73,28 +71,6 @@ def _set_sizes(dec: Decomposition) -> dict[str, int]:
             "residual": len(dec.residual)}
 
 
-def _residual_trie(dec: Decomposition, alphabet: tuple[str, ...]) -> Table:
-    """The residual, in its stored order, as a trie over ``alphabet`` whose
-    root is state 0.  Its rows are lists, filled in as the words are added."""
-    index = {a: i for i, a in enumerate(alphabet)}
-    succ: list[list[tuple[int, ...]]] = [[()] * len(alphabet)]
-    finals: set[int] = set()
-    for word in dec.residual:
-        try:
-            path = list(map(index.__getitem__, word))
-        except KeyError as exc:
-            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
-        node = 0
-        for a in path:
-            row = succ[node]
-            if not row[a]:
-                row[a] = (len(succ),)
-                succ.append([()] * len(alphabet))
-            node = row[a][0]
-        finals.add(node)
-    return Table(alphabet, succ, frozenset(finals), (0,))
-
-
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                          horizon: Optional[int] = None,
                          word_cap: int = DEFAULT_WORD_CAP,
@@ -102,9 +78,9 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     """Check that the projected slt language plus residual equals L(m).
 
     Both modes compile the spec once, straight onto source letters (see
-    :func:`compile_spec`), build the residual as a trie, and search the
-    product of that table's subsets, the trie's nodes and the machine's
-    subsets, on integer keys, for words on which the claim and the machine
+    :func:`compile_spec`), and search the product of that table's
+    subsets, the nodes of the residual's trie and the machine's subsets,
+    on integer keys, for words on which the claim and the machine
     disagree (see :func:`differences`).  Exact mode reports the least
     such word; if it visits more than ``state_cap`` product states it
     downgrades itself to bounded mode with a notice.  A spec whose table
@@ -122,12 +98,11 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
     projected = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
-    residual = _residual_trie(dec, m.alphabet)
     machine = nfa_table(m)
 
     def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
         found: dict[bool, Word] = {}
-        for word, is_extra in differences(projected, machine, cap, h, residual):
+        for word, is_extra in differences(projected, machine, cap, h, dec.residual):
             found.setdefault(is_extra, word)
             if len(found) == sides:
                 break
@@ -151,13 +126,14 @@ def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
 
     Walks the states of the spec's symbol-level table (see
     :func:`compile_spec`) along ``word`` without building the table.  A
-    string shorter than k-1 lives while it is a short word or a proper
-    prefix of an allowed prefix or short word, one of length k-1 while it
-    is an allowed prefix or a short word, and a longer one while it started
-    with an allowed prefix and its last k-window is an allowed factor.  A string's state is
-    its last k-1 symbols, so for each state the least string reaching it is
-    kept.  Strings are extended in ascending order, so the first to reach a
-    state is the least one.
+    string of at most k-1 symbols lives while it is in the spec's start
+    pools (see :func:`start_pools`): a short word or a proper prefix of an
+    allowed prefix or short word while it is shorter than k-1, an allowed
+    prefix or a short word at k-1.  A longer one lives while it started
+    with an allowed prefix and its last k-window is an allowed factor.  A
+    string's state is its last k-1 symbols, so for each state the least
+    string reaching it is kept.  Strings are extended in ascending order,
+    so the first to reach a state is the least one.
     """
     spec = dec.slt
     k = spec.width
@@ -165,18 +141,13 @@ def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
     for b, symbol in enumerate(spec.alphabet):
         preimages.setdefault(dec.pi.letter(symbol), []).append(chr(b))
 
-    def grows(z: str) -> bool:
-        for pool in (spec.prefixes, spec.short_words):
-            i = bisect_right(pool, z)  # the least word above z starts with z, if any does
-            if i < len(pool) and pool[i].startswith(z):
-                return True
-        return False
+    growing, fresh = start_pools(spec)
 
     def lives(z: str) -> bool:
         if len(z) < k - 1:
-            return z in spec._short_set or grows(z)
+            return z in growing
         if len(z) == k - 1:
-            return z in spec._prefix_set or z in spec._short_set
+            return z in fresh
         return z[-k:] in spec._factor_set and (len(z) > k or z[:-1] in spec._prefix_set)
 
     least = {"": ""}

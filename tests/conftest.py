@@ -1,14 +1,16 @@
 import pathlib
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import pytest
 
 import sltkit as sk
 from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
-                             CapacityError, Table, _distance_to_final, differences, nfa_table)
-from sltkit.construction import _encode_blocks, _find_path
+                             CapacityError, Table, Transition, _distance_to_final, differences,
+                             nfa_table)
+from sltkit.construction import pair_symbol, state_symbol
 from sltkit.slt import compile_spec
 from sltkit.verification import _local_preimage, _set_sizes
 
@@ -72,11 +74,178 @@ def random_member(m: sk.Nfa, length: int, rng: random.Random):
     return tuple(word)
 
 
+@dataclass(frozen=True)
+class Path:
+    """A run through an NFA: an origin state plus consecutive transitions.
+
+    Zero-length paths are allowed; they consist of the origin alone.  Paths
+    are the paper's terms for the encodings; the package encodes words on
+    their runs without building them.
+    """
+
+    origin: int
+    transitions: tuple[Transition, ...] = ()
+
+    def __post_init__(self) -> None:
+        prev = self.origin
+        for src, _, dst in self.transitions:
+            if src != prev:
+                raise ValueError("transitions are not consecutive")
+            prev = dst
+
+    @property
+    def end(self) -> int:
+        return self.transitions[-1][2] if self.transitions else self.origin
+
+    @property
+    def label(self) -> sk.Word:
+        return tuple(a for _, a, _ in self.transitions)
+
+    def __len__(self) -> int:
+        return len(self.transitions)
+
+
+def enumerate_m_paths(m: sk.Nfa, origin: int, length: int,
+                      cap: int = DEFAULT_WORD_CAP) -> list[Path]:
+    """All paths of exactly ``length`` transitions starting at ``origin``.
+
+    ``length == 0`` yields the single empty path.  Output order follows the
+    canonical transition order at every step.
+    """
+    if not (0 <= origin < m.n):
+        raise ValueError(f"unknown state: {origin}")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    out_by_state: dict[int, list[Transition]] = {q: [] for q in range(m.n)}
+    for t in m.transitions:
+        out_by_state[t[0]].append(t)
+    seqs: list[tuple[Transition, ...]] = [()]
+    for _ in range(length):
+        nxt: list[tuple[Transition, ...]] = []
+        for seq in seqs:
+            here = seq[-1][2] if seq else origin
+            for t in out_by_state[here]:
+                nxt.append(seq + (t,))
+                if len(nxt) > cap:
+                    raise CapacityError(f"path enumeration exceeds cap of {cap}")
+        seqs = nxt
+        if not seqs:
+            break
+    return [Path(origin, seq) for seq in seqs]
+
+
+def encode_path_width2(m: sk.Nfa, path: Path) -> sk.Word:
+    """Encode a successful run transition-by-transition as state-letter pairs."""
+    if len(path) < 1 or path.origin != m.initial or path.end not in m.finals:
+        raise ValueError("path is not successful")
+    for src, a, dst in path.transitions:
+        if dst not in m.step(src, a):
+            raise ValueError(f"not a transition of the machine: ({src}, {a!r}, {dst})")
+    return tuple(state_symbol(src, a) for src, a, _ in path.transitions)
+
+
+def canonical_decomposition(path: Path, m: int) -> list[Path]:
+    """Split a path into maximal m-blocks plus one trailing block.
+
+    The result always ends with the trailing block, which is empty when the
+    length is an exact multiple of m.
+    """
+    if m < 1:
+        raise ValueError("block length must be at least 1")
+    if len(path) < m:
+        raise ValueError("path shorter than the block length")
+    blocks: list[Path] = []
+    ts = path.transitions
+    full = len(ts) // m
+    for b in range(full):
+        seg = ts[b * m:(b + 1) * m]
+        blocks.append(Path(seg[0][0], seg))
+    blocks.append(Path(blocks[-1].end, ts[full * m:]))
+    return blocks
+
+
+def encode_m_path(code: sk.Code, path: Path) -> sk.Word:
+    """Pair a path's letters with the leading digits of its origin's codeword.
+
+    A full m-block carries the whole codeword; a shorter trailing block
+    carries only as many digits as it has letters.  The empty path encodes
+    to the empty word.
+    """
+    if len(path) > code.m:
+        raise ValueError(f"path longer than the block length {code.m}")
+    codeword = code.codewords[path.origin]
+    return tuple(pair_symbol(a, code.digits[ord(codeword[i])])
+                 for i, (_, a, _) in enumerate(path.transitions))
+
+
+def encode_blocks(code: sk.Code, path: Path) -> sk.Word:
+    """Block-wise encoding of an arbitrary path: the definition
+    :func:`sltkit.encode_word` and the window sweep keep."""
+    if len(path) <= code.m:
+        return encode_m_path(code, path)
+    out: list[str] = []
+    for block in canonical_decomposition(path, code.m):
+        out.extend(encode_m_path(code, block))
+    return tuple(out)
+
+
+def reference_main_sets(m: sk.Nfa, code: sk.Code, cap: int = DEFAULT_WORD_CAP):
+    """Window sets by brute-force enumeration of block triples.
+
+    Definitional oracle for the swept construction; feasible only on small
+    machines.  Returns (prefixes, suffixes, factors) as sets of words.
+    Unlike the constructions it does not prepare ``m``: it enumerates the
+    block triples of the machine it is given.
+    """
+    blen = code.m
+    width = 2 * blen
+    prefixes: set[sk.Word] = set()
+    suffixes: set[sk.Word] = set()
+    factors: set[sk.Word] = set()
+    for path in enumerate_m_paths(m, m.initial, 2 * blen, cap=cap):
+        prefixes.add(encode_blocks(code, path)[:width - 1])
+    for origin in range(m.n):
+        for path in enumerate_m_paths(m, origin, 3 * blen, cap=cap):
+            z = encode_blocks(code, path)
+            factors.update(z[i:i + width] for i in range(len(z) - width + 1))
+        for tail in range(blen):
+            for path in enumerate_m_paths(m, origin, 2 * blen + tail, cap=cap):
+                if path.end in m.finals:
+                    suffixes.add(encode_blocks(code, path)[-(width - 1):])
+    return prefixes, suffixes, factors
+
+
+def find_path(m: sk.Nfa, word: sk.Word) -> Path:
+    """Deterministic successful path labelled by ``word``: at each step the
+    least viable successor in canonical transition order is taken.  The
+    definition ``construction._run`` keeps."""
+    by_letter: dict[str, list[tuple[int, int]]] = {a: [] for a in m.alphabet}
+    for src, a, dst in m.transitions:
+        by_letter[a].append((src, dst))
+    unknown = next((a for a in word if a not in by_letter), None)
+    if unknown is not None:
+        raise ValueError(f"unknown letter: {unknown!r}")
+    viable: list[set[int]] = [set(m.finals)]
+    for a in reversed(word):
+        ahead = viable[-1]
+        viable.append({src for src, dst in by_letter[a] if dst in ahead})
+    viable.reverse()
+    if m.initial not in viable[0]:
+        raise ValueError("word is not in the machine's language")
+    current = m.initial
+    transitions: list[tuple[int, str, int]] = []
+    for t, a in enumerate(word):
+        nxt = min(q for q in m.step(current, a) if q in viable[t + 1])
+        transitions.append((current, a, nxt))
+        current = nxt
+    return Path(m.initial, tuple(transitions))
+
+
 def reference_encoding(m: sk.Nfa, dec: sk.Decomposition, word) -> sk.Word:
     """The definitional encoding of a member: the block-wise encoding of the
     least-viable-successor run on the prepared machine."""
     source = sk.prepare(m)
-    return _encode_blocks(source.code(dec.h), _find_path(source.machine, tuple(word)))
+    return encode_blocks(source.code(dec.h), find_path(source.machine, tuple(word)))
 
 
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:

@@ -172,6 +172,12 @@ class TestTablesAndCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "not an integer: '25e-1'" in captured.err
 
+    @pytest.mark.parametrize("h,n", [("2", "1"), ("2,1", "10")])
+    def test_bad_input_prints_nothing(self, capsys, h, n):
+        assert main(["table", "--h", h, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_minwidth(self, workdir, capsys):
         status, out = run(capsys, "minwidth", "--nfa", workdir / "abbplus.nfa",
                           "--max-k", 6, "--max-len", 18)
@@ -179,6 +185,25 @@ class TestTablesAndCodes:
         status, out = run(capsys, "minwidth", "--nfa", workdir / "evens.nfa",
                           "--max-k", 8, "--max-len", 24)
         assert status == 0 and out.strip() == "width=none horizon=24"
+
+
+class TestCaps:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("verify", "--state-cap", "-1"), ("verify", "--state-cap", "0"),
+        ("verify", "--cap", "-5"), ("corpus", "--cap", "-1"), ("build", "--cap", "0"),
+        ("minwidth", "--cap", "0")])
+    def test_cap_below_one_is_a_usage_error(self, workdir, capsys, command, flag, value):
+        nfa, dec = workdir / "aplus.nfa", workdir / "aplus.w2.dec"
+        assert main(["build2", "--nfa", str(nfa), "--out", str(dec)]) == 0
+        capsys.readouterr()
+        argv = {"verify": ["--nfa", nfa, "--dec", dec, "--mode", "exact"],
+                "corpus": ["--dir", workdir],
+                "build": ["--nfa", nfa, "--ratio", 2, "--out", workdir / "aplus.h2.dec"],
+                "minwidth": ["--nfa", nfa, "--max-k", 4, "--max-len", 8]}[command]
+        assert main([str(a) for a in (command, *argv, flag, value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: a cap must be at least 1, got {int(value)}" in captured.err
 
 
 class TestRefuteCommand:

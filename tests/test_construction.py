@@ -5,13 +5,14 @@ import random
 import pytest
 
 import sltkit as sk
-from sltkit import Nfa, Path
+from sltkit import Nfa
 from sltkit.cli import main
 from sltkit.codes import Codewords, build_code
-from sltkit.construction import _encode_blocks, _find_path, _reference_main_sets
 
-from conftest import (CORPUS_NAMES, corpus_text, projected_language, random_member,
-                      reference_encoding, symbol_spec, symbol_words)
+from conftest import (CORPUS_NAMES, Path, canonical_decomposition, corpus_text, encode_blocks,
+                      encode_m_path, encode_path_width2, enumerate_m_paths, find_path,
+                      projected_language, random_member, reference_encoding,
+                      reference_main_sets, symbol_spec, symbol_words)
 
 
 def W(s: str):
@@ -64,9 +65,9 @@ class TestWidth2:
         prepared = sk.trim(machine)
         dec = sk.medvedev_width2(machine)
         # in a trim machine every window shows up on a run of at most 2n+1 moves
-        runs = [sk.encode_path_width2(prepared, path)
+        runs = [encode_path_width2(prepared, path)
                 for length in range(1, 2 * prepared.n + 2)
-                for path in sk.enumerate_m_paths(prepared, prepared.initial, length)
+                for path in enumerate_m_paths(prepared, prepared.initial, length)
                 if path.end in prepared.finals]
         assert symbol_words(dec.slt, "prefixes") == {z[:1] for z in runs}
         assert symbol_words(dec.slt, "suffixes") == {z[-1:] for z in runs}
@@ -88,25 +89,25 @@ class TestWidth2:
 class TestPathEncodingWidth2:
     def test_two_step_path(self, aplus):
         path = Path(0, ((0, "a", 1), (1, "a", 1)))
-        assert sk.encode_path_width2(aplus, path) == ("q0|a", "q1|a")
+        assert encode_path_width2(aplus, path) == ("q0|a", "q1|a")
 
     def test_single_step_path_is_short_word(self, aplus):
         dec = sk.medvedev_width2(aplus)
-        encoded = sk.encode_path_width2(aplus, Path(0, ((0, "a", 1),)))
+        encoded = encode_path_width2(aplus, Path(0, ((0, "a", 1),)))
         assert encoded == ("q0|a",)
         assert dec.slt.encode(encoded) in dec.slt.short_words
 
     def test_unsuccessful_path_rejected(self, aplus):
         with pytest.raises(ValueError, match="successful"):
-            sk.encode_path_width2(aplus, Path(1, ((1, "a", 1),)))
+            encode_path_width2(aplus, Path(1, ((1, "a", 1),)))
 
     def test_encoded_paths_are_members(self, machines):
         for m in machines.values():
             total = sk.totalize(m)
             dec = sk.medvedev_width2(total)
             for word in sk.enumerate_language(total, 6):
-                path = _find_path(total, word)
-                encoded = sk.encode_path_width2(total, path)
+                path = find_path(total, word)
+                encoded = encode_path_width2(total, path)
                 assert sk.slt_membership(dec.slt, encoded)
                 assert dec.pi(encoded) == word
 
@@ -119,12 +120,12 @@ class TestCanonicalDecomposition:
     @pytest.mark.parametrize("length,expected", [(10, [4, 4, 2]), (8, [4, 4, 0]),
                                                  (9, [4, 4, 1]), (4, [4, 0])])
     def test_block_lengths(self, length, expected):
-        blocks = sk.canonical_decomposition(self.make_path(length), 4)
+        blocks = canonical_decomposition(self.make_path(length), 4)
         assert [len(b) for b in blocks] == expected
 
     def test_concatenation_reproduces_path(self):
         path = self.make_path(11)
-        blocks = sk.canonical_decomposition(path, 4)
+        blocks = canonical_decomposition(path, 4)
         flattened = tuple(t for b in blocks for t in b.transitions)
         assert flattened == path.transitions
         for left, right in zip(blocks, blocks[1:]):
@@ -132,27 +133,27 @@ class TestCanonicalDecomposition:
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError):
-            sk.canonical_decomposition(self.make_path(3), 4)
+            canonical_decomposition(self.make_path(3), 4)
 
 
 class TestBlockEncoding:
     def test_full_block(self):
         code = build_code(2, 2)  # state 0 -> 0100
         path = Path(0, ((0, "a", 1), (1, "b", 0), (0, "a", 0), (0, "b", 1)))
-        assert sk.encode_m_path(code, path) == ("a|0", "b|1", "a|0", "b|0")
+        assert encode_m_path(code, path) == ("a|0", "b|1", "a|0", "b|0")
 
     def test_empty_path(self):
-        assert sk.encode_m_path(build_code(2, 2), Path(0)) == ()
+        assert encode_m_path(build_code(2, 2), Path(0)) == ()
 
     def test_partial_block_uses_leading_digits(self):
         code = build_code(2, 2)
         path = Path(0, ((0, "a", 1), (1, "b", 0)))
-        assert sk.encode_m_path(code, path) == ("a|0", "b|1")
+        assert encode_m_path(code, path) == ("a|0", "b|1")
 
     def test_too_long_rejected(self):
         code = build_code(2, 2)
         with pytest.raises(ValueError):
-            sk.encode_m_path(code, Path(0, tuple([(0, "a", 0)] * 5)))
+            encode_m_path(code, Path(0, tuple([(0, "a", 0)] * 5)))
 
 
 class TestMainSets:
@@ -160,7 +161,7 @@ class TestMainSets:
     def test_sweep_matches_path_enumeration(self, ends_with_a, h):
         dec = sk.medvedev_main(ends_with_a, h)
         code = build_code(ends_with_a.n, h)
-        prefixes, suffixes, factors = _reference_main_sets(ends_with_a, code)
+        prefixes, suffixes, factors = reference_main_sets(ends_with_a, code)
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -169,7 +170,7 @@ class TestMainSets:
         total = sk.totalize(sk.parse_nfa(corpus_text("needs_sink")))
         dec = sk.medvedev_main(total, 2)
         trimmed = sk.trim(total)
-        prefixes, suffixes, factors = _reference_main_sets(trimmed, build_code(trimmed.n, 2))
+        prefixes, suffixes, factors = reference_main_sets(trimmed, build_code(trimmed.n, 2))
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -179,7 +180,7 @@ class TestMainSets:
     def test_sweep_matches_on_prepared_corpus_machines(self, machines, name, h):
         source = sk.prepare(machines[name])
         dec = sk.medvedev_main(machines[name], h)
-        prefixes, suffixes, factors = _reference_main_sets(source.machine, source.code(h))
+        prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h))
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -190,7 +191,7 @@ class TestMainSets:
         machine = sk.parse_nfa(corpus_text("needs_sink"))
         total = sk.totalize(machine)
         code = build_code(total.n, 2)
-        prefixes, suffixes, factors = _reference_main_sets(total, code)
+        prefixes, suffixes, factors = reference_main_sets(total, code)
         symbols = tuple(f"{a}|{d}" for a in total.alphabet for d in code.digits)
         literal = sk.Decomposition(
             kind="main", h=2, m=code.m,
@@ -258,7 +259,7 @@ class TestMainSets:
         width = dec.k
         for length in (3 * dec.m, 4 * dec.m + 1, 5 * dec.m):
             for path in self.sample_paths(ends_with_a, ends_with_a.initial, length, 64):
-                z = _encode_blocks(code, path)
+                z = encode_blocks(code, path)
                 assert all(z[i:i + width] in factor_set
                            for i in range(len(z) - width + 1))
                 assert z[:width - 1] in prefix_set
@@ -286,8 +287,8 @@ class TestWordEncoding:
         word = word[:-1] + ("a",)
         z = sk.encode_word(ends_with_a, dec, word)
         assert z is not None
-        path = _find_path(ends_with_a, word)
-        origins = [b.origin for b in sk.canonical_decomposition(path, m)]
+        path = find_path(ends_with_a, word)
+        origins = [b.origin for b in canonical_decomposition(path, m)]
         digits = "".join(chr(int(s.split("|")[1])) for s in z)
         for block in range(len(word) // m - 1):
             window = digits[block * m: block * m + 2 * m - 1]
@@ -400,7 +401,7 @@ class TestFusedEncoder:
         for word in words:
             unranked.clear()
             assert sk.encode_word(machine, dec, word) is not None
-            blocks = sk.canonical_decomposition(_find_path(prepared, word), dec.m)
+            blocks = canonical_decomposition(find_path(prepared, word), dec.m)
             assert len(unranked) == len(set(unranked)) <= len({b.origin for b in blocks})
 
     def test_rejections_keep_their_order(self, machines, build_main):

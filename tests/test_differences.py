@@ -18,7 +18,6 @@ import sltkit as sk
 from sltkit import CapacityError
 from sltkit.automata import differences, nfa_table
 from sltkit.slt import compile_spec
-from sltkit.verification import _residual_trie
 
 from conftest import reference_claimed, reference_differences
 from test_random_machines import random_machines, small_residual
@@ -51,11 +50,11 @@ def assert_trie_search_matches_merged(machine, dec):
     """The search ``verify_decomposition`` runs, with the residual trie as
     its own coordinate, against the reference on the merged claim."""
     projected = compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter))
-    trie, merged = _residual_trie(dec, machine.alphabet), reference_claimed(dec, machine.alphabet)
+    merged = reference_claimed(dec, machine.alphabet)
     table = nfa_table(machine)
     for max_len in MAX_LENS:
         for cap in CAPS:
-            assert (outcome(differences(projected, table, cap, max_len, trie))
+            assert (outcome(differences(projected, table, cap, max_len, dec.residual))
                     == outcome(reference_differences(merged, table, cap, max_len))), \
                 (cap, max_len)
 

@@ -1,6 +1,8 @@
 """Importing the package stays cheap: it pulls in no process-pool machinery,
 and no module other than ``__init__`` imports a name it never reads.  A
-machine is trimmed and fingerprinted only in ``construction.prepare``."""
+machine is trimmed and fingerprinted only in ``construction.prepare``.  The
+package ships the pipeline and what the benchmark imports, not the
+path-level definitions the test oracles keep (tests/conftest.py)."""
 
 import ast
 import os
@@ -8,7 +10,12 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+import sltkit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ORACLES = ("Path", "enumerate_m_paths", "canonical_decomposition", "encode_m_path",
+           "_encode_blocks", "encode_path_width2", "_find_path", "_reference_main_sets")
 
 
 def test_import_loads_no_process_pool():
@@ -78,3 +85,40 @@ def test_call_site_scan_finds_calls_anywhere():
     source = ("from . import automata\nx = automata.trim(m)\n"
               "class C:\n    def f(self):\n        return [g(trim(m)) for m in ()]\n")
     assert call_sites(source, {"trim"}) == ["<module>:trim", "C:trim"]
+
+
+def definitions(source: str) -> set[str]:
+    """The names a module defines: every function and class, at any depth,
+    and every top-level assignment target."""
+    tree = ast.parse(source)
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def sltkit_imports(source: str) -> set[str]:
+    """The names a module imports from the ``sltkit`` package."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "sltkit"
+            for alias in node.names}
+
+
+def test_package_defines_no_path_level_oracles():
+    defined = {path.name: definitions(path.read_text())
+               for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {"medvedev_main", "_run", "Source"} <= defined["construction.py"]
+    assert {"Nfa", "DEFAULT_WORD_CAP"} <= defined["automata.py"]
+    assert {name: sorted(names & set(ORACLES)) for name, names in defined.items()
+            if names & set(ORACLES)} == {}
+    assert [name for name in ORACLES if hasattr(sltkit, name)] == []
+
+
+def test_package_exports_what_the_benchmark_imports():
+    imported = set().union(*(sltkit_imports(path.read_text())
+                             for path in sorted((ROOT / "bench").glob("*.py"))))
+    assert {"relabel", "slt_to_nfa", "union_nfa", "word_set_nfa", "nfa_equivalent",
+            "totalize", "enumerate_language", "default_horizon"} <= imported
+    assert sorted(name for name in imported if not hasattr(sltkit, name)) == []

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, construction
-from sltkit.construction import _reference_main_sets, _window_words
+from sltkit.construction import _window_words
 
-from conftest import CORPUS_NAMES, reference_window_words
+from conftest import CORPUS_NAMES, reference_main_sets, reference_window_words
 from test_random_machines import random_machines
 
 
@@ -64,7 +64,7 @@ def is_nondeterministic(machine) -> bool:
 def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
     dec, _ = assert_same_sweeps(machines[name], h)
     source = sk.prepare(machines[name])
-    prefixes, suffixes, factors = _reference_main_sets(source.machine, source.code(h))
+    prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h))
     assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
     assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
     assert set(map(dec.slt.decode, dec.slt.factors)) == factors
