@@ -138,8 +138,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     machine = _read_nfa(args.nfa)
     dec = _read_dec(args.dec)
-    encoded = encode_word(machine, dec, parse_word(args.word))
-    print("residual" if encoded is None else format_word(encoded))
+    print(format_word(encode_word(machine, dec, parse_word(args.word))))
     return 0
 
 
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dec", required=True)
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
     p.add_argument("--maxlen", type=int, default=None,
-                   help="bounded-mode horizon (default: max(3m+6, 2k+4))")
+                   help="bounded-mode horizon (default: 2k+4)")
     add_cap(p, "cap on bounded-mode product states, each reached by a distinct "
                "enumerated word within the horizon")
     p.add_argument("--state-cap", type=_cap, default=DEFAULT_STATE_CAP,

@@ -3,8 +3,8 @@
 Two constructions are provided.  The width-2 construction pairs states
 with letters, giving a local (width-2) language over n*|A| symbols.  The
 main construction encodes states as fixed-length digit blocks and pairs
-letters with digits, giving width 2m over only h*|A| symbols, plus a
-finite residual of short words handled outside the slt mechanism.
+letters with digits, giving width 2m over only h*|A| symbols; its source
+words shorter than 2m are the spec's short words, block-encoded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import (
     DEFAULT_SET_CAP,
@@ -80,6 +80,8 @@ class Decomposition:
     residual word set whose union is claimed to equal the source language.
 
     The claim is checked by the verification module, never assumed here.
+    Both constructions leave the residual empty; hand-written decompositions
+    and the paper's main construction (words shorter than 3m) use it.
     The residual is stored as a deduplicated tuple in length-then-lex
     order; a tuple of tuples already in that order, without duplicates, is
     kept as it is, and any other is deduplicated and sorted.
@@ -311,19 +313,20 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     Prefixes come from double-block encodings anchored at the initial
     state's codeword; factors are all double-block windows of triple-block
     encodings; suffixes are windows of runs that end in a final state
-    part-way through a block.  Source words shorter than 3m are carried by
-    the residual, so the short-word set stays empty.  The window sets are
-    swept out of a context automaton in sorted order (see
-    :func:`_window_words`) rather than by materialising path triples.  The
-    machine is prepared first.
-    ``cap`` bounds the context automaton, each window set and the residual.
+    part-way through a block.  These windows decide every word of length
+    2m or more; the source words shorter than 2m are the short words, each
+    written as its block encoding (see :func:`encode_word`), so the
+    residual stays empty.  The window sets are swept out of a context
+    automaton in sorted order (see :func:`_window_words`) rather than by
+    materialising path triples.  The machine is prepared first.
+    ``cap`` bounds the context automaton, each window set and the short words.
     """
     source = prepare(m)
     m = source.machine
     code = source.code(h)
-    blen = code.m
-    width = 2 * blen
-    symbols = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
+    width = 2 * code.m
+    pairs = tuple((pair_symbol(a, d), a) for a in m.alphabet for d in code.digits)
+    symbols = tuple(s for s, _ in pairs)
 
     keys, ids, fwd = _context_automaton(m, code)
     if len(keys) > cap:
@@ -349,12 +352,11 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     suffixes = tuple(sorted(w[::-1] for w in _window_words(
         list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
 
+    encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(symbols)})
+    short_words = tuple(encode(w, _run(m, w)) for w in enumerate_language(m, width - 1, cap=cap))
     spec = SltSpec(width=width, alphabet=symbols, prefixes=prefixes,
-                   suffixes=suffixes, factors=factors, short_words=())
-    pi = Homomorphism(tuple((pair_symbol(a, d), a)
-                            for a in m.alphabet for d in code.digits))
-    residual = tuple(enumerate_language(m, 3 * blen - 1, cap=cap))
-    return Decomposition(kind=MAIN, slt=spec, pi=pi, residual=residual, h=h, m=blen,
+                   suffixes=suffixes, factors=factors, short_words=short_words)
+    return Decomposition(kind=MAIN, slt=spec, pi=Homomorphism(pairs), h=h, m=code.m,
                          source_fingerprint=source.fingerprint)
 
 
@@ -386,23 +388,44 @@ def _run(m: Nfa, word: Word) -> list[int]:
     return states
 
 
-def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[Word]:
+def _block_encoder(m: Nfa, code: Code,
+                   chars: dict[str, str]) -> Callable[[Word, list[int]], str]:
+    """The encoder of members of ``m``'s language into index strings over
+    the local alphabet that ``chars`` numbers.  A word is read along its
+    run ``states`` (see :func:`_run`) in blocks of m letters from its start:
+    letter i, counted from 0, is paired with digit i mod m of the codeword
+    of its block's origin, the state the run is in at the block's start, so
+    a last, shorter block takes only the leading digits.  A pair outside
+    ``chars`` raises ValueError."""
+    cell = {(a, chr(d)): chars[pair_symbol(a, digit)]  # (letter, digit) -> index character
+            for a in m.alphabet for d, digit in enumerate(code.digits)
+            if pair_symbol(a, digit) in chars}
+
+    def encode(word: Word, states: list[int]) -> str:
+        origins = states[0:len(word):code.m]
+        codewords = {q: code.codewords[q] for q in set(origins)}  # each unranked once
+        digits = "".join(map(codewords.__getitem__, origins))
+        try:
+            return "".join(map(cell.__getitem__, zip(word, digits)))
+        except KeyError as exc:
+            a, d = exc.args[0]
+            raise ValueError(f"unknown symbol: {pair_symbol(a, code.digits[ord(d)])!r}") from None
+
+    return encode
+
+
+def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Word:
     """Encode a member of the machine's language into the local language.
 
-    Words shorter than 3m are residual-handled and yield ``None``.  The
-    machine is prepared as in the build, once per machine object, so block
-    encodings line up with it.  A decomposition built for another machine
-    is rejected: one whose block length differs from the source's state
-    code, or whose ``source_fingerprint`` is set and differs from the
-    source's.
     The word is read along the run :func:`_run` takes, which moves to the
-    least viable successor at each step, and cut into blocks of m letters
-    from its start.  Letter i of the word, counted from 0, is paired with
-    digit i mod m of the codeword of its block's origin, the state the run
-    is in at the block's start, so a last, shorter block takes only the
-    leading digits.  The pairs are written straight into an index string
-    over ``dec.slt``'s alphabet, which is checked against ``dec.slt`` and
-    decoded into the spec's own symbols on return.
+    least viable successor at each step, and block-encoded (see
+    :func:`_block_encoder`) into an index string over ``dec.slt``'s
+    alphabet, which is checked against ``dec.slt`` and decoded into the
+    spec's own symbols.  The machine is prepared as in the build, once
+    per machine object, so block encodings line up with it.  A
+    decomposition built for another machine is rejected: one whose block
+    length differs from the source's state code, or whose
+    ``source_fingerprint`` is set and differs from the source's.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
@@ -417,29 +440,8 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Optional[W
     mismatch = source.mismatch(dec)
     if mismatch:
         raise ValueError(mismatch)
-    if len(word) < 3 * dec.m:
-        return None
     spec = dec.slt
-    cell: dict[tuple[str, str], str] = {}  # (letter, digit) -> the spec's index character
-    for a in source.machine.alphabet:
-        for d, digit in enumerate(code.digits):
-            symbol = pair_symbol(a, digit)
-            if symbol in spec._chars:
-                cell[a, chr(d)] = spec._chars[symbol]
-    origins: dict[int, str] = {}  # codeword of each block origin
-    parts: list[str] = []
-    try:
-        for start in range(0, len(word), dec.m):
-            origin = states[start]
-            codeword = origins.get(origin)
-            if codeword is None:
-                codeword = origins[origin] = code.codewords[origin]
-            parts.extend(map(cell.__getitem__, zip(word[start:start + dec.m], codeword)))
-    except KeyError as exc:
-        a, d = exc.args[0]
-        symbol = pair_symbol(a, code.digits[ord(d)])
-        raise ValueError(f"unknown symbol: {symbol!r}") from None
-    z = "".join(parts)
+    z = _block_encoder(source.machine, code, spec._chars)(word, states)
     if not spec.accepts(z):
         raise ValueError("encoded word is not in the decomposition's slt language")
     return spec.decode(z)

@@ -27,7 +27,6 @@ from .automata import (
 )
 from .codes import f_value, g_value, g_value_printed, verify_factor_decodable
 from .construction import (
-    MAIN,
     Decomposition,
     medvedev_main,
     medvedev_width2,
@@ -58,10 +57,8 @@ class VerificationReport:
 
 
 def default_horizon(dec: Decomposition) -> int:
-    """Bounded-mode horizon: past the residual and a full window period."""
-    if dec.kind == MAIN:
-        assert dec.m is not None
-        return max(3 * dec.m + 6, 2 * dec.k + 4)
+    """Bounded-mode horizon 2k+4: two full window periods and four letters
+    more, past every short word and past a residual of words below 3m."""
     return 2 * dec.k + 4
 
 
@@ -329,8 +326,10 @@ def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "b
     bounds set sizes, enumerated words, bounded-mode product states and
     the codewords a state-code check holds.  Per-file problems are reported
     as failing entries without aborting the run; entries come in file-name
-    order.
+    order.  A ``directory`` that is not one raises NotADirectoryError.
     """
+    if not FsPath(directory).is_dir():
+        raise NotADirectoryError(f"not a directory: {directory!r}")
     nfa_files = sorted(FsPath(directory).glob("*.nfa"))
     fixtures: dict[str, list[FsPath]] = {p.stem: [] for p in nfa_files}
     for dec_file in sorted(FsPath(directory).glob("*.dec")):

@@ -1,7 +1,7 @@
 import pathlib
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import pytest
@@ -213,6 +213,15 @@ def reference_main_sets(m: sk.Nfa, code: sk.Code, cap: int = DEFAULT_WORD_CAP):
                 if path.end in m.finals:
                     suffixes.add(encode_blocks(code, path)[-(width - 1):])
     return prefixes, suffixes, factors
+
+
+def paper_main(m: sk.Nfa, h: int) -> sk.Decomposition:
+    """The main decomposition as the paper states it: the windows of
+    ``medvedev_main(m, h)``, no short words, and every source word shorter
+    than 3m as the residual, on the prepared machine."""
+    dec = sk.medvedev_main(m, h)
+    residual = sk.enumerate_language(sk.prepare(m).machine, 3 * dec.m - 1)
+    return replace(dec, slt=replace(dec.slt, short_words=()), residual=tuple(residual))
 
 
 def find_path(m: sk.Nfa, word: sk.Word) -> Path:

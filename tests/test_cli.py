@@ -85,13 +85,15 @@ class TestEncodeDecode:
         status, out = run(capsys, "decode", "--dec", dec_path, "--word", encoded)
         assert status == 0 and out.strip() == word
 
-    def test_short_word_reports_residual(self, workdir, capsys):
+    def test_short_word_is_encoded(self, workdir, capsys):
         dec_path = workdir / "aplus.h2.dec"
         run(capsys, "build", "--nfa", workdir / "aplus.nfa", "--ratio", 2,
             "--out", dec_path)
         status, out = run(capsys, "encode", "--nfa", workdir / "aplus.nfa",
                           "--dec", dec_path, "--word", "a.a")
-        assert status == 0 and out.strip() == "residual"
+        assert status == 0 and out.strip() == "a|0.a|1"  # the first two digits of 0100
+        status, out = run(capsys, "decode", "--dec", dec_path, "--word", out.strip())
+        assert status == 0 and out.strip() == "a.a"
 
     def test_non_member_is_input_error(self, workdir, capsys):
         dec_path = workdir / "evens.h2.dec"
@@ -248,6 +250,13 @@ class TestCorpusCommand:
         assert lines[-1].startswith("tasks=") and lines[-1].endswith("failures=0")
         assert any(line.startswith("file=aplus.nfa task=width2 result=pass")
                    for line in lines)
+
+    def test_missing_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["corpus", "--dir", str(tmp_path / "missing")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a directory" in captured.err
+        status, out = run(capsys, "corpus", "--dir", tmp_path)
+        assert status == 0 and out == "tasks=0 failures=0\n"
 
     def test_negative_exponent_ratio_is_a_usage_error(self, capsys):
         assert main(["corpus", "--dir", sk.corpus_dir(), "--ratio", "25e-1"]) == 2

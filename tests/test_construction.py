@@ -11,7 +11,7 @@ from sltkit.codes import Codewords, build_code
 
 from conftest import (CORPUS_NAMES, Path, canonical_decomposition, corpus_text, encode_blocks,
                       encode_m_path, encode_path_width2, enumerate_m_paths, find_path,
-                      projected_language, random_member, reference_encoding,
+                      paper_main, projected_language, random_member, reference_encoding,
                       reference_main_sets, symbol_spec, symbol_words)
 
 
@@ -211,13 +211,16 @@ class TestMainSets:
         assert dec.kind == "main" and dec.h == 2
         assert dec.k == 2 * dec.m
         assert len(dec.slt.alphabet) == 2 * len(ends_with_a.alphabet)
-        assert dec.slt.short_words == ()
-        assert all(len(w) < 3 * dec.m for w in dec.residual)
+        assert dec.residual == ()
+        assert ({dec.pi(dec.slt.decode(z)) for z in dec.slt.short_words}
+                == set(sk.enumerate_language(ends_with_a, 2 * dec.m - 1)))
 
-    def test_residual_is_short_members(self, aplus):
+    def test_short_words_are_short_members(self, aplus):
         dec = sk.medvedev_main(aplus, 2)
-        assert dec.m == 4
-        assert dec.residual == tuple(("a",) * i for i in range(1, 12))
+        assert dec.m == 4 and dec.residual == ()
+        short = [dec.slt.decode(z) for z in dec.slt.short_words]
+        assert sorted(map(dec.pi, short)) == [("a",) * i for i in range(1, 8)]
+        assert all(z == sk.encode_word(aplus, dec, dec.pi(z)) for z in short)
 
     def test_partial_machine_is_accepted(self):
         partial = sk.parse_nfa(corpus_text("needs_sink"))
@@ -294,9 +297,11 @@ class TestWordEncoding:
             window = digits[block * m: block * m + 2 * m - 1]
             assert sk.factor_decode(code, window) == (1, origins[block])
 
-    def test_short_word_is_residual(self, aplus):
+    def test_short_word_is_encoded(self, aplus):
         dec = sk.medvedev_main(sk.totalize(aplus), 2)
-        assert sk.encode_word(aplus, dec, ("a",) * 5) is None
+        z = sk.encode_word(aplus, dec, ("a",) * 5)
+        assert z == reference_encoding(aplus, dec, ("a",) * 5)
+        assert sk.slt_membership(dec.slt, z) and dec.slt.encode(z) in dec.slt.short_words
 
     def test_non_member_rejected(self, aplus):
         dec = sk.medvedev_main(sk.totalize(aplus), 2)
@@ -493,15 +498,17 @@ class TestResidualOrder:
     def with_residual(dec, residual):
         return dataclasses.replace(dec, residual=residual)
 
-    def test_ordered_residual_is_kept(self, build_main):
-        dec = build_main("nondet", 2)
+    def test_ordered_residual_is_kept(self, machines):
+        dec = paper_main(machines["nondet"], 2)
         ordered = tuple(dec.residual)
-        assert self.with_residual(dec, ordered).residual is ordered
+        assert ordered and self.with_residual(dec, ordered).residual is ordered
 
-    def test_build_keeps_the_enumerated_residual(self, build_main):
-        dec = build_main("evens", 2)
+    def test_build_keeps_the_enumerated_residual(self, machines, build_main):
+        # the paper's main build lists the source words below 3m; this one, none
+        dec = paper_main(machines["evens"], 2)
         assert dec.residual == tuple(sk.enumerate_language(sk.trim(sk.parse_nfa(
             corpus_text("evens"))), 3 * dec.m - 1))
+        assert build_main("evens", 2).residual == ()
 
     @pytest.mark.parametrize("residual", [
         (W("ba"), W("a")),                      # length order broken

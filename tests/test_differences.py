@@ -20,7 +20,7 @@ from sltkit.automata import differences, nfa_table
 from sltkit.slt import compile_spec
 
 from conftest import reference_claimed, reference_differences
-from test_random_machines import random_machines, small_residual
+from test_random_machines import few_short_words, random_machines
 from test_verification_reference import mutate
 
 CAPS = (1, 2, 3, 4, 5, 6, 10**6)
@@ -75,7 +75,7 @@ def test_machine_tables_match_reference(data, alphabet):
 @given(machine=random_machines(), kind=st.sampled_from(["width2", 2]),
        seed=st.integers(0, 2**16))
 def test_projected_specs_match_reference(machine, kind, seed):
-    assume(kind == "width2" or small_residual(machine, kind, limit=512))
+    assume(kind == "width2" or few_short_words(machine, kind, limit=512))
     dec = sk.medvedev_width2(machine) if kind == "width2" else sk.medvedev_main(machine, kind)
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng)):

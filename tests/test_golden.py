@@ -1,12 +1,15 @@
 """Pinned ``serialize_decomposition`` output and CLI stdout.
 
-The build digests were computed before local words became index strings
+The width-2 digests were computed before local words became index strings
 inside the spec; the serialized form must not change with the
-representation.  The random machines are the ``total-dfa`` benchmark's,
-drawn by the benchmark's own generator.  The CLI digests were computed
-before verification compiled the spec straight onto source letters; what
-``sltkit corpus`` and ``sltkit verify`` print must not change with how the
-claimed language is searched.
+representation.  The main digests were recomputed when the source words
+shorter than 2m became block-encoded short words in place of a residual of
+the words shorter than 3m; each of those builds has the same window sets
+as before, verifies exactly and has no residual.  The random machines are
+the ``total-dfa`` benchmark's, drawn by the benchmark's own generator.
+The ``corpus`` digests were computed before verification compiled the
+spec straight onto source letters; what ``sltkit corpus`` and ``sltkit
+verify`` print must not change with how the claimed language is searched.
 """
 
 import hashlib
@@ -26,36 +29,36 @@ GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 CORPUS_DIGESTS = {
     ("abbplus", "width2"): "b137cbef503e6ce66f66072d27b8f40781bf238b27f80c9e5eb77d4952d1c154",
-    ("abbplus", 2): "b757273ff51745788ba604a136a022069bbbe43c77165b4bb9fe9e9016e45e86",
-    ("abbplus", 3): "55ac40800022840e4a91b331e82ec058ba8a72a48766c376f0095471c8010f95",
+    ("abbplus", 2): "e4070fd3ce2ea38aea0ad45009a14888937586630c8ae54b1df5158bcbe8d839",
+    ("abbplus", 3): "c556e1c6d050302fe51fe03d18815f4bb040b603a9d91971bbea6d2b9ae3a4e7",
     ("abplus", "width2"): "4e4a6cd045e22697de89216f51ac18d000e28cdad1d26999f052b179d11343d7",
-    ("abplus", 2): "847ef5c5e8c50ace4b536086e04bfeb6f517bdf81ba0d89251128020ca749a97",
-    ("abplus", 3): "85663d9c9b7fbe21bca401c49a3cd8252160ec2ed18826b8efeb3ee016834806",
+    ("abplus", 2): "057b1e3093a85d64121fcd1e4bb51547793e3dd319d16f3b541daa99b2b79e37",
+    ("abplus", 3): "4e2ddd0f93d2f50848834a84a5cb830612c732854211c4b0658782e966a245dc",
     ("aplus", "width2"): "ae91026572366b3d32e9dbad237504236880fe60a62903c7a6cc61647b1f00e5",
-    ("aplus", 2): "788883a4ba6e104c1b01a0581c95a2fa66d7f7227e4d112c6e7d2b2373648cfc",
-    ("aplus", 3): "a2ea78f750bac963dec42949df5e522e34ffc7fdd220a56508a7d31498c1845c",
+    ("aplus", 2): "ebf8b9595f47bc8d4115ec7d1cbb6603011c181243b2a25f634e786d2009e3bc",
+    ("aplus", 3): "7b6f35be46ee7b3444dc0a764d8e8c043a300af737058f25d87e046d5e88171e",
     ("evens", "width2"): "6f63e22e6c202fc3061350bff1a7d744906dad61670aefa9ee61873ea93218cf",
-    ("evens", 2): "e899e13e52162cc383bfb6339c731f12a082a5d996f8886c805f695becf2a47d",
-    ("evens", 3): "ebc53b1f5ee0feb350bebd268f830c8b4ceb2ce8488904079a1af9ba2948b684",
+    ("evens", 2): "c2907d7efae7869cb8dba556b62469b933631016bb6c12a6dc69a18cec95aabf",
+    ("evens", 3): "990f9c753e5a799fc1304743091eefbc952e6d1f199b561a812311819b1e5e8f",
     ("needs_sink", "width2"): "ed384a344620048debab8c0a1233a9a9133b2dd996c4aabd366b3d950b710e25",
-    ("needs_sink", 2): "601e73d79e8c29f080578d7922d46ca193a526783be6307a38e03f05e9877bc1",
-    ("needs_sink", 3): "2d81cfcbce4ff8d510602e58e8a164fbaf344fdab3559aa8e1a27c94969ed26a",
+    ("needs_sink", 2): "881f5c2248f64fba33a95354429f4e405e0adf4c32d623116a823591d16a2161",
+    ("needs_sink", 3): "631dd35bd0b415d805d81e77b48c11585a8465f73d92d24e234aaf6d2d46f497",
     ("nondet", "width2"): "09b5c0005474541cca72d0c4f10970b1f44e94373d8c89c3894660908be2aa8f",
-    ("nondet", 2): "412b1fbec27f0c3ae10274f29fe3d0af424ce5ef930de11e1a9222991875bfe0",
-    ("nondet", 3): "715293686d6d7049f34ddc06b182d81925bfb69aec055b521caf5420f4737eea",
+    ("nondet", 2): "030ec87694b3ce566232bb6381ccead64c212e2ad3001edb4d743d0d337b8386",
+    ("nondet", 3): "a07ba6ecd733c51052387ebd352f11b068855c9c115839f58e26ccd3ed50a974",
 }
 
 # (seed, states, ratio) -> digest; per seed the machines are drawn in this order
 RANDOM_DFA_CASES = ((8, 4), (16, 4), (32, 4), (8, 9))
 RANDOM_DFA_DIGESTS = {
-    (1, 8, 4): "7474d475429a500d63d9e7c7be6337799a1fbb51356b833f627cb70c4b1eff42",
-    (1, 16, 4): "9268ea893dedd0187f450aad19e5c8a5ada2e793bf9276d9ced05c42faaef154",
-    (1, 32, 4): "92aa402b42d4fb27a2b7d9561871bc13fe1e6101ee6e101890e7191ec1dc11b5",
-    (1, 8, 9): "ba9f657e809c46c648f38d4ce96bbbdb80d8f3790910bfe48ff2fa9ce05ec055",
-    (2, 8, 4): "087c5d558a8154249d2063bee5d9dd8b51c766224b3633d8e21e81a27fb39894",
-    (2, 16, 4): "d3a098571ff9cca1674c792e252a35ef712c69d24d6cfffeb41190e5505d2bf6",
-    (2, 32, 4): "147dc1bb7d7fa0cb5b13e9a8ef056019c03ae2020cff8a42aec0c430f7986e11",
-    (2, 8, 9): "0043ec23f847d44ae7c7db7685a2f4b89facd6d202300d72c616bf186d6d5460",
+    (1, 8, 4): "993e7feea9e7c5fd5ea570af81f7d28012be5e760d1755e60316ecf26ac139cc",
+    (1, 16, 4): "5e908206acbedb505744369acd9f1c9ee8946e67557d646278f4ae62d9e73e8d",
+    (1, 32, 4): "ba3dade9c27e52e9ddab07162028ce747bba9449ba18e1e4e2f8cf652eaffb7c",
+    (1, 8, 9): "3a06bb4a709c57f5df6e05257d9698a471caf24efb4226892e9720a838de1a14",
+    (2, 8, 4): "bd5cb47ba46c74ccc0f0f82c8dc0a02c3f6f6b8caff4e3035f09d8a5d766078b",
+    (2, 16, 4): "df3f630bcea8f2dd1a9b09ee51b386278ce83a4e4dc9af749c1693187c1b8c8c",
+    (2, 32, 4): "9d010b3c69cb7ca4a237ba8622834ae7c0af0720dd58668b7ea8964ba83e99f4",
+    (2, 8, 9): "e2f5e8f247a64805086e6939f76aee493f939b93914370f50ffd442139820847",
 }
 
 
@@ -77,13 +80,30 @@ def test_corpus_builds_are_pinned(machines, build_main, name, kind):
     assert digest(dec) == CORPUS_DIGESTS[(name, kind)]
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_random_total_dfa_builds_are_pinned(seed):
+def random_dfa_builds(seed: int):
+    """The pinned random machines of one seed, keyed (seed, states, ratio),
+    each with its main build."""
     draw = random_total_dfa_text()
     rng = random.Random(seed)
     for n, h in RANDOM_DFA_CASES:
-        dec = sk.medvedev_main(sk.parse_nfa(draw(rng, n)), h)
-        assert digest(dec) == RANDOM_DFA_DIGESTS[(seed, n, h)], (seed, n, h)
+        machine = sk.parse_nfa(draw(rng, n))
+        yield (seed, n, h), machine, sk.medvedev_main(machine, h)
+
+
+def test_pinned_main_builds_verify_exactly_without_residual(machines, build_main):
+    builds = [((name, h), machines[name], build_main(name, h))
+              for name in CORPUS_NAMES for h in (2, 3)]
+    builds += [build for seed in (1, 2) for build in random_dfa_builds(seed)]
+    for key, machine, dec in builds:
+        assert dec.residual == (), key
+        report = sk.verify_decomposition(machine, dec, mode="exact")
+        assert report.ok and report.mode == "exact", key
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_total_dfa_builds_are_pinned(seed):
+    for key, _, dec in random_dfa_builds(seed):
+        assert digest(dec) == RANDOM_DFA_DIGESTS[key], key
 
 
 # sha256 of stdout (with the exit status of each run) of `sltkit corpus` on
@@ -93,19 +113,23 @@ def test_random_total_dfa_builds_are_pinned(seed):
 # nothing extends: the abbplus h=3 mutation adds one such short word,
 # b|0.a|0.b|0.a|0.b|1.b|1, whose image b.a.b.a.b.b is not in the machine's
 # language, and its verdict changed from a wrong pass to that extra word.
+# The `verify` digests were recomputed again when main builds moved their
+# short members from the residual into the short words: on the builds only
+# the size_short and size_residual lines changed, and the mutations, drawn
+# from the new sets, each give the report of the reference verifier.
 CLI_DIGESTS = {
     ("corpus", "exact"):
         "0306a8a1c2863ddafc882ccc0d324b6d324e193528a6f2c6ffb23070674c69b6",
     ("corpus", "bounded"):
         "ce26fdabd48bfe187464e4a7c7f9bd43112266178266d7d909755df16b21d2db",
     ("verify builds", "exact"):
-        "933299045cb43c5fabf0d725e353541a4376babadad911ad88c8ba0506c1bb1d",
+        "6a99a4b9ce6e8e3316007aa749a3121d9fd6ebefb7c6bb96bfa95ce7050cd164",
     ("verify builds", "bounded"):
-        "1dd4fe342d04f0596ca6fdba0b80ef53171828edfb834e936814b49da8bfcc05",
+        "fc10eb7b586ee5ef2d21553ea4bc302d253f754a43889373ea336a9765194c35",
     ("verify mutations", "exact"):
-        "52a75226c52abb44e2cb8a432c9fed1439e3578f7c303ac78f18a425c91a47c3",
+        "538fd4204517dba0ec821d69fc9f11d7ae2b43a3c1463016525abffe2253733c",
     ("verify mutations", "bounded"):
-        "35728ea7fcde7ad46d2fcddb3fcca16fa2fc921d0aec73f8965c3683e5eea814",
+        "a773e09f62cc718012ddaf48044741699ece41b6913c5b89500af96ff3de611f",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sltkit as sk
 from sltkit import Nfa
 
-from conftest import random_member, reference_encoding
+from conftest import paper_main, random_member, reference_encoding
 
 
 @st.composite
@@ -25,12 +25,13 @@ def random_machines(draw, alphabet=None):
                finals=finals)
 
 
-def small_residual(m: Nfa, h: int, limit: int = 4096) -> bool:
+def few_short_words(m: Nfa, h: int, limit: int = 4096) -> bool:
     """Whether the main construction at ratio ``h`` lists at most ``limit``
-    residual words; dense machines list millions."""
+    short words, the source words shorter than 2m; dense machines list
+    millions."""
     blen = sk.prepare(m).code(h).m
     try:
-        sk.enumerate_language(m, 3 * blen - 1, cap=limit)
+        sk.enumerate_language(m, 2 * blen - 1, cap=limit)
     except sk.CapacityError:
         return False
     return True
@@ -56,7 +57,7 @@ EMPTY_LANGUAGE = Nfa(n=3, alphabet=("a", "b"), transitions=((0, "a", 0), (1, "b"
 @example(machine=NON_TRIM_MULTI_FINAL, h=2, seed=0)
 @example(machine=EMPTY_LANGUAGE, h=3, seed=0)
 def test_both_constructions_verify_exactly(machine, h, seed):
-    assume(small_residual(machine, h))
+    assume(few_short_words(machine, h))
     for dec in (sk.medvedev_width2(machine), sk.medvedev_main(machine, h)):
         report = sk.verify_decomposition(machine, dec, mode="exact")
         assert report.ok and report.mode == "exact", report
@@ -73,3 +74,32 @@ def test_both_constructions_verify_exactly(machine, h, seed):
         mutant = z[:i] + (rng.choice([s for s in dec.slt.alphabet if s != z[i]]),) + z[i + 1:]
         for local in (z, mutant):
             assert stream_decides(dec.slt, local) == sk.slt_membership(dec.slt, local)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=random_machines(), h=st.integers(2, 3), seed=st.integers(0, 2**16))
+@example(machine=NON_TRIM_MULTI_FINAL, h=2, seed=0)
+@example(machine=EMPTY_LANGUAGE, h=3, seed=0)
+def test_short_words_replace_the_paper_residual(machine, h, seed):
+    """The build lists the source words below 2m as block-encoded short
+    words where the paper's build lists the words below 3m as its residual,
+    and both verify exactly; the build's windows decide every member of
+    length 2m or more, the paper's residual lengths 2m..3m-1 included."""
+    assume(few_short_words(machine, h))
+    dec, paper = sk.medvedev_main(machine, h), paper_main(machine, h)
+    assert dec.residual == ()
+    for candidate in (dec, paper):
+        report = sk.verify_decomposition(machine, candidate, mode="exact")
+        assert report.ok and report.mode == "exact", report
+    short = [dec.slt.decode(z) for z in dec.slt.short_words]
+    below = sk.enumerate_language(machine, 2 * dec.m - 1)
+    assert len(short) == len(below) and set(map(dec.pi, short)) == set(below)
+    for z in short:
+        assert z == reference_encoding(machine, dec, dec.pi(z))
+    rng = random.Random(seed)
+    for length in range(1, 3 * dec.m + 2):
+        word = random_member(machine, length, rng)
+        if word is None:
+            continue
+        z = sk.encode_word(machine, dec, word)
+        assert sk.slt_membership(dec.slt, z) and z == reference_encoding(machine, dec, word)

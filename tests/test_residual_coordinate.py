@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 import sltkit as sk
 from sltkit.automata import DEFAULT_STATE_CAP
 
-from conftest import CORPUS_NAMES, reference_verify
-from test_random_machines import random_machines, small_residual
+from conftest import CORPUS_NAMES, paper_main, reference_verify
+from test_random_machines import few_short_words, random_machines
 from test_verification_reference import build, mutate
 
 
@@ -35,7 +35,9 @@ def test_corpus_builds_and_mutations_match_merged_claim(machines, name, kind):
     machine = machines[name]
     dec = build(machine, kind)
     rng = random.Random(f"residual coordinate {name} {kind}")
-    for candidate in [dec] + [mutate(dec, rng) for _ in range(10)]:
+    # a main build has no residual; the paper's lists every word below 3m
+    paper = [] if kind == "width2" else [paper_main(machine, kind)]
+    for candidate in [dec] + paper + [mutate(dec, rng) for _ in range(10)]:
         assert_same_reports(machine, candidate)
 
 
@@ -43,7 +45,7 @@ def test_corpus_builds_and_mutations_match_merged_claim(machines, name, kind):
 @given(machine=random_machines(), h=st.integers(2, 3), seed=st.integers(0, 2**16),
        state_cap=st.sampled_from([2, 5, DEFAULT_STATE_CAP]))
 def test_random_machines_match_merged_claim(machine, h, seed, state_cap):
-    assume(small_residual(machine, h, limit=512))
+    assume(few_short_words(machine, h, limit=512))
     dec = sk.medvedev_main(machine, h)
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):

@@ -124,7 +124,7 @@ class TestMembership:
 
     def test_shuffled_input_with_duplicates_equals_sorted_input(self):
         built = sk.medvedev_main(sk.parse_nfa(corpus_text("nondet")), 2).slt
-        attrs = ("prefixes", "suffixes", "factors")
+        attrs = ("prefixes", "suffixes", "factors", "short_words")
         rng = random.Random(7)
 
         def shuffled(words):

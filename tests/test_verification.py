@@ -10,7 +10,7 @@ import sltkit as sk
 from sltkit import CapacityError, SltSpec, verification
 from sltkit.slt import compile_spec
 
-from conftest import corpus_text, symbol_spec
+from conftest import corpus_text, paper_main, symbol_spec
 
 
 def W(s: str):
@@ -43,12 +43,12 @@ class TestVerify:
     def test_main_bounded_pass_with_default_horizon(self, aplus, aplus_main):
         report = sk.verify_decomposition(aplus, aplus_main)
         assert report.ok
-        assert report.horizon == max(3 * aplus_main.m + 6, 2 * aplus_main.k + 4)
-        assert report.set_sizes["residual"] == 11
+        assert report.horizon == 2 * aplus_main.k + 4
+        assert report.set_sizes["residual"] == 0 and report.set_sizes["short"] == 7
 
     def test_deleting_windows_is_detected(self, aplus, aplus_main):
         saw_failure = False
-        for attr in ("prefixes", "suffixes", "factors"):
+        for attr in ("prefixes", "suffixes", "factors", "short_words"):
             for index in range(len(getattr(aplus_main.slt, attr))):
                 mutated = dataclasses.replace(aplus_main,
                                               slt=drop_word(aplus_main.slt, attr, index))
@@ -105,7 +105,7 @@ class TestVerify:
         assert sk.verify_decomposition(abplus, anonymous, mode="exact").notice is None
 
     def test_residual_past_a_short_horizon_is_not_compared(self, aplus):
-        dec = sk.medvedev_main(aplus, 2)
+        dec = paper_main(aplus, 2)
         assert max(map(len, dec.residual)) == 11  # m=4: residual words up to 3m-1
         report = sk.verify_decomposition(aplus, dec, mode="bounded", horizon=10)
         assert report.ok and report.horizon == 10
@@ -317,7 +317,7 @@ class TestCorpus:
         assert not report.ok
 
     def test_bundled_corpus_passes_at_a_short_horizon(self):
-        # the default ratios build residuals up to length 3m-1 > 8
+        # the default ratios build short words up to length 2m-1, 11 > 8 for abbplus h=2
         assert sk.run_corpus(sk.corpus_dir(), horizon=8).ok
 
     def test_empty_directory_is_success(self, tmp_path):

@@ -18,8 +18,8 @@ import sltkit as sk
 from sltkit import CapacityError, VerificationReport
 from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP
 
-from conftest import CORPUS_NAMES, projected_language, word_key
-from test_random_machines import random_machines, small_residual
+from conftest import CORPUS_NAMES, paper_main, projected_language, word_key
+from test_random_machines import few_short_words, random_machines
 
 
 def least_preimage(dec, word, word_cap):
@@ -121,9 +121,9 @@ def test_corpus_mutations_match_reference(machines, name, kind):
 @given(machine=random_machines(), kind=st.sampled_from(["width2", 2, 3]),
        seed=st.integers(0, 2**16), state_cap=st.sampled_from([3, DEFAULT_STATE_CAP]))
 def test_random_machines_match_reference(machine, kind, seed, state_cap):
-    # dense machines have up to |A|^(3m) residual words and |A|^(h+1) words
+    # dense machines have up to |A|^(2m) short words and |A|^(h+1) words
     # below the default horizon h; the reference is slow on either
-    assume(kind == "width2" or small_residual(machine, kind))
+    assume(kind == "width2" or few_short_words(machine, kind))
     dec = build(machine, kind)
     horizon = min(sk.default_horizon(dec), 10)
     rng = random.Random(seed)
@@ -161,7 +161,8 @@ def test_letters_outside_the_machine_raise_as_reference(machines, mode, where):
 
 
 # (states, fingerprint) of slt_to_nfa on every corpus build, as compiled
-# before slt_to_nfa became a wrapper over compile_spec
+# before slt_to_nfa became a wrapper over compile_spec; a main build was
+# then the paper's, whose short members are its residual (``paper_main``)
 COMPILED = {
     ("abbplus", "width2"): (5, "b6adadf89c3b"), ("abbplus", 2): (18, "43b04d9961b0"),
     ("abbplus", 3): (21, "10624ff3fb9c"), ("abplus", "width2"): (4, "f84228eec96f"),
@@ -177,5 +178,6 @@ COMPILED = {
 
 @pytest.mark.parametrize("name,kind", sorted(COMPILED, key=str))
 def test_slt_to_nfa_is_unchanged_on_corpus(machines, name, kind):
-    compiled = sk.slt_to_nfa(build(machines[name], kind).slt)
+    dec = build(machines[name], kind) if kind == "width2" else paper_main(machines[name], kind)
+    compiled = sk.slt_to_nfa(dec.slt)
     assert (compiled.n, sk.nfa_fingerprint(compiled)) == COMPILED[(name, kind)]
