@@ -43,17 +43,15 @@ from .construction import (
     encode_word,
     medvedev_main,
     medvedev_width2,
+    min_slt_width,
     nfa_fingerprint,
     parse_decomposition,
     prepare,
     serialize_decomposition,
 )
 from .slt import (
-    MinWidthResult,
     SltSpec,
     StreamRecognizer,
-    infer_slt,
-    min_slt_width,
     slt_membership,
     slt_to_nfa,
     window_ops,

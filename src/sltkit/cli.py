@@ -28,11 +28,12 @@ from .construction import (
     encode_word,
     medvedev_main,
     medvedev_width2,
+    min_slt_width,
     parse_decomposition,
     prepare,
     serialize_decomposition,
 )
-from .slt import min_slt_width, slt_membership
+from .slt import slt_membership
 from .verification import (
     fg_values,
     refute_small_ratio,
@@ -193,9 +194,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_minwidth(args: argparse.Namespace) -> int:
     machine = _read_nfa(args.nfa)
-    result = min_slt_width(machine, args.max_k, args.max_len, word_cap=args.cap)
-    width = result.width if result.width is not None else "none"
-    print(f"width={width} horizon={result.horizon}")
+    width = min_slt_width(machine, args.max_k, args.cap)
+    print(f"width={'none' if width is None else width}")
     return 0
 
 
@@ -289,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated state counts (1e40 form allowed)")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("minwidth", help="smallest window width matching a machine")
+    p = sub.add_parser("minwidth", help="smallest window width of a machine's language")
     p.add_argument("--nfa", required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
     add_cap(p)
     p.set_defaults(func=_cmd_minwidth)
 

@@ -201,17 +201,10 @@ def count_S(h: int, m: int) -> int:
 def enumerate_S(h: int, m: int, cap: int = DEFAULT_SET_CAP) -> list[str]:
     """All length-m digit words whose only "00" occurrence is the suffix,
     as index strings in lexicographic digit order."""
-    _check_h(h)
-    if m < 2:
-        raise ValueError("block length must be at least 2")
-    if count_S(h, m) > cap:
-        raise CapacityError(f"enumeration of {count_S(h, m)} words exceeds cap of {cap}")
-    nonzero = range(1, h)
-    by_len: dict[int, list[tuple[int, ...]]] = {2: [(0, 0)], 3: [(d, 0, 0) for d in nonzero]}
-    for length in range(4, m + 1):
-        by_len[length] = ([(d,) + y for d in nonzero for y in by_len[length - 1]]
-                          + [(0, d) + y for d in nonzero for y in by_len[length - 2]])
-    return ["".join(map(chr, w)) for w in sorted(by_len[m])]
+    count = count_S(h, m)
+    if count > cap:
+        raise CapacityError(f"enumeration of {count} words exceeds cap of {cap}")
+    return list(Codewords(h, m, count))
 
 
 def choose_m(n: int, h: int) -> int:

@@ -20,14 +20,16 @@ from .automata import (
     Nfa,
     ParseError,
     Word,
+    differences,
     enumerate_language,
     format_word,
+    nfa_table,
     parse_word,
     subset_trace,
     trim,
 )
 from .codes import Code, build_code
-from .slt import SltSpec, word_encoder
+from .slt import SltSpec, compile_spec, word_encoder
 
 WIDTH2 = "width2"
 MAIN = "main"
@@ -307,6 +309,37 @@ def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
     return out
 
 
+def _window_sets(rows: list[Row], start: int, ends: Sequence[int], aligned: Iterable[bool],
+                 prefix_last: list[str], width: int,
+                 cap: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The (prefixes, suffixes, factors) of width ``width`` swept out of an
+    automaton's ``rows`` (see :func:`_window_words`), each a strictly
+    increasing tuple of index strings.
+
+    Prefixes are the (width-1)-edge walks from ``start`` whose final symbol
+    is one of ``prefix_last`` for the context it leaves; factors are all
+    width-edge walks; suffixes are the (width-1)-edge walks into one of
+    ``ends`` that leave a context which is ``aligned`` or has an edge in.
+    """
+    rev: list[list[tuple[str, int]]] = [[] for _ in rows]
+    for src, row in enumerate(rows):
+        for c, target in zip(*row):
+            for dst in _contexts(target):
+                rev[dst].append((c, src))
+    for edges in rev:
+        edges.sort()
+    admissible = [here or bool(into) for here, into in zip(aligned, rev)]
+    rev_last = ["".join(dict.fromkeys(c for c, src in edges if admissible[src]))
+                for edges in rev]
+
+    prefixes = _window_words(rows, prefix_last, [start], width - 1, cap, "prefixes")
+    factors = _window_words(rows, [symbols for symbols, _ in rows], range(len(rows)), width,
+                            cap, "factors")
+    suffixes = tuple(sorted(w[::-1] for w in _window_words(
+        list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
+    return prefixes, suffixes, factors
+
+
 def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
     """Width-2m decomposition over letter-digit pairs at alphabetic ratio h.
 
@@ -331,26 +364,12 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     keys, ids, fwd = _context_automaton(m, code)
     if len(keys) > cap:
         raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
-    rev: list[list[tuple[str, int]]] = [[] for _ in keys]
-    for src, row in enumerate(fwd):
-        for c, target in zip(*row):
-            for dst in _contexts(target):
-                rev[dst].append((c, src))
-    for edges in rev:
-        edges.sort()
     # a suffix is read from a block-aligned context: part-way through a
     # block, or at a block start that has an edge in, so a full block ends there
-    admissible = [offset >= 1 or bool(into) for (_, _, offset), into in zip(keys, rev)]
-    rev_last = ["".join(dict.fromkeys(c for c, src in edges if admissible[src]))
-                for edges in rev]
-
-    fwd_last = [symbols for symbols, _ in fwd]
-    prefixes = _window_words(fwd, fwd_last, [ids[(m.initial, m.initial, 0)]], width - 1,
-                             cap, "prefixes")
-    factors = _window_words(fwd, fwd_last, range(len(keys)), width, cap, "factors")
-    ends = [i for i, (state, _, _) in enumerate(keys) if state in m.finals]
-    suffixes = tuple(sorted(w[::-1] for w in _window_words(
-        list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
+    prefixes, suffixes, factors = _window_sets(
+        fwd, ids[(m.initial, m.initial, 0)],
+        [i for i, (state, _, _) in enumerate(keys) if state in m.finals],
+        (offset >= 1 for _, _, offset in keys), [symbols for symbols, _ in fwd], width, cap)
 
     encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(symbols)})
     short_words = tuple(encode(w, _run(m, w)) for w in enumerate_language(m, width - 1, cap=cap))
@@ -358,6 +377,50 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
                    suffixes=suffixes, factors=factors, short_words=short_words)
     return Decomposition(kind=MAIN, slt=spec, pi=Homomorphism(pairs), h=h, m=code.m,
                          source_fingerprint=source.fingerprint)
+
+
+def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
+    """The least width-k spec whose language contains the machine's.
+
+    Read off the prepared machine, where every walk lies on a successful
+    run: the factors are the labels of k-step walks, the prefixes those of
+    (k-1)-step walks from the initial state that can take one more step,
+    the suffixes those of (k-1)-step walks into a final state from a state
+    with an edge in, and the short words the members shorter than k.
+    Symbols are alphabet positions.
+    """
+    m = prepare(m).machine
+    rows = [_group((chr(a), dst) for a, letter in enumerate(m.alphabet)
+                   for dst in m.step(q, letter)) for q in range(m.n)]
+    onward = [c for c, _ in rows]  # a nonempty row: the walk can go on
+    prefix_last = ["".join(c for c, target in zip(*row)
+                           if any(onward[q] for q in _contexts(target))) for row in rows]
+    prefixes, suffixes, factors = _window_sets(rows, m.initial, sorted(m.finals),
+                                               [False] * m.n, prefix_last, k, cap)
+    encode = word_encoder(m.alphabet)
+    short_words = map(encode, enumerate_language(m, k - 1, cap=cap))
+    return SltSpec(width=k, alphabet=m.alphabet, prefixes=prefixes, suffixes=suffixes,
+                   factors=factors, short_words=short_words)
+
+
+def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_SET_CAP) -> Optional[int]:
+    """The least width k in 2..max_k at which the machine's language is
+    k-slt, or None if there is none.
+
+    Exact: a language is k-slt iff it equals its tightest width-k spec (see
+    :func:`_tightest_spec`), and :func:`~sltkit.automata.differences`
+    compares the two with no length bound.  ``cap`` bounds each window set,
+    the short words, the compiled spec and the product states of each
+    comparison.
+    """
+    if max_k < 2:
+        raise ValueError("max_k must be at least 2")
+    table = nfa_table(prepare(m).machine)
+    for k in range(2, max_k + 1):
+        spec = compile_spec(_tightest_spec(m, k, cap), cap)
+        if next(differences(spec, table, cap), None) is None:
+            return k
+    return None
 
 
 def _run(m: Nfa, word: Word) -> list[int]:

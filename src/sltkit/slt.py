@@ -14,17 +14,7 @@ from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .automata import (
-    DEFAULT_SET_CAP,
-    DEFAULT_WORD_CAP,
-    CapacityError,
-    Nfa,
-    Table,
-    Word,
-    differences,
-    enumerate_language,
-    nfa_table,
-)
+from .automata import DEFAULT_SET_CAP, CapacityError, Nfa, Table, Word
 
 
 def _encode_with(chars: dict[str, str], word: Iterable[str]) -> str:
@@ -333,64 +323,3 @@ def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:
     return Nfa(n=len(table.succ), alphabet=alphabet, transitions=transitions,
                initial=table.initial[0], finals=table.finals)
 
-
-def infer_slt(sample: Iterable[Word], k: int,
-              alphabet: Optional[Sequence[str]] = None) -> SltSpec:
-    """The tightest width-k spec consistent with a sample of words.
-
-    Prefixes, suffixes and factors are exactly those occurring in the
-    sample; sample words shorter than k become short words.  The induced
-    language is the smallest width-k slt superset of the sample definable
-    this way.
-    """
-    words = {tuple(w) for w in sample}
-    if not words:
-        raise ValueError("sample must be nonempty")
-    if () in words:
-        raise ValueError("sample may not contain the empty word")
-    if alphabet is None:
-        alphabet = sorted({s for w in words for s in w})
-    encode = word_encoder(alphabet)
-    prefixes: set[str] = set()
-    suffixes: set[str] = set()
-    factors: set[str] = set()
-    short: set[str] = set()
-    for w in map(encode, words):
-        if len(w) < k:
-            short.add(w)
-        if len(w) >= k - 1:
-            prefixes.add(w[:k - 1])
-            suffixes.add(w[-(k - 1):])
-        factors.update(w[i:i + k] for i in range(len(w) - k + 1))
-    return SltSpec(width=k, alphabet=tuple(alphabet), prefixes=prefixes,
-                   suffixes=suffixes, factors=factors, short_words=short)
-
-
-@dataclass(frozen=True)
-class MinWidthResult:
-    width: Optional[int]
-    horizon: int
-
-
-def min_slt_width(m: Nfa, max_k: int, max_len: int,
-                  word_cap: int = DEFAULT_WORD_CAP) -> MinWidthResult:
-    """Smallest width whose inferred spec matches the machine up to max_len.
-
-    The agreement test is bounded by ``max_len`` (recorded in the result),
-    not a proof, and ``word_cap`` bounds both the sample and the product
-    states of each comparison.  Returns ``width=None`` when no width up to
-    ``max_k`` agrees.
-    """
-    if max_k < 2:
-        raise ValueError("max_k must be at least 2")
-    if max_len < 3 * max_k:
-        raise ValueError("max_len must be at least 3 * max_k")
-    sample = enumerate_language(m, max_len, cap=word_cap)
-    if not sample:
-        return MinWidthResult(None, max_len)
-    machine = nfa_table(m)
-    for k in range(2, max_k + 1):
-        candidate = compile_spec(infer_slt(sample, k, m.alphabet))
-        if next(differences(candidate, machine, word_cap, max_len), None) is None:
-            return MinWidthResult(k, max_len)
-    return MinWidthResult(None, max_len)

@@ -184,8 +184,8 @@ def refute_small_ratio(dec: Decomposition, alphabet: Sequence[str]) -> Refutatio
     has at most one local preimage b; then b-to-the-2k and b-to-the-(2k+1)
     cannot be told apart by any width-k window test, so the claim must
     either produce an odd-length word or miss an even-length one.  The
-    search is bounded by the residual length plus one window period and is
-    honest about that bound.
+    search reads lengths up to the longest residual word plus 2k + 2, and
+    the result records that bound.
     """
     letters = tuple(alphabet)
     local = dec.slt.alphabet

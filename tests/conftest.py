@@ -190,24 +190,26 @@ def encode_blocks(code: sk.Code, path: Path) -> sk.Word:
 
 
 def reference_main_sets(m: sk.Nfa, code: sk.Code, cap: int = DEFAULT_WORD_CAP):
-    """Window sets by brute-force enumeration of block triples.
+    """Window sets by brute-force enumeration of block-encoded paths.
 
     Definitional oracle for the swept construction; feasible only on small
     machines.  Returns (prefixes, suffixes, factors) as sets of words.
-    Unlike the constructions it does not prepare ``m``: it enumerates the
-    block triples of the machine it is given.
+    Prefixes encode the (2m-1)-paths from the initial state; the factors
+    starting j < m letters into a block are ``z[j:j+2m]`` of the paths of
+    j + 2m steps from a block start, so a walk that cannot run on past its
+    window still counts.  Unlike the constructions it does not prepare
+    ``m``: it enumerates the paths of the machine it is given.
     """
     blen = code.m
     width = 2 * blen
-    prefixes: set[sk.Word] = set()
+    prefixes = {encode_blocks(code, path)
+                for path in enumerate_m_paths(m, m.initial, width - 1, cap=cap)}
     suffixes: set[sk.Word] = set()
     factors: set[sk.Word] = set()
-    for path in enumerate_m_paths(m, m.initial, 2 * blen, cap=cap):
-        prefixes.add(encode_blocks(code, path)[:width - 1])
     for origin in range(m.n):
-        for path in enumerate_m_paths(m, origin, 3 * blen, cap=cap):
-            z = encode_blocks(code, path)
-            factors.update(z[i:i + width] for i in range(len(z) - width + 1))
+        for j in range(blen):
+            for path in enumerate_m_paths(m, origin, j + width, cap=cap):
+                factors.add(encode_blocks(code, path)[j:])
         for tail in range(blen):
             for path in enumerate_m_paths(m, origin, 2 * blen + tail, cap=cap):
                 if path.end in m.finals:
@@ -386,6 +388,58 @@ def reference_verify(m: sk.Nfa, dec: sk.Decomposition, mode: str = "bounded",
             notices.append(f"exact mode hit a resource cap ({exc}); fell back to bounded")
     return report("bounded", horizon if horizon is not None else sk.default_horizon(dec),
                   word_cap, 2)
+
+
+def infer_slt(sample, k: int, alphabet=None) -> sk.SltSpec:
+    """The width-k spec of the windows occurring in a sample of words.
+
+    Prefixes, suffixes and factors are exactly those occurring in the
+    sample, and a word of length k-1 is its own prefix and suffix; sample
+    words shorter than k become short words.  So a sample word of length
+    k-1 can let in longer words that start or end with it, which the
+    tightest spec containing the sample would not; :func:`sampled_min_width`
+    infers the windows from the longer words alone.
+    """
+    words = {tuple(w) for w in sample}
+    if not words:
+        raise ValueError("sample must be nonempty")
+    if () in words:
+        raise ValueError("sample may not contain the empty word")
+    if alphabet is None:
+        alphabet = sorted({s for w in words for s in w})
+    encode = sk.word_encoder(alphabet)
+    prefixes: set[str] = set()
+    suffixes: set[str] = set()
+    factors: set[str] = set()
+    short: set[str] = set()
+    for w in map(encode, words):
+        if len(w) < k:
+            short.add(w)
+        if len(w) >= k - 1:
+            prefixes.add(w[:k - 1])
+            suffixes.add(w[-(k - 1):])
+        factors.update(w[i:i + k] for i in range(len(w) - k + 1))
+    return sk.SltSpec(width=k, alphabet=tuple(alphabet), prefixes=prefixes,
+                      suffixes=suffixes, factors=factors, short_words=short)
+
+
+def sampled_min_width(m: sk.Nfa, max_k: int, max_len: int) -> Optional[int]:
+    """The least width in 2..max_k whose spec inferred from the members up
+    to ``max_len`` agrees with the machine up to ``max_len``, or None.
+    Bounded, so not a proof; None also for an empty sample."""
+    sample = sk.enumerate_language(m, max_len)
+    if not sample:
+        return None
+    encode = sk.word_encoder(m.alphabet)
+    table = nfa_table(m)
+    for k in range(2, max_k + 1):
+        # a member shorter than k is a short word only, never a prefix or
+        # suffix; with no longer member there is no factor to let one in
+        windows = infer_slt([w for w in sample if len(w) >= k] or sample, k, m.alphabet)
+        spec = replace(windows, short_words=tuple(encode(w) for w in sample if len(w) < k))
+        if next(differences(compile_spec(spec), table, DEFAULT_WORD_CAP, max_len), None) is None:
+            return k
+    return None
 
 
 def reference_window_words(rows, last, starts, steps: int, cap: int, what: str) -> set[str]:

@@ -292,16 +292,15 @@ def test_criterion_6_lower_bound_core():
 def test_criterion_7_width_hierarchy():
     widths = {}
     for h in (2, 3, 4):
-        result = sk.min_slt_width(lh_nfa(h), max_k=h + 2, max_len=6 * (h + 1))
-        widths[h] = result.width
+        widths[h] = sk.min_slt_width(lh_nfa(h), max_k=h + 2)
     evens = sk.parse_nfa((__import__("pathlib").Path(sk.corpus_dir()) / "evens.nfa")
                          .read_text())
-    no_width = sk.min_slt_width(evens, max_k=8, max_len=24)
-    ok = all(widths[h] == h + 1 for h in (2, 3, 4)) and no_width.width is None
+    no_width = sk.min_slt_width(evens, max_k=8)
+    ok = all(widths[h] == h + 1 for h in (2, 3, 4)) and no_width is None
     report(7, "width-hierarchy", ok,
            f"minimum widths {widths}, even-runs language: none up to 8")
     assert widths == {2: 3, 3: 4, 4: 5}
-    assert no_width.width is None
+    assert no_width is None
 
 
 def test_criterion_8_round_trip_and_streaming(machines, build_main):

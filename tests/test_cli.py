@@ -1,12 +1,13 @@
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import sltkit as sk
-from sltkit.cli import main
+from sltkit.cli import build_parser, main
 
 from conftest import corpus_text
 
@@ -181,12 +182,10 @@ class TestTablesAndCodes:
         assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_minwidth(self, workdir, capsys):
-        status, out = run(capsys, "minwidth", "--nfa", workdir / "abbplus.nfa",
-                          "--max-k", 6, "--max-len", 18)
-        assert status == 0 and out.strip() == "width=3 horizon=18"
-        status, out = run(capsys, "minwidth", "--nfa", workdir / "evens.nfa",
-                          "--max-k", 8, "--max-len", 24)
-        assert status == 0 and out.strip() == "width=none horizon=24"
+        status, out = run(capsys, "minwidth", "--nfa", workdir / "abbplus.nfa", "--max-k", 6)
+        assert status == 0 and out.strip() == "width=3"
+        status, out = run(capsys, "minwidth", "--nfa", workdir / "evens.nfa", "--max-k", 8)
+        assert status == 0 and out.strip() == "width=none"
 
 
 class TestCaps:
@@ -201,7 +200,7 @@ class TestCaps:
         argv = {"verify": ["--nfa", nfa, "--dec", dec, "--mode", "exact"],
                 "corpus": ["--dir", workdir],
                 "build": ["--nfa", nfa, "--ratio", 2, "--out", workdir / "aplus.h2.dec"],
-                "minwidth": ["--nfa", nfa, "--max-k", 4, "--max-len", 8]}[command]
+                "minwidth": ["--nfa", nfa, "--max-k", 4]}[command]
         assert main([str(a) for a in (command, *argv, flag, value)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -282,3 +281,23 @@ def test_python_dash_m_runs_the_cli_module():
     result = run_module("sltkit.cli", "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: sltkit")
+
+
+def readme_commands() -> list[str]:
+    """The ``sltkit`` lines of README's "Command line" section, each taken
+    after the last ``| `` of a pipeline."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = (line.rpartition("| ")[2] for line in section.splitlines())
+    return [line for line in lines if line.startswith("sltkit ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 12
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -2,7 +2,8 @@
 and no module other than ``__init__`` imports a name it never reads.  A
 machine is trimmed and fingerprinted only in ``construction.prepare``.  The
 package ships the pipeline and what the benchmark imports, not the
-path-level definitions the test oracles keep (tests/conftest.py)."""
+path-level definitions or the sample inference the test oracles keep
+(tests/conftest.py)."""
 
 import ast
 import os
@@ -15,7 +16,8 @@ import sltkit
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ORACLES = ("Path", "enumerate_m_paths", "canonical_decomposition", "encode_m_path",
-           "_encode_blocks", "encode_path_width2", "_find_path", "_reference_main_sets")
+           "_encode_blocks", "encode_path_width2", "_find_path", "_reference_main_sets",
+           "infer_slt")
 
 
 def test_import_loads_no_process_pool():

@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, Nfa, SltSpec
 from sltkit.slt import compile_spec
 
-from conftest import CORPUS_NAMES, corpus_text, lh_nfa, symbol_spec, symbol_words
+from conftest import (CORPUS_NAMES, corpus_text, infer_slt, lh_nfa, sampled_min_width,
+                      symbol_spec, symbol_words)
+from test_random_machines import random_machines
 
 
 def W(s: str):
@@ -244,7 +246,7 @@ class TestAgainstWindowOps:
                            .map(tuple), min_size=1, max_size=5),
            k=st.integers(2, 4))
     def test_inferred_spec_decides_like_window_triples(self, sample, k):
-        spec = sk.infer_slt(sample, k, MIXED)
+        spec = infer_slt(sample, k, MIXED)
         mutants = [w[:i] + (s,) + w[i + 1:] for w in sample for i in range(len(w))
                    for s in MIXED if s != w[i]]
         for word in sample + mutants:
@@ -311,7 +313,7 @@ class TestCompile:
 
 class TestInfer:
     def test_two_sample_words(self):
-        spec = sk.infer_slt([W("ab"), W("abab")], 2)
+        spec = infer_slt([W("ab"), W("abab")], 2)
         assert tuple(map(spec.decode, spec.prefixes)) == (W("a"),)
         assert tuple(map(spec.decode, spec.suffixes)) == (W("b"),)
         assert symbol_words(spec, "factors") == {W("ab"), W("ba")}
@@ -319,7 +321,7 @@ class TestInfer:
         assert sk.enumerate_language(sk.slt_to_nfa(spec), 8) == expected
 
     def test_sample_shorter_than_window(self):
-        spec = sk.infer_slt([W("aa")], 3)
+        spec = infer_slt([W("aa")], 3)
         assert tuple(map(spec.decode, spec.short_words)) == (W("aa"),)
         assert tuple(map(spec.decode, spec.prefixes)) == (W("aa"),)
         assert tuple(map(spec.decode, spec.suffixes)) == (W("aa"),)
@@ -328,39 +330,68 @@ class TestInfer:
     def test_recovers_tight_triple_b_sets(self, triple_b):
         machine = sk.parse_nfa(corpus_text("abbplus"))
         sample = sk.enumerate_language(machine, 9)
-        inferred = sk.infer_slt(sample, 3, machine.alphabet)
+        inferred = infer_slt(sample, 3, machine.alphabet)
         assert set(inferred.prefixes) == set(triple_b.prefixes)
         assert set(inferred.suffixes) == set(triple_b.suffixes)
         assert set(inferred.factors) == set(triple_b.factors)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            sk.infer_slt([], 2)
+            infer_slt([], 2)
+
+
+# {a, b, c} and ab+, and {a, cab}, are 2-slt.  A width-2 spec that took
+# the member b as a prefix would accept bb, and one that took the member a
+# as a suffix would accept ca: the one-more-step filters of the sweep, and
+# inference from the longer members only, keep both out.
+SHORT_MEMBERS = Nfa(n=3, alphabet=("a", "b", "c"),
+                    transitions=((0, "b", 0), (2, "a", 0), (2, "b", 1), (2, "c", 1)),
+                    initial=2, finals=frozenset({0, 1}))
+A_OR_CAB = Nfa(n=4, alphabet=("a", "b", "c"),
+               transitions=((0, "a", 3), (0, "c", 1), (1, "a", 2), (2, "b", 3)),
+               initial=0, finals=frozenset({3}))
 
 
 class TestMinWidth:
     def test_abb_plus_needs_width_three(self):
-        result = sk.min_slt_width(sk.parse_nfa(corpus_text("abbplus")), 6, 18)
-        assert result.width == 3 and result.horizon == 18
+        assert sk.min_slt_width(sk.parse_nfa(corpus_text("abbplus")), 6) == 3
 
     def test_even_runs_have_no_width(self):
-        result = sk.min_slt_width(sk.parse_nfa(corpus_text("evens")), 8, 24)
-        assert result.width is None
+        assert sk.min_slt_width(sk.parse_nfa(corpus_text("evens")), 8) is None
 
     def test_aplus_is_local(self):
-        assert sk.min_slt_width(sk.parse_nfa(corpus_text("aplus")), 4, 12).width == 2
+        assert sk.min_slt_width(sk.parse_nfa(corpus_text("aplus")), 4) == 2
 
-    def test_horizon_precondition(self):
-        with pytest.raises(ValueError):
-            sk.min_slt_width(sk.parse_nfa(corpus_text("aplus")), 4, 11)
+    def test_empty_language_is_local(self):
+        # the width-2 spec with no windows and no short words defines it
+        empty = Nfa(n=2, alphabet=("a",), transitions=((0, "a", 0),), initial=0,
+                    finals=frozenset({1}))
+        assert sk.min_slt_width(empty, 4) == 2
+
+    def test_width_below_two_rejected(self):
+        with pytest.raises(ValueError, match="max_k must be at least 2"):
+            sk.min_slt_width(sk.parse_nfa(corpus_text("aplus")), 1)
 
     def test_monotone_in_width(self):
         machine = sk.parse_nfa(corpus_text("abbplus"))
         sample = sk.enumerate_language(machine, 18)
         for k in (3, 4, 5):
-            candidate = sk.slt_to_nfa(sk.infer_slt(sample, k, machine.alphabet))
+            candidate = sk.slt_to_nfa(infer_slt(sample, k, machine.alphabet))
             assert sk.nfa_equivalent(candidate, machine, mode="bounded",
                                      max_len=18).equivalent
+
+    @settings(max_examples=120, deadline=None)
+    @given(machine=random_machines())
+    @example(machine=SHORT_MEMBERS)
+    @example(machine=A_OR_CAB)
+    def test_random_machines_match_sampled_width(self, machine):
+        max_k = 4
+        try:
+            sample = sk.enumerate_language(machine, 3 * max_k, cap=4096)
+        except CapacityError:
+            sample = None
+        assume(sample)
+        assert sk.min_slt_width(machine, max_k) == sampled_min_width(machine, max_k, 3 * max_k)
 
 
 @pytest.mark.parametrize("h", [2, 3, 4])

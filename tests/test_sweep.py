@@ -59,15 +59,30 @@ def is_nondeterministic(machine) -> bool:
     return any(len(targets) > 1 for targets in machine._step.values())
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
-@pytest.mark.parametrize("h", [2, 3])
-def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
-    dec, _ = assert_same_sweeps(machines[name], h)
-    source = sk.prepare(machines[name])
+def assert_matches_path_enumeration(machine, h):
+    dec, _ = assert_same_sweeps(machine, h)
+    source = sk.prepare(machine)
     prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h))
     assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
     assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
     assert set(map(dec.slt.decode, dec.slt.factors)) == factors
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("h", [2, 3])
+def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
+    assert_matches_path_enumeration(machines[name], h)
+
+
+# b*a: every run ends in a final state with no way out, so its windows
+# belong to walks that cannot run on for three full blocks
+DEAD_END_FINAL = sk.Nfa(n=2, alphabet=("a", "b"), transitions=((1, "b", 1), (1, "a", 0)),
+                        initial=1, finals=frozenset({0}))
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_dead_end_final_matches_path_enumeration(h):
+    assert_matches_path_enumeration(DEAD_END_FINAL, h)
 
 
 def test_corpus_has_a_word_ending_in_several_contexts(machines):
