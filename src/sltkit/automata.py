@@ -120,11 +120,13 @@ class Table:
     ``succ[q][a]`` is the ascending tuple of successors of state ``q`` on
     letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
     states.  Nothing is validated or re-sorted: tables are built by code
-    that already holds canonical data, such as :func:`nfa_table` or the slt
-    compiler, which can also read each symbol as its projected letter.
-    Rows that are never changed after they are built are tuples, which the
-    cyclic garbage collector stops tracking; :func:`differences` reads rows
-    as they are and names the subsets it reaches by ints.
+    that already holds canonical data, such as :func:`nfa_table`, the slt
+    compiler, which can also read each symbol as its projected letter, or
+    the verifier, which appends a decomposition's residual to the compiled
+    spec as a trie whose root is one more start state.  Rows that are never
+    changed after they are built are tuples, which the cyclic garbage
+    collector stops tracking; :func:`differences` reads rows as they are
+    and names the subsets it reaches by ints.
     """
 
     alphabet: tuple[str, ...]
@@ -442,8 +444,7 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
 
 
 def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
-                max_len: Optional[int] = None,
-                residual: Optional[Sequence[Word]] = None) -> Iterator[tuple[Word, bool]]:
+                max_len: Optional[int] = None) -> Iterator[tuple[Word, bool]]:
     """Words on which two tables over the same alphabet disagree.
 
     Runs the subset construction on both tables at once, breadth first with
@@ -456,21 +457,10 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     states that cannot reach a final state in the length left are dropped.
     Raises :class:`CapacityError` past ``cap`` visited product states.
 
-    ``residual``, a finite set of nonempty words over the same alphabet,
-    joins the first side: the search compares the union of its words and
-    t1's language with t2's.  The words are read, in the order given, into
-    a trie whose node is a product coordinate of its own beside t1's
-    subset, never merged into it.  The product states correspond one to
-    one with those of the same search on t1 with the trie appended to it,
-    so the same words are yielded and the cap is reached at the same point.
-    A letter outside the alphabet raises ``ValueError``.
-
     Product states are integer keys.  Subsets are ints (see
-    :class:`_Subsets`); the trie node is 0 for none and i + 1 for node i,
-    of ``nodes`` such values; the triple (s1, node, s2) is
-    ``(s1 * nodes + node) * stride + s2`` with ``stride`` above every id of
-    ``t2``, and the triple first reached on letter a from key p links back
-    to ``p * len(alphabet) + a``.
+    :class:`_Subsets`); the pair (s1, s2) is ``s1 * stride + s2`` with
+    ``stride`` above every id of ``t2``, and the pair first reached on
+    letter a from key p links back to ``p * len(alphabet) + a``.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -479,42 +469,13 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     letters = side1.letters
     # past the singletons, each id of t2 is an image of one of at most cap pairs
     stride = len(t2.succ) + max(cap, 1) * len(letters) + 1
-    trie_succ, trie_final = [[0] * len(letters)], [False]
-    if residual is not None:
-        trie_succ.append([0] * len(letters))
-        trie_final.append(False)
-        index = {a: i for i, a in enumerate(t1.alphabet)}
-        for word in residual:
-            try:
-                path = list(map(index.__getitem__, word))
-            except KeyError as exc:
-                raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
-            node = 1
-            for a in path:
-                row = trie_succ[node]
-                node = row[a]
-                if not node:
-                    node = row[a] = len(trie_succ)
-                    trie_succ.append([0] * len(letters))
-                    trie_final.append(False)
-            trie_final[node] = True
-    nodes = len(trie_succ)
-    # each node's distance to a final node; a child's id is above its parent's
-    trie_dist = [0.0] * nodes
-    if max_len is not None:
-        for q in range(nodes - 1, 0, -1):
-            if not trie_final[q]:
-                trie_dist[q] = min((trie_dist[c] for c in trie_succ[q] if c),
-                                   default=math.inf) + 1
-    start = 1 if nodes > 1 and (max_len is None or trie_dist[1] <= max_len) else 0
-    level = [(side1.start * nodes + start) * stride + side2.start]
+    level = [side1.start * stride + side2.start]
     parent, depth = {level[0]: -1}, 0
     while level:
         left, reached = (max_len or 0) - depth - 1, []
         for key in level:
-            pair, s2 = divmod(key, stride)
-            s1, node = divmod(pair, nodes)
-            accepted = s1 in fin1 or trie_final[node]
+            s1, s2 = divmod(key, stride)
+            accepted = s1 in fin1
             if accepted != (s2 in fin2):
                 word, link = [], parent[key]
                 while link >= 0:
@@ -524,16 +485,14 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
                 yield tuple(reversed(word)), accepted
             if depth == max_len:
                 continue
-            row1, row2, trie_row = succ1[s1], succ2[s2], trie_succ[node]
+            row1, row2 = succ1[s1], succ2[s2]
             if max_len is not None:
                 row1 = [side1.viable(image, left) for image in row1]
                 row2 = [side2.viable(image, left) for image in row2]
-                trie_row = [q if trie_dist[q] <= left else 0 for q in trie_row]
             for a in letters:
                 # singletons, by far the most images, are their own ids
                 image1, image2 = row1[a], row2[a]
-                child = (((image1[0] if len(image1) == 1 else side1.intern(image1)) * nodes
-                          + trie_row[a]) * stride
+                child = ((image1[0] if len(image1) == 1 else side1.intern(image1)) * stride
                          + (image2[0] if len(image2) == 1 else side2.intern(image2)))
                 if child not in parent:
                     if len(parent) >= cap:

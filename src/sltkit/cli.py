@@ -91,7 +91,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     sizes = dec.slt
     print(f"written {args.out} kind=main h={dec.h} m={dec.m} k={dec.k} "
           f"|B|={len(sizes.alphabet)} |I|={len(sizes.prefixes)} |T|={len(sizes.suffixes)} "
-          f"|F|={len(sizes.factors)} residual={len(dec.residual)}")
+          f"|F|={len(sizes.factors)}")
     return 0
 
 

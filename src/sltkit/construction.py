@@ -519,7 +519,7 @@ _SECTIONS = ("I", "T", "F", "SHORT", "RESIDUAL")
 
 
 def _check_token(token: str) -> None:
-    if not token or any(c in token for c in ". \t#'\""):
+    if not token or any(c in ".#'\"" or c.isspace() for c in token):
         raise ValueError(f"token not serializable: {token!r}")
 
 
@@ -543,7 +543,10 @@ def serialize_decomposition(dec: Decomposition) -> str:
         lines.append(header)
         lines.extend(format_word(spec.decode(z)) for z in words)
     lines.append("RESIDUAL")
-    lines.extend(format_word(w) for w in dec.residual)
+    for word in dec.residual:
+        for letter in word:
+            _check_token(letter)
+        lines.append(format_word(word))
     return "\n".join(lines) + "\n"
 
 
@@ -573,8 +576,8 @@ def parse_decomposition(text: str) -> Decomposition:
                 raise ParseError("bad or duplicate 'kind' line", lineno)
             kind = tokens[1]
         elif keyword == "source":
-            if len(tokens) != 2:
-                raise ParseError("usage: source <fingerprint>", lineno)
+            if source or len(tokens) != 2:
+                raise ParseError("bad or duplicate 'source' line", lineno)
             source = tokens[1]
         elif keyword in ("h", "m", "k"):
             if keyword in numbers or len(tokens) != 2:

@@ -20,6 +20,7 @@ from .automata import (
     DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
+    Table,
     Word,
     differences,
     nfa_table,
@@ -68,38 +69,65 @@ def _set_sizes(dec: Decomposition) -> dict[str, int]:
             "residual": len(dec.residual)}
 
 
+def claimed_table(m: Nfa, dec: Decomposition) -> Table:
+    """The language ``dec`` claims for ``m`` as one table over ``m``'s
+    letters: the spec compiled straight onto them (see
+    :func:`compile_spec`) and, if ``dec`` has a residual, its words read in
+    stored order into a trie appended to that table, whose root is one
+    more start state.  A residual letter outside the alphabet raises
+    ``ValueError``."""
+    table = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
+    if not dec.residual:
+        return table
+    succ, finals, index = table.succ, set(table.finals), {a: i for i, a in enumerate(m.alphabet)}
+    root = len(succ)
+    succ.append([()] * len(index))
+    for word in dec.residual:
+        try:
+            path = list(map(index.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+        node = root
+        for a in path:
+            row = succ[node]
+            if not row[a]:
+                row[a] = (len(succ),)
+                succ.append([()] * len(index))
+            node = row[a][0]
+        finals.add(node)
+    return Table(table.alphabet, succ, frozenset(finals), table.initial + (root,))
+
+
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
                          horizon: Optional[int] = None,
                          word_cap: int = DEFAULT_WORD_CAP,
                          state_cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
     """Check that the projected slt language plus residual equals L(m).
 
-    Both modes compile the spec once, straight onto source letters (see
-    :func:`compile_spec`), and search the product of that table's
-    subsets, the nodes of the residual's trie and the machine's subsets,
-    on integer keys, for words on which the claim and the machine
-    disagree (see :func:`differences`).  Exact mode reports the least
-    such word; if it visits more than ``state_cap`` product states it
-    downgrades itself to bounded mode with a notice.  A spec whose table
-    exceeds the compiler's cap raises :class:`CapacityError` in either
-    mode, since both search the same table.  Bounded mode reads no word
-    longer than the horizon, so residual words past it are not compared; it
-    reports the least word on each failing side and is capped at
-    ``word_cap`` product states.  An extra word's least local preimage is
-    found by walking the spec's states along that word alone.  A
-    decomposition whose recorded source fingerprint is not that of
-    ``prepare(m)`` is still checked against ``m``, with a notice saying so.
+    Both modes build the claim as one table (see :func:`claimed_table`)
+    and search the product of its subsets and the machine's subsets, on
+    integer keys, for words on which the claim and the machine disagree
+    (see :func:`differences`).  Exact mode reports the least such word; if
+    it visits more than ``state_cap`` product states it downgrades itself
+    to bounded mode with a notice.  A spec whose table exceeds the
+    compiler's cap raises :class:`CapacityError` in either mode, since both
+    search the same table.  Bounded mode reads no word longer than the
+    horizon, so residual words past it are not compared; it reports the
+    least word on each failing side and is capped at ``word_cap`` product
+    states.  An extra word's least local preimage is found by walking the
+    spec's states along that word alone.  A decomposition whose recorded
+    source fingerprint is not that of ``prepare(m)`` is still checked
+    against ``m``, with a notice saying so.
     """
     mismatch = prepare(m).mismatch(dec)
     notices = [mismatch] if mismatch else []
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
-    projected = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
-    machine = nfa_table(m)
+    claimed, machine = claimed_table(m, dec), nfa_table(m)
 
     def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
         found: dict[bool, Word] = {}
-        for word, is_extra in differences(projected, machine, cap, h, dec.residual):
+        for word, is_extra in differences(claimed, machine, cap, h):
             found.setdefault(is_extra, word)
             if len(found) == sides:
                 break

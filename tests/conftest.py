@@ -335,9 +335,8 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
 def reference_claimed(dec: sk.Decomposition, alphabet) -> Table:
     """One table for the claimed language: the projected slt table with the
     residual, in its stored order, appended as a trie whose root joins the
-    start subset.  Its subsets merge window states and trie nodes, where
-    :func:`sltkit.verify_decomposition` keeps the trie as a coordinate of
-    its own."""
+    start subset, even when the residual is empty.  Its subsets merge window
+    states and trie nodes."""
     projected = compile_spec(dec.slt, onto=(tuple(alphabet), dec.pi.letter))
     succ = list(projected.succ)
     index = {a: i for i, a in enumerate(alphabet)}

@@ -55,6 +55,17 @@ class TestBuildVerify:
                           "--dec", dec_path, "--mode", "exact")
         assert status == 1 and "verdict=FAIL" in out and "missing=" in out
 
+    def test_residual_letter_outside_the_alphabet_is_input_error(self, workdir, capsys):
+        dec = sk.medvedev_main(sk.parse_nfa(corpus_text("aplus")), 2)
+        text = sk.serialize_decomposition(dec)
+        assert text.endswith("\nRESIDUAL\n")
+        dec_path = workdir / "foreign.dec"
+        dec_path.write_text(text + "a.z\n")
+        status = main(["verify", "--nfa", str(workdir / "aplus.nfa"), "--dec", str(dec_path)])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert "unknown letter: 'z'" in captured.err
+
     def test_ratio_warning_counts_prepared_states(self, tmp_path, capsys):
         nfa_path = tmp_path / "needs_sink.nfa"
         nfa_path.write_text(corpus_text("needs_sink"))

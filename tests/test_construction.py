@@ -470,6 +470,28 @@ class TestSerialization:
         again = pickle.loads(pickle.dumps(dec))
         assert again == dec and again.slt.encode(("a|0",)) == dec.slt.encode(("a|0",))
 
+    @pytest.mark.parametrize("symbol, letter, residual", [
+        ("a#", "a", ()),                  # a symbol
+        ("a\x0cb", "a", ()),              # a symbol that reads as two lines
+        ("a|0", "a b", ()),               # a letter
+        ("a|0", "a\xa0b", ()),            # one that reads as two tokens
+        ("a|0", "a", (("a#",),)),         # a residual letter that reads as a comment
+        ("a|0", "a", (("a.b",),)),        # one that reads as two letters
+        ("a|0", "a", (("a", ""),)),       # an empty one
+    ])
+    def test_unserializable_token_is_rejected(self, symbol, letter, residual):
+        dec = sk.Decomposition(kind="main", slt=symbol_spec(width=4, alphabet=(symbol,)),
+                               pi=sk.Homomorphism(((symbol, letter),)), residual=residual,
+                               h=2, m=2)
+        with pytest.raises(ValueError, match="token not serializable"):
+            sk.serialize_decomposition(dec)
+
+    def test_parse_rejects_a_second_source_line(self, aplus):
+        text = sk.serialize_decomposition(sk.medvedev_width2(aplus))
+        assert text.count("\nsource ") == 1
+        with pytest.raises(sk.ParseError, match="duplicate 'source'"):
+            sk.parse_decomposition(text.replace("\nsource ", "\nsource 0123\nsource ", 1))
+
     def test_parse_rejects_missing_kind(self):
         with pytest.raises(sk.ParseError, match="kind"):
             sk.parse_decomposition("k 2\nsymbol a -> a\n")

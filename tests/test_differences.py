@@ -4,10 +4,10 @@
 of subset tuples and stores a depth per queue entry; ``differences`` keys
 them by ints and walks one level at a time.  Both must yield the same
 ``(word, side)`` sequence and stop with ``CapacityError`` at the same point,
-in exact mode and at any ``max_len``.  With the residual as a trie
-coordinate of its own, ``differences`` must do the same as the reference
-on the merged claim (``reference_claimed``), which appends the trie to the
-projected table.
+in exact mode and at any ``max_len``.  On the claimed table that
+``verify_decomposition`` builds (``claimed_table``), ``differences`` must
+do the same as the reference on the merged claim (``reference_claimed``),
+which appends the residual's trie to the projected table the same way.
 """
 
 import random
@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sltkit as sk
 from sltkit import CapacityError
 from sltkit.automata import differences, nfa_table
-from sltkit.slt import compile_spec
+from sltkit.verification import claimed_table
 
 from conftest import reference_claimed, reference_differences
 from test_random_machines import few_short_words, random_machines
@@ -46,15 +46,15 @@ def assert_same_searches(t1, t2):
                     (cap, max_len)
 
 
-def assert_trie_search_matches_merged(machine, dec):
-    """The search ``verify_decomposition`` runs, with the residual trie as
-    its own coordinate, against the reference on the merged claim."""
-    projected = compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter))
+def assert_claimed_search_matches_merged(machine, dec):
+    """The search ``verify_decomposition`` runs, on the claimed table it
+    builds, against the reference on the merged claim."""
+    claimed = claimed_table(machine, dec)
     merged = reference_claimed(dec, machine.alphabet)
     table = nfa_table(machine)
     for max_len in MAX_LENS:
         for cap in CAPS:
-            assert (outcome(differences(projected, table, cap, max_len, dec.residual))
+            assert (outcome(differences(claimed, table, cap, max_len))
                     == outcome(reference_differences(merged, table, cap, max_len))), \
                 (cap, max_len)
 
@@ -81,7 +81,7 @@ def test_projected_specs_match_reference(machine, kind, seed):
     for candidate in (dec, mutate(dec, rng)):
         assert_same_searches(reference_claimed(candidate, machine.alphabet),
                              nfa_table(machine))
-        assert_trie_search_matches_merged(machine, candidate)
+        assert_claimed_search_matches_merged(machine, candidate)
 
 
 def test_corpus_claims_have_multi_state_subsets(machines, build_main):
@@ -92,4 +92,4 @@ def test_corpus_claims_have_multi_state_subsets(machines, build_main):
         claimed = reference_claimed(dec, machine.alphabet)
         assert has_multi_state_subset(claimed)
         assert_same_searches(claimed, nfa_table(machine))
-        assert_trie_search_matches_merged(machine, dec)
+        assert_claimed_search_matches_merged(machine, dec)

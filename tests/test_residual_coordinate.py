@@ -1,13 +1,13 @@
-"""verify_decomposition with the residual as a product coordinate of its
-own, against the merged claim it replaces.
+"""verify_decomposition on its claimed table against the merged claim of
+the reference.
 
 ``reference_verify`` (tests/conftest.py) appends the residual trie to the
-projected table, so its subsets merge window states and trie nodes;
-``verify_decomposition`` keys product states by (spec subset, trie node,
-machine subset).  The two searches visit corresponding product states in
-the same order, so every report field must match, and an exact search
-must hit ``state_cap`` at the same point and fall back with the same
-notice.
+projected table, always with its root as a second start state;
+``verify_decomposition`` searches ``claimed_table``, which appends it the
+same way only when there is a residual.  The two searches visit
+corresponding product states in the same order, so every report field
+must match, and an exact search must hit ``state_cap`` at the same point
+and fall back with the same notice.
 """
 
 import random

@@ -134,6 +134,12 @@ class TestVerify:
         assert report.extra == W("bb")        # claimed but not a member
         assert report.extra_local is None     # it came from the residual
 
+    def test_residual_letter_outside_the_alphabet_is_rejected(self, aplus, aplus_main):
+        dec = dataclasses.replace(aplus_main, residual=(W("az"),))
+        for mode in ("exact", "bounded"):
+            with pytest.raises(ValueError, match="unknown letter: 'z'"):
+                sk.verify_decomposition(aplus, dec, mode=mode)
+
 
 @st.composite
 def random_specs(draw):
