@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
@@ -52,24 +53,25 @@ def _read_dec(path: str) -> Decomposition:
 
 def _parse_int_list(text: str) -> list[int]:
     """Comma-separated integers; scientific forms like 1e40 stay exact, and
-    a negative exponent, which would give a fraction, is rejected."""
+    an empty or negative exponent (which would give a fraction) is rejected."""
     values = []
     for item in text.split(","):
-        base, _, exp = item.strip().lower().partition("e")
-        if int(exp or 0) < 0:
+        base, e, exp = item.strip().lower().partition("e")
+        if (e and not exp) or int(exp or 0) < 0:
             raise ValueError(f"not an integer: {item.strip()!r}")
         values.append(int(base) * 10 ** int(exp or 0))
     return values
 
 
-def _cap(text: str) -> int:
-    """A resource cap given on the command line: an integer of at least 1."""
+def _positive(text: str, what: str = "a cap") -> int:
+    """A count given on the command line (``what``, as the error names
+    it): an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
     return value
 
 
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cap(p: argparse.ArgumentParser,
                 help: str = "resource cap on enumerated words / set elements") -> None:
-        p.add_argument("--cap", type=_cap, default=DEFAULT_SET_CAP, help=help)
+        p.add_argument("--cap", type=_positive, default=DEFAULT_SET_CAP, help=help)
 
     p = sub.add_parser("build", help="build the width-2m decomposition at a ratio")
     p.add_argument("--nfa", required=True)
@@ -255,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfa", required=True)
     p.add_argument("--dec", required=True)
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
-    p.add_argument("--maxlen", type=int, default=None,
+    p.add_argument("--maxlen", type=partial(_positive, what="a horizon"), default=None,
                    help="bounded-mode horizon (default: 2k+4)")
     add_cap(p, "cap on bounded-mode product states, each reached by a distinct "
                "enumerated word within the horizon")
-    p.add_argument("--state-cap", type=_cap, default=DEFAULT_STATE_CAP,
+    p.add_argument("--state-cap", type=_positive, default=DEFAULT_STATE_CAP,
                    help="cap on determinized states in exact checks")
     p.set_defaults(func=_cmd_verify)
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--ratio", default="2,3")
     p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
-    p.add_argument("--maxlen", type=int, default=None)
+    p.add_argument("--maxlen", type=partial(_positive, what="a horizon"), default=None)
     add_cap(p)
     p.set_defaults(func=_cmd_corpus)
 

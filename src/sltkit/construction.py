@@ -83,7 +83,8 @@ class Decomposition:
 
     The claim is checked by the verification module, never assumed here.
     Both constructions leave the residual empty; hand-written decompositions
-    and the paper's main construction (words shorter than 3m) use it.
+    use it, such as the paper's form of the main build, which lists the
+    source words shorter than 3m.
     The residual is stored as a deduplicated tuple in length-then-lex
     order; a tuple of tuples already in that order, without duplicates, is
     kept as it is, and any other is deduplicated and sorted.
@@ -527,6 +528,7 @@ def serialize_decomposition(dec: Decomposition) -> str:
     """Canonical text form; parse followed by serialize is byte-identical."""
     lines = [f"kind {dec.kind}"]
     if dec.source_fingerprint:
+        _check_token(dec.source_fingerprint)
         lines.append(f"source {dec.source_fingerprint}")
     if dec.kind == MAIN:
         lines.append(f"h {dec.h}")

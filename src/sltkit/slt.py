@@ -187,37 +187,21 @@ class StreamRecognizer:
                 and self._tail in spec._suffix_set)
 
 
-def start_pools(spec: SltSpec) -> tuple[set[str], set[str]]:
-    """The strings a spec's table tracks before its first full window.
-
-    The first pool holds the strings shorter than k-1, the empty one
-    included, that are a short word or a proper prefix of an allowed
-    prefix or short word; the second the (k-1)-strings that are an allowed
-    prefix or a short word.
-    """
-    k = spec.width
-    fresh = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
-    growing: set[str] = set()
-    for w in chain(fresh, spec.short_words):
-        growing.update(w[:i] for i in range(min(len(w) + 1, k - 1)))
-    return growing, fresh
-
-
 def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
                  onto: Optional[tuple[Sequence[str], Callable[[str], str]]] = None) -> Table:
     """Compile a spec to a table accepting its language, or the image of
     that language under a letter-to-letter map.
 
-    States track the word read so far while it is shorter than the window
-    and is a short word or a proper prefix of an allowed prefix or short
-    word, then the most recent (k-1)-window.  Entry into the first full
-    window is kept distinct from later windows so that words of length
-    exactly k-1 are decided by the short-word set alone.  State 0 is
-    initial; the shorter words are visited in canonical order, then the
-    windows breadth first, and states are numbered as they are first
-    reached.  The moves out of window u are read off the run of
-    ``spec.factors`` that starts with u.  Each row is built once, as a
-    tuple, when its state is expanded.
+    States track the word read so far while it is a start string: a
+    (k-1)-string that is an allowed prefix or a short word, or a shorter
+    string that is a short word or a proper prefix of one of those.  Then
+    they track the most recent (k-1)-window, kept distinct from the start
+    string it equals so that words of length exactly k-1 are decided by the
+    short-word set alone.  State 0 is initial; the start strings are visited
+    in ascending order, those below k-1 first, then the windows breadth
+    first, and states are numbered as they are first reached.  The moves
+    out of window u are read off the run of ``spec.factors`` that starts
+    with u.  Each row is built once, as a tuple, when its state is expanded.
 
     Without ``onto`` the table reads symbols and is deterministic.  With
     ``onto = (letters, letter)`` it reads each symbol s as ``letter(s)``,
@@ -234,14 +218,15 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
         raise ValueError(f"mapped letter not in target alphabet: {outside[0]!r}")
     letter_of = [index[letter(symbol)] for symbol in spec.alphabet]
 
-    prefix_pool, fresh_pool = start_pools(spec)
+    pool = spec._prefix_set | {w for w in spec.short_words if len(w) == k - 1}
+    pool |= {w[:i] for w in chain(pool, spec.short_words)
+             for i in range(min(len(w) + 1, k - 1))}
 
     empty_row: tuple[tuple[int, ...], ...] = ((),) * len(letters)
     succ: list[Sequence[tuple[int, ...]]] = []
     single: list[tuple[int]] = []  # single[q] == (q,), shared by every row entering q alone
     finals: set[int] = set()
-    growing: dict[str, int] = {}  # words shorter than k-1
-    fresh: dict[str, int] = {}    # the first full (k-1)-window
+    start: dict[str, int] = {}    # the start strings, of at most k-1 symbols
     windows: dict[str, int] = {}  # every later (k-1)-window
     queue: list[str] = []         # the windows in the order first reached
 
@@ -283,25 +268,18 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
             i += 1
         return tuple(row)
 
-    state(growing, "")
-    for u in sorted(prefix_pool):
-        src = state(growing, u)
+    state(start, "")
+    for u in sorted(pool, key=lambda u: (len(u) == k - 1, u)):  # below k-1 first
+        src = state(start, u)
         if u in spec._short_set:
             finals.add(src)
-        row: list[tuple[int, ...]] = [()] * len(letters)
-        for b, c in enumerate(chars):
-            ext = u + c
-            if len(ext) <= k - 2 and ext in prefix_pool:
-                enter(row, b, state(growing, ext))
-            elif len(ext) == k - 1 and ext in fresh_pool:
-                enter(row, b, state(fresh, ext))
-        succ[src] = tuple(row)
-
-    for u in sorted(fresh_pool):
-        src = state(fresh, u)
-        if u in spec._short_set:
-            finals.add(src)
-        if u in spec._prefix_set:
+        if len(u) < k - 1:
+            row: list[tuple[int, ...]] = [()] * len(letters)
+            for b, c in enumerate(chars):
+                if u + c in pool:
+                    enter(row, b, state(start, u + c))
+            succ[src] = tuple(row)
+        elif u in spec._prefix_set:
             succ[src] = moves(u)
 
     for u in queue:  # grows while it is read: breadth first

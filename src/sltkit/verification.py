@@ -34,7 +34,7 @@ from .construction import (
     parse_decomposition,
     prepare,
 )
-from .slt import compile_spec, slt_membership, start_pools, window_ops
+from .slt import compile_spec, slt_membership, window_ops
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class VerificationReport:
 
 def default_horizon(dec: Decomposition) -> int:
     """Bounded-mode horizon 2k+4: two full window periods and four letters
-    more, past every short word and past a residual of words below 3m."""
+    more, past every short word."""
     return 2 * dec.k + 4
 
 
@@ -115,14 +115,17 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     horizon, so residual words past it are not compared; it reports the
     least word on each failing side and is capped at ``word_cap`` product
     states.  An extra word's least local preimage is found by walking the
-    spec's states along that word alone.  A decomposition whose recorded
-    source fingerprint is not that of ``prepare(m)`` is still checked
-    against ``m``, with a notice saying so.
+    spec's symbol-level table along that word alone.  A decomposition whose
+    recorded source fingerprint is not that of ``prepare(m)`` is still
+    checked against ``m``, with a notice saying so.  A ``horizon`` below 1
+    raises ``ValueError`` in either mode.
     """
-    mismatch = prepare(m).mismatch(dec)
-    notices = [mismatch] if mismatch else []
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    mismatch = prepare(m).mismatch(dec)
+    notices = [mismatch] if mismatch else []
     claimed, machine = claimed_table(m, dec), nfa_table(m)
 
     def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
@@ -149,43 +152,25 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
 def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
     """The least word of the slt language that projects onto ``word``, if any.
 
-    Walks the states of the spec's symbol-level table (see
-    :func:`compile_spec`) along ``word`` without building the table.  A
-    string of at most k-1 symbols lives while it is in the spec's start
-    pools (see :func:`start_pools`): a short word or a proper prefix of an
-    allowed prefix or short word while it is shorter than k-1, an allowed
-    prefix or a short word at k-1.  A longer one lives while it started
-    with an allowed prefix and its last k-window is an allowed factor.  A
-    string's state is its last k-1 symbols, so for each state the least
-    string reaching it is kept.  Strings are extended in ascending order,
-    so the first to reach a state is the least one.
+    Walks the spec's symbol-level table (see :func:`compile_spec`) along
+    ``word``, keeping for each state the least string that reaches it.  The
+    table is deterministic and strings are extended in ascending symbol
+    order, so the first string to reach a state is its least one.
     """
     spec = dec.slt
-    k = spec.width
-    preimages: dict[str, list[str]] = {}
+    table = compile_spec(spec)
+    preimages: dict[str, list[int]] = {}
     for b, symbol in enumerate(spec.alphabet):
-        preimages.setdefault(dec.pi.letter(symbol), []).append(chr(b))
-
-    growing, fresh = start_pools(spec)
-
-    def lives(z: str) -> bool:
-        if len(z) < k - 1:
-            return z in growing
-        if len(z) == k - 1:
-            return z in fresh
-        return z[-k:] in spec._factor_set and (len(z) > k or z[:-1] in spec._prefix_set)
-
-    least = {"": ""}
+        preimages.setdefault(dec.pi.letter(symbol), []).append(b)
+    least = {table.initial[0]: ""}
     for letter in word:
-        reached: dict[str, str] = {}
-        for z in least.values():
-            for c in preimages.get(letter, ()):
-                ext = z + c
-                if lives(ext):
-                    reached.setdefault(ext[1 - k:], ext)
+        reached: dict[int, str] = {}
+        for q, z in least.items():
+            for b in preimages.get(letter, ()):
+                for dst in table.succ[q][b]:
+                    reached.setdefault(dst, z + chr(b))
         least = reached
-    accepting = spec._suffix_set if len(word) >= k else spec._short_set
-    z = next((z for state, z in least.items() if state in accepting), None)
+    z = next((z for q, z in least.items() if q in table.finals), None)
     return None if z is None else spec.decode(z)
 
 
@@ -354,8 +339,11 @@ def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "b
     bounds set sizes, enumerated words, bounded-mode product states and
     the codewords a state-code check holds.  Per-file problems are reported
     as failing entries without aborting the run; entries come in file-name
-    order.  A ``directory`` that is not one raises NotADirectoryError.
+    order.  A ``horizon`` below 1 raises ValueError and a ``directory``
+    that is not one raises NotADirectoryError, before any task runs.
     """
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not FsPath(directory).is_dir():
         raise NotADirectoryError(f"not a directory: {directory!r}")
     nfa_files = sorted(FsPath(directory).glob("*.nfa"))

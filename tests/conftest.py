@@ -12,7 +12,6 @@ from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CA
                              nfa_table)
 from sltkit.construction import pair_symbol, state_symbol
 from sltkit.slt import compile_spec
-from sltkit.verification import _local_preimage, _set_sizes
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
 
@@ -357,36 +356,6 @@ def reference_claimed(dec: sk.Decomposition, alphabet) -> Table:
             node = row[a][0]
         finals.add(node)
     return Table(tuple(alphabet), succ, frozenset(finals), projected.initial + (root,))
-
-
-def reference_verify(m: sk.Nfa, dec: sk.Decomposition, mode: str = "bounded",
-                     horizon: Optional[int] = None, word_cap: int = DEFAULT_WORD_CAP,
-                     state_cap: int = DEFAULT_STATE_CAP) -> sk.VerificationReport:
-    """:func:`sltkit.verify_decomposition` searching the merged claim of
-    :func:`reference_claimed` against the machine."""
-    mismatch = sk.prepare(m).mismatch(dec)
-    notices = [mismatch] if mismatch else []
-    claimed, machine = reference_claimed(dec, m.alphabet), nfa_table(m)
-
-    def report(how, h, cap, sides):
-        found = {}
-        for word, is_extra in differences(claimed, machine, cap, h):
-            found.setdefault(is_extra, word)
-            if len(found) == sides:
-                break
-        extra = found.get(True)
-        return sk.VerificationReport(
-            mode=how, horizon=h, ok=not found, missing=found.get(False), extra=extra,
-            extra_local=None if extra is None else _local_preimage(dec, extra),
-            set_sizes=_set_sizes(dec), notice="; ".join(notices) or None)
-
-    if mode == "exact":
-        try:
-            return report("exact", None, state_cap, 1)
-        except CapacityError as exc:
-            notices.append(f"exact mode hit a resource cap ({exc}); fell back to bounded")
-    return report("bounded", horizon if horizon is not None else sk.default_horizon(dec),
-                  word_cap, 2)
 
 
 def infer_slt(sample, k: int, alphabet=None) -> sk.SltSpec:

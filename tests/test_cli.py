@@ -186,6 +186,12 @@ class TestTablesAndCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "not an integer: '25e-1'" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--h", "--n"])
+    def test_empty_exponent_is_a_usage_error(self, capsys, flag):
+        assert main(["table", flag, "2,10e"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not an integer: '10e'" in captured.err
+
     @pytest.mark.parametrize("h,n", [("2", "1"), ("2,1", "10")])
     def test_bad_input_prints_nothing(self, capsys, h, n):
         assert main(["table", "--h", h, "--n", n]) == 2
@@ -216,6 +222,20 @@ class TestCaps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: a cap must be at least 1, got {int(value)}" in captured.err
+
+
+    @pytest.mark.parametrize("command,mode,value", [
+        ("verify", "exact", "0"), ("verify", "bounded", "-1"),
+        ("corpus", "exact", "0"), ("corpus", "bounded", "0")])
+    def test_horizon_below_one_is_a_usage_error(self, workdir, capsys, command, mode, value):
+        nfa, dec = workdir / "aplus.nfa", workdir / "aplus.w2.dec"
+        assert main(["build2", "--nfa", str(nfa), "--out", str(dec)]) == 0
+        capsys.readouterr()
+        argv = {"verify": ["--nfa", nfa, "--dec", dec], "corpus": ["--dir", workdir]}[command]
+        assert main([str(a) for a in (command, *argv, "--mode", mode, "--maxlen", value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --maxlen: a horizon must be at least 1, got {value}" in captured.err
 
 
 class TestRefuteCommand:

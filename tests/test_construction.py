@@ -486,6 +486,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="token not serializable"):
             sk.serialize_decomposition(dec)
 
+    @pytest.mark.parametrize("fingerprint", [
+        "ab#cd",  # reads back as ab
+        "a b",    # reads as two tokens
+    ])
+    def test_unserializable_source_fingerprint_is_rejected(self, aplus, fingerprint):
+        dec = dataclasses.replace(sk.medvedev_width2(aplus), source_fingerprint=fingerprint)
+        with pytest.raises(ValueError, match="token not serializable"):
+            sk.serialize_decomposition(dec)
+
     def test_parse_rejects_a_second_source_line(self, aplus):
         text = sk.serialize_decomposition(sk.medvedev_width2(aplus))
         assert text.count("\nsource ") == 1

@@ -122,6 +122,12 @@ class TestVerify:
         with pytest.raises(ValueError, match="at least 1"):
             sk.verify_decomposition(aplus, aplus_main, horizon=0)
 
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_horizon_below_one_is_rejected_in_exact_mode(self, aplus, aplus_main, horizon):
+        # exact mode reads no horizon unless it falls back, but the input is still wrong
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            sk.verify_decomposition(aplus, aplus_main, mode="exact", horizon=horizon)
+
     def test_witnesses_on_both_sides(self):
         machine = sk.parse_nfa(corpus_text("needs_sink"))
         spec = symbol_spec(width=4, alphabet=("a|0", "b|0"))
@@ -325,6 +331,12 @@ class TestCorpus:
     def test_bundled_corpus_passes_at_a_short_horizon(self):
         # the default ratios build short words up to length 2m-1, 11 > 8 for abbplus h=2
         assert sk.run_corpus(sk.corpus_dir(), horizon=8).ok
+
+    @pytest.mark.parametrize("mode", ["exact", "bounded"])
+    def test_horizon_below_one_is_rejected_before_any_task(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(verification, "medvedev_width2", pytest.fail)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            sk.run_corpus(self.make_dir(tmp_path, ["aplus"]), mode=mode, horizon=0)
 
     def test_empty_directory_is_success(self, tmp_path):
         report = sk.run_corpus(str(tmp_path))
