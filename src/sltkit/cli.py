@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help: str = "resource cap on enumerated words / set elements") -> None:
         p.add_argument("--cap", type=_positive, default=DEFAULT_SET_CAP, help=help)
 
-    p = sub.add_parser("build", help="build the width-2m decomposition at a ratio")
+    p = sub.add_parser("build", help="build the width-(2m-2) decomposition at a ratio")
     p.add_argument("--nfa", required=True)
     p.add_argument("--ratio", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -3,8 +3,9 @@
 Two constructions are provided.  The width-2 construction pairs states
 with letters, giving a local (width-2) language over n*|A| symbols.  The
 main construction encodes states as fixed-length digit blocks and pairs
-letters with digits, giving width 2m over only h*|A| symbols; its source
-words shorter than 2m are the spec's short words, block-encoded.
+letters with digits, giving width 2m-2 over only h*|A| symbols, two below
+the paper's 2m; its source words shorter than 2m-2 are the spec's short
+words, block-encoded.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class Decomposition:
         else:
             if self.h is None or self.m is None or self.h < 2 or self.m < 2:
                 raise ValueError("main decompositions need h >= 2 and m >= 2")
-            if self.slt.width != 2 * self.m:
-                raise ValueError("main decompositions have width 2m")
+            if self.slt.width < 2 * self.m - 2:
+                raise ValueError("main decompositions have width at least 2m-2")
         object.__setattr__(self, "residual", residual)
 
     @property
@@ -341,36 +342,45 @@ def _window_sets(rows: list[Row], start: int, ends: Sequence[int], aligned: Iter
     return prefixes, suffixes, factors
 
 
-def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
-    """Width-2m decomposition over letter-digit pairs at alphabetic ratio h.
-
-    Prefixes come from double-block encodings anchored at the initial
-    state's codeword; factors are all double-block windows of triple-block
-    encodings; suffixes are windows of runs that end in a final state
-    part-way through a block.  These windows decide every word of length
-    2m or more; the source words shorter than 2m are the short words, each
-    written as its block encoding (see :func:`encode_word`), so the
-    residual stays empty.  The window sets are swept out of a context
-    automaton in sorted order (see :func:`_window_words`) rather than by
-    materialising path triples.  The machine is prepared first.
-    ``cap`` bounds the context automaton, each window set and the short words.
-    """
-    source = prepare(m)
-    m = source.machine
-    code = source.code(h)
-    width = 2 * code.m
-    pairs = tuple((pair_symbol(a, d), a) for a in m.alphabet for d in code.digits)
-    symbols = tuple(s for s, _ in pairs)
-
+def _main_windows(m: Nfa, code: Code, width: int,
+                  cap: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The (prefixes, suffixes, factors) of width ``width`` swept out of the
+    context automaton of a prepared machine ``m`` and its state ``code``
+    (see :func:`_window_sets`).  ``cap`` bounds the automaton and each set."""
     keys, ids, fwd = _context_automaton(m, code)
     if len(keys) > cap:
         raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
     # a suffix is read from a block-aligned context: part-way through a
     # block, or at a block start that has an edge in, so a full block ends there
-    prefixes, suffixes, factors = _window_sets(
+    return _window_sets(
         fwd, ids[(m.initial, m.initial, 0)],
         [i for i, (state, _, _) in enumerate(keys) if state in m.finals],
         (offset >= 1 for _, _, offset in keys), [symbols for symbols, _ in fwd], width, cap)
+
+
+def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
+    """Width-(2m-2) decomposition over letter-digit pairs at alphabetic ratio h.
+
+    Prefixes come from walks anchored at the initial state's codeword;
+    factors are all (2m-2)-windows of block-encoded runs; suffixes are
+    windows of runs that end in a final state.  A (2m-2)-window that starts
+    at a block start holds that block's whole codeword and the first m-2
+    digits of the next, which fix the next block's state, so these windows
+    decide every word of length 2m-2 or more (the README has the argument);
+    the source words shorter than 2m-2 are the short words, each written as
+    its block encoding (see :func:`encode_word`), so the residual stays
+    empty.  The window sets are swept out of a context automaton in sorted
+    order (see :func:`_window_words`) rather than by materialising path
+    triples.  The machine is prepared first.  ``cap`` bounds the context
+    automaton, each window set and the short words.
+    """
+    source = prepare(m)
+    m = source.machine
+    code = source.code(h)
+    width = 2 * code.m - 2
+    pairs = tuple((pair_symbol(a, d), a) for a in m.alphabet for d in code.digits)
+    symbols = tuple(s for s, _ in pairs)
+    prefixes, suffixes, factors = _main_windows(m, code, width, cap)
 
     encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(symbols)})
     short_words = tuple(encode(w, _run(m, w)) for w in enumerate_language(m, width - 1, cap=cap))

@@ -10,7 +10,7 @@ import sltkit as sk
 from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
                              CapacityError, Table, Transition, _distance_to_final, differences,
                              nfa_table)
-from sltkit.construction import pair_symbol, state_symbol
+from sltkit.construction import _main_windows, pair_symbol, state_symbol
 from sltkit.slt import compile_spec
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
@@ -188,19 +188,21 @@ def encode_blocks(code: sk.Code, path: Path) -> sk.Word:
     return tuple(out)
 
 
-def reference_main_sets(m: sk.Nfa, code: sk.Code, cap: int = DEFAULT_WORD_CAP):
-    """Window sets by brute-force enumeration of block-encoded paths.
+def reference_main_sets(m: sk.Nfa, code: sk.Code, width: int, cap: int = DEFAULT_WORD_CAP):
+    """Window sets of width ``width`` by brute-force enumeration of
+    block-encoded paths.
 
     Definitional oracle for the swept construction; feasible only on small
     machines.  Returns (prefixes, suffixes, factors) as sets of words.
-    Prefixes encode the (2m-1)-paths from the initial state; the factors
-    starting j < m letters into a block are ``z[j:j+2m]`` of the paths of
-    j + 2m steps from a block start, so a walk that cannot run on past its
-    window still counts.  Unlike the constructions it does not prepare
-    ``m``: it enumerates the paths of the machine it is given.
+    Prefixes encode the (width-1)-paths from the initial state; the factors
+    starting j < m letters into a block are ``z[j:j+width]`` of the paths of
+    j + width steps from a block start, so a walk that cannot run on past its
+    window still counts; the suffixes are the last width-1 letters of the
+    paths of width + j steps into a final state, which start j + 1 letters
+    on.  Unlike the constructions it does not prepare ``m``: it enumerates
+    the paths of the machine it is given.
     """
     blen = code.m
-    width = 2 * blen
     prefixes = {encode_blocks(code, path)
                 for path in enumerate_m_paths(m, m.initial, width - 1, cap=cap)}
     suffixes: set[sk.Word] = set()
@@ -209,20 +211,24 @@ def reference_main_sets(m: sk.Nfa, code: sk.Code, cap: int = DEFAULT_WORD_CAP):
         for j in range(blen):
             for path in enumerate_m_paths(m, origin, j + width, cap=cap):
                 factors.add(encode_blocks(code, path)[j:])
-        for tail in range(blen):
-            for path in enumerate_m_paths(m, origin, 2 * blen + tail, cap=cap):
                 if path.end in m.finals:
                     suffixes.add(encode_blocks(code, path)[-(width - 1):])
     return prefixes, suffixes, factors
 
 
 def paper_main(m: sk.Nfa, h: int) -> sk.Decomposition:
-    """The main decomposition as the paper states it: the windows of
-    ``medvedev_main(m, h)``, no short words, and every source word shorter
-    than 3m as the residual, on the prepared machine."""
+    """The main decomposition as the paper states it, on the prepared
+    machine: the width-2m windows of the build's context automaton, no
+    short words, and every source word shorter than 3m as the residual."""
     dec = sk.medvedev_main(m, h)
-    residual = sk.enumerate_language(sk.prepare(m).machine, 3 * dec.m - 1)
-    return replace(dec, slt=replace(dec.slt, short_words=()), residual=tuple(residual))
+    source = sk.prepare(m)
+    width = 2 * dec.m
+    prefixes, suffixes, factors = _main_windows(source.machine, source.code(h), width,
+                                                DEFAULT_SET_CAP)
+    residual = sk.enumerate_language(source.machine, 3 * dec.m - 1)
+    spec = replace(dec.slt, width=width, prefixes=prefixes, suffixes=suffixes,
+                   factors=factors, short_words=())
+    return replace(dec, slt=spec, residual=tuple(residual))
 
 
 def find_path(m: sk.Nfa, word: sk.Word) -> Path:

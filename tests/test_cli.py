@@ -42,7 +42,7 @@ class TestBuildVerify:
         assert status == 0 and "kind=main" in out
         status, out = run(capsys, "verify", "--nfa", workdir / "aplus.nfa",
                           "--dec", dec_path)
-        assert status == 0 and "verdict=pass" in out and "horizon=20" in out
+        assert status == 0 and "verdict=pass" in out and "horizon=16" in out
 
     def test_failing_verify_exits_one(self, workdir, capsys):
         dec = sk.medvedev_width2(sk.totalize(sk.parse_nfa(corpus_text("aplus"))))

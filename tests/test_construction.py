@@ -6,8 +6,11 @@ import pytest
 
 import sltkit as sk
 from sltkit import Nfa
+from sltkit.automata import DEFAULT_SET_CAP, DEFAULT_STATE_CAP, differences, nfa_table
 from sltkit.cli import main
 from sltkit.codes import Codewords, build_code
+from sltkit.construction import _main_windows
+from sltkit.slt import compile_spec
 
 from conftest import (CORPUS_NAMES, Path, canonical_decomposition, corpus_text, encode_blocks,
                       encode_m_path, encode_path_width2, enumerate_m_paths, find_path,
@@ -161,7 +164,7 @@ class TestMainSets:
     def test_sweep_matches_path_enumeration(self, ends_with_a, h):
         dec = sk.medvedev_main(ends_with_a, h)
         code = build_code(ends_with_a.n, h)
-        prefixes, suffixes, factors = reference_main_sets(ends_with_a, code)
+        prefixes, suffixes, factors = reference_main_sets(ends_with_a, code, 2 * code.m - 2)
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -170,7 +173,8 @@ class TestMainSets:
         total = sk.totalize(sk.parse_nfa(corpus_text("needs_sink")))
         dec = sk.medvedev_main(total, 2)
         trimmed = sk.trim(total)
-        prefixes, suffixes, factors = reference_main_sets(trimmed, build_code(trimmed.n, 2))
+        code = build_code(trimmed.n, 2)
+        prefixes, suffixes, factors = reference_main_sets(trimmed, code, 2 * code.m - 2)
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -180,7 +184,8 @@ class TestMainSets:
     def test_sweep_matches_on_prepared_corpus_machines(self, machines, name, h):
         source = sk.prepare(machines[name])
         dec = sk.medvedev_main(machines[name], h)
-        prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h))
+        prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h),
+                                                          2 * dec.m - 2)
         assert symbol_words(dec.slt, "prefixes") == prefixes
         assert symbol_words(dec.slt, "suffixes") == suffixes
         assert symbol_words(dec.slt, "factors") == factors
@@ -191,7 +196,7 @@ class TestMainSets:
         machine = sk.parse_nfa(corpus_text("needs_sink"))
         total = sk.totalize(machine)
         code = build_code(total.n, 2)
-        prefixes, suffixes, factors = reference_main_sets(total, code)
+        prefixes, suffixes, factors = reference_main_sets(total, code, 2 * code.m)
         symbols = tuple(f"{a}|{d}" for a in total.alphabet for d in code.digits)
         literal = sk.Decomposition(
             kind="main", h=2, m=code.m,
@@ -209,17 +214,17 @@ class TestMainSets:
     def test_shape(self, ends_with_a):
         dec = sk.medvedev_main(ends_with_a, 2)
         assert dec.kind == "main" and dec.h == 2
-        assert dec.k == 2 * dec.m
+        assert dec.k == 2 * dec.m - 2
         assert len(dec.slt.alphabet) == 2 * len(ends_with_a.alphabet)
         assert dec.residual == ()
         assert ({dec.pi(dec.slt.decode(z)) for z in dec.slt.short_words}
-                == set(sk.enumerate_language(ends_with_a, 2 * dec.m - 1)))
+                == set(sk.enumerate_language(ends_with_a, 2 * dec.m - 3)))
 
     def test_short_words_are_short_members(self, aplus):
         dec = sk.medvedev_main(aplus, 2)
         assert dec.m == 4 and dec.residual == ()
         short = [dec.slt.decode(z) for z in dec.slt.short_words]
-        assert sorted(map(dec.pi, short)) == [("a",) * i for i in range(1, 8)]
+        assert sorted(map(dec.pi, short)) == [("a",) * i for i in range(1, 6)]
         assert all(z == sk.encode_word(aplus, dec, dec.pi(z)) for z in short)
 
     def test_partial_machine_is_accepted(self):
@@ -268,6 +273,75 @@ class TestMainSets:
                 assert z[:width - 1] in prefix_set
                 if path.end in ends_with_a.finals:
                     assert z[-(width - 1):] in suffix_set
+
+
+# (aa)*a: two states on an a-cycle, the second final; m = 3 at h = 4
+ODD_RUNS = Nfa(n=2, alphabet=("a",), transitions=((0, "a", 1), (1, "a", 0)),
+               initial=0, finals=frozenset({1}))
+
+# the first n=8 machine `bench/gen.py` draws for seed 1: each letter
+# permutes the states
+PERMUTATION_DFA_8 = """\
+alphabet a b
+states 8
+initial 0
+final 1
+final 4
+final 6
+final 7
+trans 0 a 3
+trans 0 b 2
+trans 1 a 6
+trans 1 b 6
+trans 2 a 1
+trans 2 b 4
+trans 3 a 5
+trans 3 b 0
+trans 4 a 7
+trans 4 b 1
+trans 5 a 0
+trans 5 b 3
+trans 6 a 4
+trans 6 b 5
+trans 7 a 2
+trans 7 b 7
+"""
+
+
+class TestWindowWidth:
+    """The build reads windows of width 2m-2, and no narrower width is
+    sound for every machine."""
+
+    def test_width_2m_minus_2_verifies(self):
+        dec = sk.medvedev_main(ODD_RUNS, 4)
+        assert (dec.m, dec.k) == (3, 4)
+        report = sk.verify_decomposition(ODD_RUNS, dec, mode="exact")
+        assert report.ok and report.mode == "exact"
+
+    def test_width_2m_minus_3_lets_in_an_even_run(self):
+        dec = sk.medvedev_main(ODD_RUNS, 4)
+        source = sk.prepare(ODD_RUNS)
+        prefixes, suffixes, factors = _main_windows(source.machine, source.code(4), 3,
+                                                    DEFAULT_SET_CAP)
+        narrow = dataclasses.replace(dec.slt, width=3, prefixes=prefixes, suffixes=suffixes,
+                                     factors=factors,
+                                     short_words=[z for z in dec.slt.short_words if len(z) < 3])
+        with pytest.raises(ValueError, match="main decompositions have width at least 2m-2"):
+            dataclasses.replace(dec, slt=narrow)
+        # the search exact verification runs, on the narrow spec's claim
+        claimed = compile_spec(narrow, onto=(ODD_RUNS.alphabet, dec.pi.letter))
+        first = next(differences(claimed, nfa_table(ODD_RUNS), DEFAULT_STATE_CAP))
+        assert first == (W("aaaa"), True)
+        preimages = [z for z in sk.enumerate_language(sk.slt_to_nfa(narrow), 4)
+                     if len(z) == 4 and dec.pi(z) == W("aaaa")]
+        assert preimages[0] == ("a|1", "a|0", "a|0", "a|1")
+
+    def test_permutation_dfa_at_ratio_2_builds_under_the_cap(self):
+        machine = sk.parse_nfa(PERMUTATION_DFA_8)
+        dec = sk.medvedev_main(machine, 2)
+        assert (dec.m, dec.k, len(dec.slt.factors)) == (7, 12, 327_680)
+        report = sk.verify_decomposition(machine, dec, mode="exact")
+        assert report.ok and report.mode == "exact"
 
 
 class TestWordEncoding:
@@ -506,8 +580,8 @@ class TestSerialization:
             sk.parse_decomposition("k 2\nsymbol a -> a\n")
 
     def test_parse_rejects_bad_width(self):
-        text = "kind main\nh 2\nm 3\nk 5\nsymbol a|0 -> a\nI\nT\nF\nSHORT\nRESIDUAL\n"
-        with pytest.raises(ValueError, match="width 2m"):
+        text = "kind main\nh 2\nm 3\nk 3\nsymbol a|0 -> a\nI\nT\nF\nSHORT\nRESIDUAL\n"
+        with pytest.raises(ValueError, match="main decompositions have width at least 2m-2"):
             sk.parse_decomposition(text)
 
     def test_comments_and_blank_lines_ignored(self, aplus):

@@ -27,11 +27,11 @@ def random_machines(draw, alphabet=None):
 
 def few_short_words(m: Nfa, h: int, limit: int = 4096) -> bool:
     """Whether the main construction at ratio ``h`` lists at most ``limit``
-    short words, the source words shorter than 2m; dense machines list
+    short words, the source words shorter than 2m-2; dense machines list
     millions."""
     blen = sk.prepare(m).code(h).m
     try:
-        sk.enumerate_language(m, 2 * blen - 1, cap=limit)
+        sk.enumerate_language(m, 2 * blen - 3, cap=limit)
     except sk.CapacityError:
         return False
     return True
@@ -81,10 +81,10 @@ def test_both_constructions_verify_exactly(machine, h, seed):
 @example(machine=NON_TRIM_MULTI_FINAL, h=2, seed=0)
 @example(machine=EMPTY_LANGUAGE, h=3, seed=0)
 def test_short_words_replace_the_paper_residual(machine, h, seed):
-    """The build lists the source words below 2m as block-encoded short
+    """The build lists the source words below 2m-2 as block-encoded short
     words where the paper's build lists the words below 3m as its residual,
     and both verify exactly; the build's windows decide every member of
-    length 2m or more, the paper's residual lengths 2m..3m-1 included."""
+    length 2m-2 or more, the paper's residual lengths 2m-2..3m-1 included."""
     assume(few_short_words(machine, h))
     dec, paper = sk.medvedev_main(machine, h), paper_main(machine, h)
     assert dec.residual == ()
@@ -92,7 +92,7 @@ def test_short_words_replace_the_paper_residual(machine, h, seed):
         report = sk.verify_decomposition(machine, candidate, mode="exact")
         assert report.ok and report.mode == "exact", report
     short = [dec.slt.decode(z) for z in dec.slt.short_words]
-    below = sk.enumerate_language(machine, 2 * dec.m - 1)
+    below = sk.enumerate_language(machine, 2 * dec.m - 3)
     assert len(short) == len(below) and set(map(dec.pi, short)) == set(below)
     for z in short:
         assert z == reference_encoding(machine, dec, dec.pi(z))

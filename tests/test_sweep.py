@@ -62,7 +62,8 @@ def is_nondeterministic(machine) -> bool:
 def assert_matches_path_enumeration(machine, h):
     dec, _ = assert_same_sweeps(machine, h)
     source = sk.prepare(machine)
-    prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h))
+    prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h),
+                                                      2 * dec.m - 2)
     assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
     assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
     assert set(map(dec.slt.decode, dec.slt.factors)) == factors

@@ -44,7 +44,7 @@ class TestVerify:
         report = sk.verify_decomposition(aplus, aplus_main)
         assert report.ok
         assert report.horizon == 2 * aplus_main.k + 4
-        assert report.set_sizes["residual"] == 0 and report.set_sizes["short"] == 7
+        assert report.set_sizes["residual"] == 0 and report.set_sizes["short"] == 5
 
     def test_deleting_windows_is_detected(self, aplus, aplus_main):
         saw_failure = False
@@ -329,7 +329,7 @@ class TestCorpus:
         assert not report.ok
 
     def test_bundled_corpus_passes_at_a_short_horizon(self):
-        # the default ratios build short words up to length 2m-1, 11 > 8 for abbplus h=2
+        # the default ratios build short words up to length 2m-3, 9 > 8 for abbplus h=2
         assert sk.run_corpus(sk.corpus_dir(), horizon=8).ok
 
     @pytest.mark.parametrize("mode", ["exact", "bounded"])

@@ -121,7 +121,7 @@ def test_corpus_mutations_match_reference(machines, name, kind):
 @given(machine=random_machines(), kind=st.sampled_from(["width2", 2, 3]),
        seed=st.integers(0, 2**16), state_cap=st.sampled_from([3, DEFAULT_STATE_CAP]))
 def test_random_machines_match_reference(machine, kind, seed, state_cap):
-    # dense machines have up to |A|^(2m) short words and |A|^(h+1) words
+    # dense machines have up to |A|^(2m-2) short words and |A|^(h+1) words
     # below the default horizon h; the reference is slow on either
     assume(kind == "width2" or few_short_words(machine, kind))
     dec = build(machine, kind)
