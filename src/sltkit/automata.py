@@ -348,21 +348,13 @@ class _Subsets:
     The singleton {q} is q.  Any other subset becomes a new state when it
     is first reached, numbered from ``len(t.succ)`` upward, whose row is
     the union of its members' rows and which is final if a member is; so
-    ``succ[s]`` and ``s in finals`` hold for every id.  With ``max_len``,
-    a subset keeps only the states that can reach a final state in the
-    length left.
+    ``succ[s]`` and ``s in finals`` hold for every id.
     """
 
-    def __init__(self, t: Table, max_len: Optional[int]) -> None:
+    def __init__(self, t: Table) -> None:
         self.succ, self.finals, self.letters = list(t.succ), set(t.finals), range(len(t.alphabet))
         self.ids: dict[tuple[int, ...], int] = {}
-        self.dist = None if max_len is None else _distance_to_final(t)
-        self.start = self.intern(self.viable(t.initial, max_len or 0))
-
-    def viable(self, states: tuple[int, ...], left: int) -> tuple[int, ...]:
-        if self.dist is None:
-            return states
-        return tuple(q for q in states if self.dist[q] <= left)
+        self.start = self.intern(t.initial)
 
     def intern(self, states: tuple[int, ...]) -> int:
         if len(states) == 1:
@@ -388,7 +380,7 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> lis
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     t = nfa_table(m)
-    dist, subsets = _distance_to_final(t), _Subsets(t, None)
+    dist, subsets = _distance_to_final(t), _Subsets(t)
     succ, finals, letters = subsets.succ, t.finals, tuple(enumerate(t.alphabet))
     words: list[Word] = []
     frontier: dict[Word, tuple[int, ...]] = {}
@@ -453,8 +445,9 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     Words come in length-then-lex order, so the first one yielded is the
     least word accepted by exactly one table, and the first one yielded for
     each table the least word only that table accepts.  With ``max_len``,
-    no longer word is read: pairs at that depth are not expanded, and
-    states that cannot reach a final state in the length left are dropped.
+    the search stops there: pairs at that depth are not expanded, so it
+    yields exactly the words of length at most ``max_len`` that the
+    unbounded search yields, in the same order.
     Raises :class:`CapacityError` past ``cap`` visited product states.
 
     Product states are integer keys.  Subsets are ints (see
@@ -464,7 +457,7 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
-    side1, side2 = _Subsets(t1, max_len), _Subsets(t2, max_len)
+    side1, side2 = _Subsets(t1), _Subsets(t2)
     succ1, succ2, fin1, fin2 = side1.succ, side2.succ, side1.finals, side2.finals
     letters = side1.letters
     # past the singletons, each id of t2 is an image of one of at most cap pairs
@@ -472,7 +465,7 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     level = [side1.start * stride + side2.start]
     parent, depth = {level[0]: -1}, 0
     while level:
-        left, reached = (max_len or 0) - depth - 1, []
+        reached = []
         for key in level:
             s1, s2 = divmod(key, stride)
             accepted = s1 in fin1
@@ -486,9 +479,6 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
             if depth == max_len:
                 continue
             row1, row2 = succ1[s1], succ2[s2]
-            if max_len is not None:
-                row1 = [side1.viable(image, left) for image in row1]
-                row2 = [side2.viable(image, left) for image in row2]
             for a in letters:
                 # singletons, by far the most images, are their own ids
                 image1, image2 = row1[a], row2[a]

@@ -184,27 +184,22 @@ def state_symbol(state: int, letter: str) -> str:
 def medvedev_width2(m: Nfa) -> Decomposition:
     """Width-2 decomposition over state-letter pairs.
 
-    A pair <q,a> means "took an a-transition out of q"; allowed prefixes
-    anchor the initial state, factors mirror the transition relation, and
-    suffixes mark moves that can enter a final state.  Only pairs some run
-    takes appear in a prefix or factor: <q,b> needs a b-transition out of
-    q.  The projection keeps the letter.  Single-symbol members are exactly
-    the symbols that are both an allowed prefix and an allowed suffix.  The
-    machine is prepared first, so the alphabet has
-    ``prepare(m).machine.n * |A|`` symbols.
+    A pair <q,a> means "took an a-transition out of q".  The windows are
+    swept out of the machine's rows (see :func:`_window_sets`), where state
+    q reads <q,a> into each a-successor: prefixes anchor the initial state,
+    factors mirror the transitions, suffixes mark moves into a final state,
+    and the short words are the symbols that are both.  The projection keeps
+    the letter, and the alphabet has the ``prepare(m).machine.n * |A|`` pairs.
     """
     source = prepare(m)
     m = source.machine
-    symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
-    alphabet = tuple(symbols.values())
-    encode = word_encoder(alphabet)
-    prefixes = {encode((symbols[(m.initial, a)],)) for a in m.alphabet if m.step(m.initial, a)}
-    factors = {encode((symbols[(p, a)], symbols[(q, b)]))
-               for p, a, q in m.transitions for b in m.alphabet if m.step(q, b)}
-    suffixes = {encode((symbols[(p, a)],)) for p, a, q in m.transitions if q in m.finals}
+    alphabet = tuple(state_symbol(q, a) for q in range(m.n) for a in m.alphabet)
+    rows = _state_rows(m, len(m.alphabet))
+    prefixes, suffixes, factors = _window_sets(rows, m.initial, sorted(m.finals), [True] * m.n,
+                                               [s for s, _ in rows], 2, len(alphabet) ** 2)
     spec = SltSpec(width=2, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
-                   factors=factors, short_words=prefixes & suffixes)
-    pi = Homomorphism(tuple((s, a) for (_, a), s in symbols.items()))
+                   factors=factors, short_words=set(prefixes).intersection(suffixes))
+    pi = Homomorphism(tuple(zip(alphabet, m.alphabet * m.n)))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
 
 
@@ -264,6 +259,12 @@ def _group(edges: Iterable[tuple[str, int]]) -> Row:
             symbols.append(c)
             targets.append(dst)
     return "".join(symbols), targets
+
+
+def _state_rows(m: Nfa, stride: int) -> list[Row]:
+    """The machine's rows: state q reads index ``q * stride + a`` into each a-successor."""
+    return [_group((chr(q * stride + a), dst) for a, letter in enumerate(m.alphabet)
+                   for dst in m.step(q, letter)) for q in range(m.n)]
 
 
 def _contexts(t: Context) -> tuple[int, ...]:
@@ -401,8 +402,7 @@ def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
     Symbols are alphabet positions.
     """
     m = prepare(m).machine
-    rows = [_group((chr(a), dst) for a, letter in enumerate(m.alphabet)
-                   for dst in m.step(q, letter)) for q in range(m.n)]
+    rows = _state_rows(m, 0)
     onward = [c for c, _ in rows]  # a nonempty row: the walk can go on
     prefix_last = ["".join(c for c, target in zip(*row)
                            if any(onward[q] for q in _contexts(target))) for row in rows]

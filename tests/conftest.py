@@ -8,8 +8,7 @@ import pytest
 
 import sltkit as sk
 from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
-                             CapacityError, Table, Transition, _distance_to_final, differences,
-                             nfa_table)
+                             CapacityError, Table, Transition, differences, nfa_table)
 from sltkit.construction import _main_windows, pair_symbol, state_symbol
 from sltkit.slt import compile_spec
 
@@ -216,6 +215,25 @@ def reference_main_sets(m: sk.Nfa, code: sk.Code, width: int, cap: int = DEFAULT
     return prefixes, suffixes, factors
 
 
+def reference_width2(m: sk.Nfa) -> sk.Decomposition:
+    """The width-2 decomposition read off the prepared machine's transitions
+    symbol by symbol: the oracle for :func:`sltkit.medvedev_width2`, which
+    sweeps the same windows out of the machine's rows."""
+    source = sk.prepare(m)
+    m = source.machine
+    symbols = {(q, a): state_symbol(q, a) for q in range(m.n) for a in m.alphabet}
+    alphabet = tuple(symbols.values())
+    encode = sk.word_encoder(alphabet)
+    prefixes = {encode((symbols[(m.initial, a)],)) for a in m.alphabet if m.step(m.initial, a)}
+    factors = {encode((symbols[(p, a)], symbols[(q, b)]))
+               for p, a, q in m.transitions for b in m.alphabet if m.step(q, b)}
+    suffixes = {encode((symbols[(p, a)],)) for p, a, q in m.transitions if q in m.finals}
+    spec = sk.SltSpec(width=2, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
+                      factors=factors, short_words=prefixes & suffixes)
+    pi = sk.Homomorphism(tuple((s, a) for (_, a), s in symbols.items()))
+    return sk.Decomposition(kind="width2", slt=spec, pi=pi, source_fingerprint=source.fingerprint)
+
+
 def paper_main(m: sk.Nfa, h: int) -> sk.Decomposition:
     """The main decomposition as the paper states it, on the prepared
     machine: the width-2m windows of the build's context automaton, no
@@ -287,22 +305,16 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
     Runs the subset construction on both tables at once, breadth first with
     letters in alphabet order, and yields ``(word, accepted by t1)`` for the
     least word reaching each pair of subsets that disagree on acceptance.
-    With ``max_len``, no longer word is read: pairs at that depth are not
-    expanded, and states that cannot reach a final state in the length left
-    are dropped.  Raises :class:`CapacityError` past ``cap`` visited
-    product states.
+    With ``max_len``, the search stops there: pairs at that depth are not
+    expanded, and nothing else changes.  Raises :class:`CapacityError` past
+    ``cap`` visited product states.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     succ1, succ2 = t1.succ, t2.succ
     fin1, fin2 = t1.finals, t2.finals
     letters = range(len(t1.alphabet))
-    dist1 = dist2 = None
     start = (t1.initial, t2.initial)
-    if max_len is not None:
-        dist1, dist2 = _distance_to_final(t1), _distance_to_final(t2)
-        start = (tuple(q for q in t1.initial if dist1[q] <= max_len),
-                 tuple(q for q in t2.initial if dist2[q] <= max_len))
 
     def accepting(s: tuple[int, ...], finals: frozenset[int]) -> bool:
         return s[0] in finals if len(s) == 1 else not finals.isdisjoint(s)
@@ -325,10 +337,6 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
             continue
         for a in letters:
             nxt = (_step(succ1, s1, a), _step(succ2, s2, a))
-            if dist1 is not None:
-                left = max_len - depth - 1
-                nxt = (tuple(q for q in nxt[0] if dist1[q] <= left),
-                       tuple(q for q in nxt[1] if dist2[q] <= left))
             if nxt not in parent:
                 if len(parent) >= cap:
                     raise CapacityError(

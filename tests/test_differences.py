@@ -8,6 +8,8 @@ in exact mode and at any ``max_len``.  On the claimed table that
 ``verify_decomposition`` builds (``claimed_table``), ``differences`` must
 do the same as the reference on the merged claim (``reference_claimed``),
 which appends the residual's trie to the projected table the same way.
+Below the cap, a search with ``max_len`` is the exact search stopped at
+that depth: it yields the exact search's words of length up to ``max_len``.
 """
 
 import random
@@ -25,6 +27,7 @@ from test_verification_reference import mutate
 
 CAPS = (1, 2, 3, 4, 5, 6, 10**6)
 MAX_LENS = (None, 1, 2, 5)
+UNREACHED = 10**6  # a cap no search on these small tables reaches
 
 
 def outcome(search):
@@ -44,6 +47,17 @@ def assert_same_searches(t1, t2):
                 assert (outcome(differences(first, second, cap, max_len))
                         == outcome(reference_differences(first, second, cap, max_len))), \
                     (cap, max_len)
+
+
+def assert_bounded_is_exact_cut(t1, t2):
+    """At a cap neither search reaches, the search with ``max_len`` yields
+    exactly the words of length up to ``max_len`` that the exact search
+    yields, in the same order."""
+    for first, second in ((t1, t2), (t2, t1)):
+        exact = list(differences(first, second, UNREACHED))
+        for max_len in (1, 2, 3, 5, 8):
+            assert (list(differences(first, second, UNREACHED, max_len))
+                    == [(w, side) for w, side in exact if len(w) <= max_len]), max_len
 
 
 def assert_claimed_search_matches_merged(machine, dec):
@@ -69,6 +83,7 @@ def test_machine_tables_match_reference(data, alphabet):
     m1 = data.draw(random_machines(alphabet))
     m2 = data.draw(random_machines(alphabet))
     assert_same_searches(nfa_table(m1), nfa_table(m2))
+    assert_bounded_is_exact_cut(nfa_table(m1), nfa_table(m2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,6 +97,7 @@ def test_projected_specs_match_reference(machine, kind, seed):
         assert_same_searches(reference_claimed(candidate, machine.alphabet),
                              nfa_table(machine))
         assert_claimed_search_matches_merged(machine, candidate)
+        assert_bounded_is_exact_cut(claimed_table(machine, candidate), nfa_table(machine))
 
 
 def test_corpus_claims_have_multi_state_subsets(machines, build_main):
@@ -93,3 +109,4 @@ def test_corpus_claims_have_multi_state_subsets(machines, build_main):
         assert has_multi_state_subset(claimed)
         assert_same_searches(claimed, nfa_table(machine))
         assert_claimed_search_matches_merged(machine, dec)
+        assert_bounded_is_exact_cut(claimed_table(machine, dec), nfa_table(machine))

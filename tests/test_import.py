@@ -1,9 +1,10 @@
 """Importing the package stays cheap: it pulls in no process-pool machinery,
 and no module other than ``__init__`` imports a name it never reads.  A
-machine is trimmed and fingerprinted only in ``construction.prepare``.  The
-package ships the pipeline and what the benchmark imports, not the
-path-level definitions or the sample inference the test oracles keep
-(tests/conftest.py)."""
+machine is trimmed and fingerprinted only in ``construction.prepare``; only
+trimming and enumeration prune by distance to a final state, and every spec
+is swept by ``construction._window_sets``.  The package ships the pipeline
+and what the benchmark imports, not the path-level definitions or the
+sample inference the test oracles keep (tests/conftest.py)."""
 
 import ast
 import os
@@ -81,6 +82,22 @@ def test_only_prepare_trims_and_fingerprints():
              for path in sorted((SRC / "sltkit").glob("*.py"))}
     assert {name: calls for name, calls in sites.items() if calls} == {
         "construction.py": ["prepare:nfa_fingerprint", "prepare:trim"]}
+
+
+def test_only_trim_and_enumeration_prune_by_distance():
+    # the product search stops at its horizon and prunes nothing
+    sites = {path.name: call_sites(path.read_text(), {"_distance_to_final"})
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: calls for name, calls in sites.items() if calls} == {
+        "automata.py": ["enumerate_language:_distance_to_final", "trim:_distance_to_final"]}
+
+
+def test_every_spec_comes_from_the_one_window_sweep():
+    sites = {path.name: call_sites(path.read_text(), {"_window_sets"})
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: calls for name, calls in sites.items() if calls} == {
+        "construction.py": ["_main_windows:_window_sets", "_tightest_spec:_window_sets",
+                            "medvedev_width2:_window_sets"]}
 
 
 def test_call_site_scan_finds_calls_anywhere():

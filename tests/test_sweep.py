@@ -1,4 +1,5 @@
-"""``construction._window_words`` against the sweep it replaces.
+"""``construction._window_words`` against the sweep it replaces, and the
+width-2 build against the transition-by-transition sets it replaces.
 
 ``reference_window_words`` (tests/conftest.py) keys the frontier by word
 in a dict of context sets; ``_window_words`` keeps the words in ascending
@@ -17,7 +18,7 @@ import sltkit as sk
 from sltkit import CapacityError, construction
 from sltkit.construction import _window_words
 
-from conftest import CORPUS_NAMES, reference_main_sets, reference_window_words
+from conftest import CORPUS_NAMES, reference_main_sets, reference_width2, reference_window_words
 from test_random_machines import random_machines
 
 
@@ -95,6 +96,12 @@ def test_corpus_has_a_word_ending_in_several_contexts(machines):
 @given(machine=random_machines(), h=st.integers(2, 3))
 def test_random_machines_match_reference(machine, h):
     assert_same_sweeps(machine, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=random_machines())
+def test_width2_windows_match_reference(machine):
+    assert sk.medvedev_width2(machine) == reference_width2(machine)
 
 
 @st.composite
