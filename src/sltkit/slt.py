@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice
+from operator import lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import DEFAULT_SET_CAP, CapacityError, Nfa, Table, Word
@@ -43,7 +44,9 @@ class SltSpec:
     stored as deduplicated tuples in native ``str`` order, which is the
     order by symbol position in ``alphabet``, so equality of specs is
     structural.  A word set given as a tuple already in that order, without
-    duplicates, is kept as it is; any other is deduplicated and sorted.
+    duplicates, is kept as it is; any other is deduplicated and sorted.  The
+    factors are hashed into a set only when :meth:`accepts` or
+    :class:`StreamRecognizer` first reads them.
     """
 
     width: int
@@ -55,7 +58,6 @@ class SltSpec:
     _chars: dict[str, str] = field(init=False, repr=False, compare=False)
     _prefix_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _suffix_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    _factor_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _short_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -69,29 +71,34 @@ class SltSpec:
         known = dict.fromkeys(range(len(alphabet)))  # str.translate deletes these
         for attr, cache, lengths in (("prefixes", "_prefix_set", range(k - 1, k)),
                                      ("suffixes", "_suffix_set", range(k - 1, k)),
-                                     ("factors", "_factor_set", range(k, k + 1)),
+                                     ("factors", None, range(k, k + 1)),
                                      ("short_words", "_short_set", range(1, k))):
             given = getattr(self, attr)
-            words = frozenset(given)
-            kinds = set(map(type, words)) - {str}
+            if not isinstance(given, tuple):
+                given = tuple(given)
+            kinds = set(map(type, given)) - {str}
             if kinds:
                 raise ValueError(f"{attr} must be index strings (see word_encoder), "
                                  f"got {min(t.__name__ for t in kinds)}")
-            bad = set(map(len, words)).difference(lengths)
+            bad = set(map(len, given)).difference(lengths)
             if bad:
                 raise ValueError(f"{attr} must have length in "
                                  f"{lengths.start}..{lengths.stop - 1}, got {min(bad)}")
-            if not (isinstance(given, tuple)
-                    and all(map(str.__lt__, given, islice(given, 1, None)))):
-                given = tuple(sorted(words))
+            if not all(map(lt, given, islice(given, 1, None))):
+                given = tuple(sorted(set(given)))
             unknown = "".join(given).translate(known)
             if unknown:
                 top = max(unknown)
                 raise ValueError(f"unknown symbol index {ord(top)} in {attr} "
                                  f"over {len(alphabet)} symbols")
             object.__setattr__(self, attr, given)
-            object.__setattr__(self, cache, words)
+            if cache:
+                object.__setattr__(self, cache, frozenset(given))
         object.__setattr__(self, "_chars", {s: chr(i) for i, s in enumerate(alphabet)})
+
+    @cached_property
+    def _factor_set(self) -> frozenset[str]:
+        return frozenset(self.factors)
 
     def encode(self, symbols: Iterable[str]) -> str:
         """The index string of a symbol word; ValueError on unknown symbols."""

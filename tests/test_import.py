@@ -1,10 +1,11 @@
 """Importing the package stays cheap: it pulls in no process-pool machinery,
 and no module other than ``__init__`` imports a name it never reads.  A
 machine is trimmed and fingerprinted only in ``construction.prepare``; only
-trimming and enumeration prune by distance to a final state, and every spec
-is swept by ``construction._window_sets``.  The package ships the pipeline
-and what the benchmark imports, not the path-level definitions or the
-sample inference the test oracles keep (tests/conftest.py)."""
+trimming and enumeration prune by distance to a final state, every spec
+is swept by ``construction._window_sets``, and only the read side hashes a
+spec's factors.  The package ships the pipeline and what the benchmark
+imports, not the path-level definitions or the sample inference the test
+oracles keep (tests/conftest.py)."""
 
 import ast
 import os
@@ -104,6 +105,35 @@ def test_call_site_scan_finds_calls_anywhere():
     source = ("from . import automata\nx = automata.trim(m)\n"
               "class C:\n    def f(self):\n        return [g(trim(m)) for m in ()]\n")
     assert call_sites(source, {"trim"}) == ["<module>:trim", "C:trim"]
+
+
+def attribute_reads(source: str, attr: str) -> list[str]:
+    """The reads of attribute ``attr`` in a module, as the top-level
+    function, or ``Class.method``, they are in, or ``<module>``."""
+    sites = []
+    for top in ast.parse(source).body:
+        outer = getattr(top, "name", "<module>")
+        scopes = ([(f"{outer}.{node.name}" if hasattr(node, "name") else outer, node)
+                   for node in top.body]
+                  if isinstance(top, ast.ClassDef) else [(outer, top)])
+        sites.extend(where for where, scope in scopes for node in ast.walk(scope)
+                     if isinstance(node, ast.Attribute) and node.attr == attr
+                     and isinstance(node.ctx, ast.Load))
+    return sorted(sites)
+
+
+def test_only_the_read_side_hashes_the_factors():
+    # StreamRecognizer.feed reads the recognizer's own copy, taken in __init__
+    sites = {path.name: attribute_reads(path.read_text(), "_factor_set")
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: reads for name, reads in sites.items() if reads} == {
+        "slt.py": ["SltSpec.accepts", "StreamRecognizer.__init__", "StreamRecognizer.feed"]}
+
+
+def test_attribute_read_scan_skips_stores():
+    source = ("x = a.s\nclass C:\n    t = a.s\n    def f(self):\n"
+              "        self.s = 1\n        return [g.s for g in ()]\n")
+    assert attribute_reads(source, "s") == ["<module>", "C", "C.f"]
 
 
 def definitions(source: str) -> set[str]:

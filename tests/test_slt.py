@@ -118,6 +118,7 @@ class TestMembership:
                        suffixes=spec.suffixes, factors=spec.factors,
                        short_words=spec.short_words) == spec
         for field, words, message in (("prefixes", [("a", "b")], "index strings"),
+                                      ("prefixes", [["\x00", "\x01"]], "index strings.*got list"),
                                       ("factors", ["\x00\x01"], "length in 3..3"),
                                       ("short_words", [""], "length in 1..2"),
                                       ("suffixes", ["\x01\x02"], "unknown symbol index 2")):
@@ -155,6 +156,22 @@ class TestMembership:
                                for attr in attrs})
                 messages.add(str(error.value))
             assert len(messages) == 1 and message in messages.pop()
+
+    def test_factor_set_is_built_only_for_the_read_side(self):
+        machine = sk.parse_nfa(corpus_text("nondet"))
+        built = sk.medvedev_main(machine, 2)
+        parsed = sk.parse_decomposition(sk.serialize_decomposition(built))
+        for dec in (built, parsed):
+            for mode in ("bounded", "exact"):
+                assert sk.verify_decomposition(machine, dec, mode=mode).ok
+        assert ["_factor_set" in vars(dec.slt) for dec in (built, parsed)] == [False, False]
+        sk.slt_membership(built.slt, built.slt.decode(built.slt.prefixes[0]
+                                                      + built.slt.suffixes[0]))
+        recognizer = sk.StreamRecognizer(parsed.slt)
+        for spec in (built.slt, parsed.slt):
+            assert "_factor_set" in vars(spec)
+            assert spec._factor_set is vars(spec)["_factor_set"] == frozenset(spec.factors)
+        assert recognizer._factor_set is parsed.slt._factor_set
 
     def test_spec_equality_is_structural(self, paired):
         reordered = symbol_spec(width=2, alphabet=("a'", "a", "b'", "b"),
