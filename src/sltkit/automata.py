@@ -412,26 +412,22 @@ class EquivalenceResult:
 
 
 def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int] = None,
-                   state_cap: int = DEFAULT_STATE_CAP,
-                   word_cap: int = DEFAULT_WORD_CAP) -> EquivalenceResult:
+                   cap: int = DEFAULT_STATE_CAP) -> EquivalenceResult:
     """Decide (exactly or up to a length bound) whether two NFAs agree.
 
-    Both modes run :func:`differences` on the machines' tables: exact mode
-    capped at ``state_cap`` product states, bounded mode at ``word_cap``
-    product states and words of length ``max_len``.  On inequivalence the
-    shortest (then lexicographically least) witness word is returned.
+    Both modes run :func:`differences` on the machines' tables, capped at
+    ``cap`` product states; bounded mode reads words up to length
+    ``max_len``.  On inequivalence the shortest (then lexicographically
+    least) witness word is returned.
     """
     if m1.alphabet != m2.alphabet:
         raise ValueError("machines must share the same alphabet")
-    if mode == "exact":
-        cap, max_len = state_cap, None
-    elif mode == "bounded":
-        if max_len is None:
-            raise ValueError("bounded mode requires max_len")
-        cap = word_cap
-    else:
+    if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
-    first = next(differences(nfa_table(m1), nfa_table(m2), cap, max_len), None)
+    if mode == "bounded" and max_len is None:
+        raise ValueError("bounded mode requires max_len")
+    first = next(differences(nfa_table(m1), nfa_table(m2), cap,
+                             max_len if mode == "bounded" else None), None)
     return EquivalenceResult(first is None, None if first is None else first[0])
 
 

@@ -111,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     machine = _read_nfa(args.nfa)
     dec = _read_dec(args.dec)
     report = verify_decomposition(machine, dec, mode=args.mode, horizon=args.maxlen,
-                                  word_cap=args.cap, state_cap=args.state_cap)
+                                  cap=args.cap)
     verdict = "pass" if report.ok else "FAIL"
     if report.ok:
         print(f"verification passed in {report.mode} mode"
@@ -241,6 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help: str = "resource cap on enumerated words / set elements") -> None:
         p.add_argument("--cap", type=_positive, default=DEFAULT_SET_CAP, help=help)
 
+    def add_mode(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=("exact", "bounded"), default="exact",
+                       help="exact equivalence, or bounded to a horizon (default: %(default)s)")
+        p.add_argument("--maxlen", type=partial(_positive, what="a horizon"), default=None,
+                       help="bounded mode's horizon, and exact mode's fallback horizon "
+                            "when it hits the cap (default: 2k+4)")
+
     p = sub.add_parser("build", help="build the width-(2m-2) decomposition at a ratio")
     p.add_argument("--nfa", required=True)
     p.add_argument("--ratio", type=int, required=True)
@@ -256,13 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a decomposition against its machine")
     p.add_argument("--nfa", required=True)
     p.add_argument("--dec", required=True)
-    p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
-    p.add_argument("--maxlen", type=partial(_positive, what="a horizon"), default=None,
-                   help="bounded-mode horizon (default: 2k+4)")
-    add_cap(p, "cap on bounded-mode product states, each reached by a distinct "
-               "enumerated word within the horizon")
-    p.add_argument("--state-cap", type=_positive, default=DEFAULT_STATE_CAP,
-                   help="cap on determinized states in exact checks")
+    add_mode(p)
+    p.add_argument("--cap", type=_positive, default=DEFAULT_STATE_CAP,
+                   help="cap on product states in either mode, each reached by a "
+                        "distinct word (default: %(default)s)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="encode a source word into the local language")
@@ -305,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="build and verify everything in a directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--ratio", default="2,3")
-    p.add_argument("--mode", choices=("exact", "bounded"), default="bounded")
-    p.add_argument("--maxlen", type=partial(_positive, what="a horizon"), default=None)
-    add_cap(p)
+    add_mode(p)
+    add_cap(p, "cap on the context automaton, each window set, the enumerated short "
+               "words, product states in either verification mode and the codewords "
+               "a state-code check holds (default: %(default)s)")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 from .automata import (
     DEFAULT_SET_CAP,
     DEFAULT_STATE_CAP,
-    DEFAULT_WORD_CAP,
     CapacityError,
     Nfa,
     Table,
@@ -41,10 +40,10 @@ from .slt import compile_spec, slt_membership, window_ops
 class VerificationReport:
     """Outcome of checking a decomposition against its source machine.
 
-    A failing verdict always carries at least one counterexample: a source
-    word that is missing from the claimed language, or one the claim
-    produces in excess (with a local-side witness when it came through the
-    slt language).
+    A failing verdict carries the least counterexample of each kind found:
+    a source word that is missing from the claimed language, and one the
+    claim produces in excess (with a local-side witness when it came
+    through the slt language).
     """
 
     mode: str
@@ -98,27 +97,25 @@ def claimed_table(m: Nfa, dec: Decomposition) -> Table:
     return Table(table.alphabet, succ, frozenset(finals), table.initial + (root,))
 
 
-def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
+def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "exact",
                          horizon: Optional[int] = None,
-                         word_cap: int = DEFAULT_WORD_CAP,
-                         state_cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
+                         cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
     """Check that the projected slt language plus residual equals L(m).
 
     Both modes build the claim as one table (see :func:`claimed_table`)
-    and search the product of its subsets and the machine's subsets, on
-    integer keys, for words on which the claim and the machine disagree
-    (see :func:`differences`).  Exact mode reports the least such word; if
-    it visits more than ``state_cap`` product states it downgrades itself
-    to bounded mode with a notice.  A spec whose table exceeds the
-    compiler's cap raises :class:`CapacityError` in either mode, since both
-    search the same table.  Bounded mode reads no word longer than the
-    horizon, so residual words past it are not compared; it reports the
-    least word on each failing side and is capped at ``word_cap`` product
-    states.  An extra word's least local preimage is found by walking the
-    spec's symbol-level table along that word alone.  A decomposition whose
-    recorded source fingerprint is not that of ``prepare(m)`` is still
-    checked against ``m``, with a notice saying so.  A ``horizon`` below 1
-    raises ``ValueError`` in either mode.
+    and search the product of its subsets and the machine's subsets for
+    words on which the claim and the machine disagree (see
+    :func:`differences`), visiting at most ``cap`` product states, until
+    they have the least missing and the least extra word.  Bounded mode
+    stops the search at the horizon (default 2k+4), so residual words past
+    it are not compared.  Exact mode that hits the cap falls back to
+    bounded mode, under the same cap, with a notice.  A spec whose table
+    exceeds the compiler's cap raises :class:`CapacityError` in either
+    mode, since both search the same table.  An extra word's least local
+    preimage is found by walking the spec's symbol-level table along that
+    word alone.  A decomposition whose recorded source fingerprint is not
+    that of ``prepare(m)`` is still checked against ``m``, with a notice
+    saying so.  A ``horizon`` below 1 raises ``ValueError`` in either mode.
     """
     if mode not in ("exact", "bounded"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -128,25 +125,25 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "bounded",
     notices = [mismatch] if mismatch else []
     claimed, machine = claimed_table(m, dec), nfa_table(m)
 
-    def report(how: str, h: Optional[int], cap: int, sides: int) -> VerificationReport:
+    def report(h: Optional[int]) -> VerificationReport:
         found: dict[bool, Word] = {}
         for word, is_extra in differences(claimed, machine, cap, h):
             found.setdefault(is_extra, word)
-            if len(found) == sides:
+            if len(found) == 2:
                 break
         extra = found.get(True)
         return VerificationReport(
-            mode=how, horizon=h, ok=not found, missing=found.get(False), extra=extra,
+            mode="exact" if h is None else "bounded", horizon=h, ok=not found,
+            missing=found.get(False), extra=extra,
             extra_local=None if extra is None else _local_preimage(dec, extra),
             set_sizes=_set_sizes(dec), notice="; ".join(notices) or None)
 
     if mode == "exact":
         try:
-            return report("exact", None, state_cap, 1)
+            return report(None)
         except CapacityError as exc:
             notices.append(f"exact mode hit a resource cap ({exc}); fell back to bounded")
-    return report("bounded", horizon if horizon is not None else default_horizon(dec),
-                  word_cap, 2)
+    return report(horizon if horizon is not None else default_horizon(dec))
 
 
 def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
@@ -315,7 +312,7 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
         entries.append(CorpusEntry(name, task, ok, detail))
 
     def verified(dec: Decomposition, how: str, limit: Optional[int]) -> tuple[bool, str]:
-        report = verify_decomposition(machine, dec, mode=how, horizon=limit, word_cap=cap)
+        report = verify_decomposition(machine, dec, mode=how, horizon=limit, cap=cap)
         return report.ok, _witness_detail(report)
 
     run("width2", lambda: verified(medvedev_width2(machine), "exact", None))
@@ -329,18 +326,20 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
     return entries
 
 
-def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "bounded",
+def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "exact",
                horizon: Optional[int] = None, cap: int = DEFAULT_SET_CAP) -> CorpusReport:
     """Build and verify both constructions for every machine in a directory.
 
     Picks up ``<stem>.nfa`` machine files plus any ``<stem>[.tag].dec``
     decomposition fixtures, which are verified against their machine: the
-    one with the longest stem the fixture's name starts with.  ``cap``
-    bounds set sizes, enumerated words, bounded-mode product states and
-    the codewords a state-code check holds.  Per-file problems are reported
-    as failing entries without aborting the run; entries come in file-name
-    order.  A ``horizon`` below 1 raises ValueError and a ``directory``
-    that is not one raises NotADirectoryError, before any task runs.
+    one with the longest stem the fixture's name starts with.  ``mode`` and
+    ``horizon`` apply to the main builds and the fixtures; width-2 builds
+    are verified exactly.  ``cap`` bounds set sizes, enumerated words,
+    product states in either verification mode and the codewords a
+    state-code check holds.  Per-file problems are reported as failing
+    entries without aborting the run; entries come in file-name order.  A
+    ``horizon`` below 1 raises ValueError and a ``directory`` that is not
+    one raises NotADirectoryError, before any task runs.
     """
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")

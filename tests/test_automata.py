@@ -231,7 +231,9 @@ class TestEquivalence:
 
     def test_state_cap(self, evens):
         with pytest.raises(CapacityError):
-            sk.nfa_equivalent(evens, evens, state_cap=2)
+            sk.nfa_equivalent(evens, evens, cap=2)
+        with pytest.raises(CapacityError):  # the same cap in bounded mode
+            sk.nfa_equivalent(evens, evens, mode="bounded", max_len=4, cap=2)
 
     def test_alphabet_mismatch(self, aplus, evens):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import argparse
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -41,8 +43,14 @@ class TestBuildVerify:
                           "--ratio", 2, "--out", dec_path)
         assert status == 0 and "kind=main" in out
         status, out = run(capsys, "verify", "--nfa", workdir / "aplus.nfa",
-                          "--dec", dec_path)
+                          "--dec", dec_path, "--mode", "bounded")
         assert status == 0 and "verdict=pass" in out and "horizon=16" in out
+
+    def test_exact_is_the_default(self, workdir, capsys):
+        dec_path = workdir / "aplus.h2.dec"
+        run(capsys, "build", "--nfa", workdir / "aplus.nfa", "--ratio", 2, "--out", dec_path)
+        status, out = run(capsys, "verify", "--nfa", workdir / "aplus.nfa", "--dec", dec_path)
+        assert status == 0 and "mode=exact\nhorizon=-\n" in out
 
     def test_failing_verify_exits_one(self, workdir, capsys):
         dec = sk.medvedev_width2(sk.totalize(sk.parse_nfa(corpus_text("aplus"))))
@@ -207,7 +215,7 @@ class TestTablesAndCodes:
 
 class TestCaps:
     @pytest.mark.parametrize("command,flag,value", [
-        ("verify", "--state-cap", "-1"), ("verify", "--state-cap", "0"),
+        ("verify", "--cap", "-1"), ("verify", "--cap", "0"),
         ("verify", "--cap", "-5"), ("corpus", "--cap", "-1"), ("build", "--cap", "0"),
         ("minwidth", "--cap", "0")])
     def test_cap_below_one_is_a_usage_error(self, workdir, capsys, command, flag, value):
@@ -223,6 +231,14 @@ class TestCaps:
         assert captured.out == ""
         assert f"argument {flag}: a cap must be at least 1, got {int(value)}" in captured.err
 
+
+    def test_state_cap_is_gone(self, workdir, capsys):
+        nfa, dec = workdir / "aplus.nfa", workdir / "aplus.w2.dec"
+        assert main(["build2", "--nfa", str(nfa), "--out", str(dec)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--nfa", str(nfa), "--dec", str(dec), "--state-cap", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --state-cap 5" in captured.err
 
     @pytest.mark.parametrize("command,mode,value", [
         ("verify", "exact", "0"), ("verify", "bounded", "-1"),
@@ -281,6 +297,13 @@ class TestCorpusCommand:
         assert any(line.startswith("file=aplus.nfa task=width2 result=pass")
                    for line in lines)
 
+    def test_exact_is_the_default(self, workdir, capsys):
+        status, out = run(capsys, "corpus", "--dir", workdir, "--ratio", "2")
+        assert status == 0
+        assert out == run(capsys, "corpus", "--dir", workdir, "--ratio", "2", "--mode", "exact")[1]
+        mains = [line for line in out.splitlines() if "task=main h=2" in line]
+        assert len(mains) == 3 and all(line.endswith(" mode=exact") for line in mains)
+
     def test_missing_directory_is_an_input_error(self, tmp_path, capsys):
         assert main(["corpus", "--dir", str(tmp_path / "missing")]) == 2
         captured = capsys.readouterr()
@@ -314,10 +337,13 @@ def test_python_dash_m_runs_the_cli_module():
     assert result.stdout.startswith("usage: sltkit")
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands() -> list[str]:
     """The ``sltkit`` lines of README's "Command line" section, each taken
     after the last ``| `` of a pipeline."""
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     lines = (line.rpartition("| ")[2] for line in section.splitlines())
     return [line for line in lines if line.startswith("sltkit ")]
@@ -332,3 +358,26 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def readme_flags() -> set[str]:
+    """Every ``--flag`` README names in prose, in a comment or on a line
+    that runs ``sltkit``; other programs' command lines are skipped."""
+    flags, fenced = set(), False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        code = line.partition("#")[0] if fenced else ""
+        if not code.strip() or "sltkit " in code:
+            flags.update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_flags_exist():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sub in commands.choices.values() for flag in sub._option_string_actions}
+    flags = readme_flags()
+    assert {"--mode", "--maxlen", "--cap", "--max-k"} <= flags
+    assert flags <= known, f"README names unknown flags: {sorted(flags - known)}"

@@ -8,7 +8,7 @@ of each are checked field by field against ``reference_report``
 (tests/test_verification_reference.py).  That reference decides the claim
 with ``nfa_equivalent`` on the projected NFA joined with the residual's
 word set, and by enumeration up to the horizon.  The point at which the
-search hits ``state_cap`` is pinned against ``reference_differences`` in
+search hits ``cap`` is pinned against ``reference_differences`` in
 tests/test_differences.py; here only the fallback itself is checked.
 """
 
@@ -57,15 +57,24 @@ def test_random_machines_match_merged_claim(machine, h, seed):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_state_cap_falls_back_at_the_same_point(machines, build_main, name):
     machine, dec = machines[name], build_main(name, 2)
-    reports = [sk.verify_decomposition(machine, dec, mode="exact", state_cap=state_cap)
-               for state_cap in range(1, 60)]
+    reports = []
+    for cap in range(1, 60):
+        try:
+            reports.append(sk.verify_decomposition(machine, dec, mode="exact", horizon=2,
+                                                   cap=cap))
+        except sk.CapacityError:
+            reports.append(None)
+    # below the 3 to 6 product states of the bounded search to length 2,
+    # neither mode fits; every corpus build needs between 10 and 36 for the
+    # exact search: bounded below that point, exact from it on
+    refused = reports.count(None)
+    assert 0 < refused and reports[:refused] == [None] * refused
+    reports = reports[refused:]
     assert all(report.ok for report in reports)
     modes = [report.mode for report in reports]
-    # every corpus build needs between 16 and 46 product states: bounded
-    # below that point, exact from it on
     fallbacks = modes.count("bounded")
     assert 0 < fallbacks < len(modes)
     assert modes == ["bounded"] * fallbacks + ["exact"] * (len(modes) - fallbacks)
     for report in reports[:fallbacks]:
         assert report.notice.startswith("exact mode hit a resource cap")
-        assert report.horizon == sk.default_horizon(dec)
+        assert report.horizon == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import pathlib
 from functools import partial
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, SltSpec, verification
+from sltkit.automata import DEFAULT_STATE_CAP
 from sltkit.slt import compile_spec
 
 from conftest import corpus_text, paper_main, symbol_spec
@@ -27,6 +29,14 @@ def aplus_main(aplus):
     return sk.medvedev_main(sk.totalize(aplus), 2)
 
 
+def forged_needs_sink() -> sk.Decomposition:
+    """A claim for ``needs_sink`` that misses ``aa`` and adds ``bb``, from its residual."""
+    spec = symbol_spec(width=4, alphabet=("a|0", "b|0"))
+    pi = sk.Homomorphism((("a|0", "a"), ("b|0", "b")))
+    return sk.Decomposition(kind="main", slt=spec, pi=pi, residual=(W("a"), W("bb")),
+                            h=2, m=2)
+
+
 def drop_word(spec: SltSpec, attr: str, index: int) -> SltSpec:
     words = list(getattr(spec, attr))
     del words[index]
@@ -40,8 +50,21 @@ class TestVerify:
         assert report.ok and report.mode == "exact"
         assert report.missing is None and report.extra is None
 
-    def test_main_bounded_pass_with_default_horizon(self, aplus, aplus_main):
+    def test_exact_is_the_default(self, aplus, aplus_main):
         report = sk.verify_decomposition(aplus, aplus_main)
+        assert report.ok and report.mode == "exact" and report.horizon is None
+
+    @pytest.mark.parametrize("check,names", [
+        (sk.verify_decomposition, ["m", "dec", "mode", "horizon", "cap"]),
+        (sk.nfa_equivalent, ["m1", "m2", "mode", "max_len", "cap"])])
+    def test_one_cap_for_both_modes(self, check, names):
+        parameters = inspect.signature(check).parameters
+        assert list(parameters) == names
+        assert parameters["mode"].default == "exact"
+        assert parameters["cap"].default == DEFAULT_STATE_CAP
+
+    def test_main_bounded_pass_with_default_horizon(self, aplus, aplus_main):
+        report = sk.verify_decomposition(aplus, aplus_main, mode="bounded")
         assert report.ok
         assert report.horizon == 2 * aplus_main.k + 4
         assert report.set_sizes["residual"] == 0 and report.set_sizes["short"] == 5
@@ -72,9 +95,10 @@ class TestVerify:
         assert saw_failure
 
     def test_exact_falls_back_to_bounded_on_cap(self, aplus, aplus_main):
-        report = sk.verify_decomposition(aplus, aplus_main, mode="exact", state_cap=2)
+        # the exact search needs 10 product states, the bounded one to length 3 needs 4
+        report = sk.verify_decomposition(aplus, aplus_main, mode="exact", horizon=3, cap=4)
         assert report.mode == "bounded" and report.notice is not None
-        assert report.ok
+        assert report.ok and report.horizon == 3
 
     def test_compile_cap_is_not_a_fallback(self, machines, build_main, monkeypatch):
         # bounded mode searches the same compiled table, so there is no
@@ -96,7 +120,8 @@ class TestVerify:
                     f"not for this one ({fingerprint})")
         exact = sk.verify_decomposition(abplus, foreign, mode="exact")
         assert exact.mode == "exact" and not exact.ok and exact.notice == expected
-        fallback = sk.verify_decomposition(abplus, foreign, mode="exact", state_cap=1)
+        # the exact search needs 7 product states, the bounded one to length 3 needs 6
+        fallback = sk.verify_decomposition(abplus, foreign, mode="exact", horizon=3, cap=6)
         assert fallback.mode == "bounded" and not fallback.ok
         assert fallback.notice.startswith(expected + "; exact mode hit a resource cap")
         own = sk.verify_decomposition(machines["abbplus"], foreign, mode="exact")
@@ -116,7 +141,7 @@ class TestVerify:
         # A+ over two letters: 2^30 words of length 30 alone, but two machine states
         machine = sk.parse_nfa("alphabet a b\nstates 2\ninitial 0\nfinal 1\n"
                                "trans 0 a 1\ntrans 0 b 1\ntrans 1 a 1\ntrans 1 b 1\n")
-        assert sk.verify_decomposition(machine, build(machine), horizon=30).ok
+        assert sk.verify_decomposition(machine, build(machine), mode="bounded", horizon=30).ok
 
     def test_horizon_below_one_is_rejected(self, aplus, aplus_main):
         with pytest.raises(ValueError, match="at least 1"):
@@ -130,15 +155,18 @@ class TestVerify:
 
     def test_witnesses_on_both_sides(self):
         machine = sk.parse_nfa(corpus_text("needs_sink"))
-        spec = symbol_spec(width=4, alphabet=("a|0", "b|0"))
-        pi = sk.Homomorphism((("a|0", "a"), ("b|0", "b")))
-        forged = sk.Decomposition(kind="main", slt=spec, pi=pi,
-                                  residual=(W("a"), W("bb")), h=2, m=2)
-        report = sk.verify_decomposition(machine, forged, horizon=6)
+        report = sk.verify_decomposition(machine, forged_needs_sink(), mode="bounded",
+                                         horizon=6)
         assert not report.ok
         assert report.missing == W("aa")      # member not covered by the claim
         assert report.extra == W("bb")        # claimed but not a member
         assert report.extra_local is None     # it came from the residual
+
+    def test_exact_witnesses_on_both_sides(self):
+        machine = sk.parse_nfa(corpus_text("needs_sink"))
+        report = sk.verify_decomposition(machine, forged_needs_sink())
+        assert report.mode == "exact" and not report.ok
+        assert (report.missing, report.extra, report.extra_local) == (W("aa"), W("bb"), None)
 
     def test_residual_letter_outside_the_alphabet_is_rejected(self, aplus, aplus_main):
         dec = dataclasses.replace(aplus_main, residual=(W("az"),))
@@ -304,6 +332,13 @@ class TestCorpus:
         windows = sk.verify_factor_decodable(code).windows_checked
         assert details[("needs_sink.nfa", "code h=2")] == f"windows={windows}"
 
+    def test_exact_is_the_default(self, tmp_path):
+        directory = self.make_dir(tmp_path, ["aplus", "nondet"])
+        report = sk.run_corpus(directory, ratios=(2,))
+        assert report == sk.run_corpus(directory, ratios=(2,), mode="exact")
+        mains = [e for e in report.entries if e.task == "main h=2"]
+        assert len(mains) == 2 and all(e.detail == "mode=exact" for e in mains)
+
     def test_cap_bounds_the_code_check(self, tmp_path):
         report = sk.run_corpus(self.make_dir(tmp_path, ["needs_sink"]), ratios=(2,), cap=1)
         details = {e.task: e for e in report.entries}
@@ -330,7 +365,7 @@ class TestCorpus:
 
     def test_bundled_corpus_passes_at_a_short_horizon(self):
         # the default ratios build short words up to length 2m-3, 9 > 8 for abbplus h=2
-        assert sk.run_corpus(sk.corpus_dir(), horizon=8).ok
+        assert sk.run_corpus(sk.corpus_dir(), mode="bounded", horizon=8).ok
 
     @pytest.mark.parametrize("mode", ["exact", "bounded"])
     def test_horizon_below_one_is_rejected_before_any_task(self, tmp_path, monkeypatch, mode):

@@ -1,11 +1,15 @@
 """verify_decomposition against the composition it is built to agree with.
 
-The reference builds the claimed language as an NFA (``relabel`` of
+The reference builds the claimed language as an NFA P (``relabel`` of
 ``slt_to_nfa``, joined with ``word_set_nfa`` of the residual by
-``union_nfa``) and decides it with ``nfa_equivalent``; in bounded mode it
-enumerates the compiled slt machine and projects every local word, and
-compares residual words up to the horizon.  Every report field must match,
-on passing and failing decompositions alike.
+``union_nfa``).  In exact mode it decides each side with ``nfa_equivalent``
+on the union of P and the machine M: against P for the least missing word,
+against M for the least extra one.  In bounded mode it enumerates the
+compiled slt machine and projects every local word, and compares residual
+words up to the horizon.  Whether the cap stops a search is decided by
+``reference_differences`` on P and M, stopped the way the real search
+stops.  Every report field must match, on passing and failing
+decompositions alike.
 """
 
 import dataclasses
@@ -16,45 +20,56 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, VerificationReport
-from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP
+from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP, nfa_table
 
-from conftest import CORPUS_NAMES, paper_main, projected_language, word_key
+from conftest import (CORPUS_NAMES, paper_main, projected_language, reference_differences,
+                      word_key)
 from test_random_machines import few_short_words, random_machines
 
 
-def least_preimage(dec, word, word_cap):
-    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), len(word), cap=word_cap):
+def least_preimage(dec, word):
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), len(word), cap=DEFAULT_WORD_CAP):
         if len(z) == len(word) and dec.pi(z) == word:
             return z
     return None
 
 
-def reference_report(m, dec, mode, horizon=None, word_cap=DEFAULT_WORD_CAP,
-                     state_cap=DEFAULT_STATE_CAP) -> VerificationReport:
+def reference_search(claimed, m, cap, max_len) -> None:
+    """Search the product of ``claimed`` and ``m`` until it has a word on
+    each side or ends; raises :class:`CapacityError` where the search of
+    ``verify_decomposition`` does."""
+    sides = set()
+    for _, side in reference_differences(nfa_table(claimed), nfa_table(m), cap, max_len):
+        sides.add(side)
+        if len(sides) == 2:
+            return
+
+
+def reference_report(m, dec, mode, horizon=None, cap=DEFAULT_STATE_CAP) -> VerificationReport:
     sizes = {"I": len(dec.slt.prefixes), "T": len(dec.slt.suffixes),
              "F": len(dec.slt.factors), "short": len(dec.slt.short_words),
              "residual": len(dec.residual)}
+    claimed = projected_language(dec, m.alphabet)
     notice = None
     if mode == "exact":
         try:
-            verdict = sk.nfa_equivalent(projected_language(dec, m.alphabet), m,
-                                        mode="exact", state_cap=state_cap)
-            missing = extra = extra_local = None
-            if not verdict.equivalent:
-                if sk.accepts(m, verdict.witness):
-                    missing = verdict.witness
-                else:
-                    extra = verdict.witness
-                    extra_local = least_preimage(dec, extra, word_cap)
-            return VerificationReport(mode="exact", horizon=None, ok=verdict.equivalent,
-                                      missing=missing, extra=extra,
-                                      extra_local=extra_local, set_sizes=sizes)
+            reference_search(claimed, m, cap, None)
         except CapacityError as exc:
             notice = f"exact mode hit a resource cap ({exc}); fell back to bounded"
+        else:
+            both = sk.union_nfa(claimed, m)
+            missing = sk.nfa_equivalent(both, claimed).witness
+            extra = sk.nfa_equivalent(both, m).witness
+            return VerificationReport(
+                mode="exact", horizon=None, ok=missing is None and extra is None,
+                missing=missing, extra=extra,
+                extra_local=None if extra is None else least_preimage(dec, extra),
+                set_sizes=sizes)
     h = horizon if horizon is not None else sk.default_horizon(dec)
-    want = set(sk.enumerate_language(m, h, cap=word_cap))
+    reference_search(claimed, m, cap, h)
+    want = set(sk.enumerate_language(m, h, cap=DEFAULT_WORD_CAP))
     image = {}
-    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=word_cap):
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=DEFAULT_WORD_CAP):
         image.setdefault(dec.pi(z), z)
     have = set(image) | {w for w in dec.residual if len(w) <= h}
     missing = min(want - have, key=word_key(m), default=None)
@@ -69,12 +84,12 @@ def assert_same_report(m, dec, mode, **kwargs) -> VerificationReport:
     report = sk.verify_decomposition(m, dec, mode=mode, **kwargs)
     assert report == reference_report(m, dec, mode, **kwargs)
     if report.mode == "exact" and not report.ok:
-        # both sides run the same subset product: check its witness by enumeration
-        witness = report.missing or report.extra
-        claimed = projected_language(dec, m.alphabet)
-        diff = (set(sk.enumerate_language(m, len(witness)))
-                ^ set(sk.enumerate_language(claimed, len(witness))))
-        assert witness == min(diff, key=word_key(m))
+        # both sides come from subset products: check each by enumeration
+        longest = max(len(w) for w in (report.missing, report.extra) if w is not None)
+        want = set(sk.enumerate_language(m, longest))
+        have = set(sk.enumerate_language(projected_language(dec, m.alphabet), longest))
+        assert report.missing == min(want - have, key=word_key(m), default=None)
+        assert report.extra == min(have - want, key=word_key(m), default=None)
     return report
 
 
@@ -119,25 +134,28 @@ def test_corpus_mutations_match_reference(machines, name, kind):
 
 @settings(max_examples=60, deadline=None)
 @given(machine=random_machines(), kind=st.sampled_from(["width2", 2, 3]),
-       seed=st.integers(0, 2**16), state_cap=st.sampled_from([3, DEFAULT_STATE_CAP]))
-def test_random_machines_match_reference(machine, kind, seed, state_cap):
+       seed=st.integers(0, 2**16), small_cap=st.booleans())
+def test_random_machines_match_reference(machine, kind, seed, small_cap):
     # dense machines have up to |A|^(2m-2) short words and |A|^(h+1) words
     # below the default horizon h; the reference is slow on either
     assume(kind == "width2" or few_short_words(machine, kind))
     dec = build(machine, kind)
-    horizon = min(sk.default_horizon(dec), 10)
+    # a small cap still fits the search one letter deep: 1 + |A| product states
+    cap, horizon = ((1 + len(machine.alphabet), 1) if small_cap
+                    else (DEFAULT_STATE_CAP, min(sk.default_horizon(dec), 10)))
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):
         for mode in ("exact", "bounded"):
-            assert_same_report(machine, candidate, mode, horizon=horizon,
-                               state_cap=state_cap)
+            assert_same_report(machine, candidate, mode, horizon=horizon, cap=cap)
 
 
 def test_cap_fallback_matches_reference(machines):
     machine = machines["nondet"]
     dec = mutate(sk.medvedev_main(machine, 2), random.Random(1))
-    for state_cap in (1, 2, 5):
-        report = assert_same_report(machine, dec, "exact", state_cap=state_cap)
+    # each cap is the least that fits the bounded search to its horizon;
+    # the exact search needs 33 product states
+    for cap, horizon in ((3, 1), (5, 2), (11, 5)):
+        report = assert_same_report(machine, dec, "exact", horizon=horizon, cap=cap)
         assert report.mode == "bounded" and report.notice is not None
 
 
@@ -152,9 +170,9 @@ def test_letters_outside_the_machine_raise_as_reference(machines, mode, where):
     else:
         dec = dataclasses.replace(dec, residual=dec.residual + (("a", "c"),))
     with pytest.raises(ValueError) as expected:
-        # both modes build the same claimed table, which rejects the
-        # projection's outside letter before reading any word
-        reference_report(machine, dec, "exact" if where == "pi" else mode)
+        # both modes build the same claimed table, and the reference builds
+        # P; each rejects the outside letter before reading any word
+        reference_report(machine, dec, mode)
     with pytest.raises(ValueError) as actual:
         sk.verify_decomposition(machine, dec, mode=mode)
     assert str(actual.value) == str(expected.value)
