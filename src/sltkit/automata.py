@@ -17,9 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 Word = tuple[str, ...]
 Transition = tuple[int, str, int]
 
-DEFAULT_WORD_CAP = 10**6
-DEFAULT_STATE_CAP = 10**6
-DEFAULT_SET_CAP = 10**6
+DEFAULT_CAP = 10**6
 
 
 class ParseError(ValueError):
@@ -370,7 +368,7 @@ class _Subsets:
         return s
 
 
-def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
+def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_CAP) -> list[Word]:
     """All accepted words of length 1..max_len in length-then-lex order.
 
     Dead prefixes are pruned via distance-to-final, so sparse languages of
@@ -412,7 +410,7 @@ class EquivalenceResult:
 
 
 def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int] = None,
-                   cap: int = DEFAULT_STATE_CAP) -> EquivalenceResult:
+                   cap: int = DEFAULT_CAP) -> EquivalenceResult:
     """Decide (exactly or up to a length bound) whether two NFAs agree.
 
     Both modes run :func:`differences` on the machines' tables, capped at
@@ -431,7 +429,7 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
     return EquivalenceResult(first is None, None if first is None else first[0])
 
 
-def differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
+def differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
                 max_len: Optional[int] = None) -> Iterator[tuple[Word, bool]]:
     """Words on which two tables over the same alphabet disagree.
 

@@ -14,8 +14,7 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .automata import (
-    DEFAULT_SET_CAP,
-    DEFAULT_STATE_CAP,
+    DEFAULT_CAP,
     CapacityError,
     Nfa,
     format_word,
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cap(p: argparse.ArgumentParser,
                 help: str = "resource cap on enumerated words / set elements") -> None:
-        p.add_argument("--cap", type=_positive, default=DEFAULT_SET_CAP, help=help)
+        p.add_argument("--cap", type=_positive, default=DEFAULT_CAP, help=help)
 
     def add_mode(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=("exact", "bounded"), default="exact",
@@ -264,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfa", required=True)
     p.add_argument("--dec", required=True)
     add_mode(p)
-    p.add_argument("--cap", type=_positive, default=DEFAULT_STATE_CAP,
-                   help="cap on product states in either mode, each reached by a "
-                        "distinct word (default: %(default)s)")
+    add_cap(p, "cap on product states in either mode, each reached by a distinct word "
+               "(default: %(default)s)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="encode a source word into the local language")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from .automata import DEFAULT_SET_CAP, CapacityError
+from .automata import DEFAULT_CAP, CapacityError
 
 # Tails of at most this many pool words are tabulated when iterating.
 _TAIL_WORDS = 4096
@@ -198,7 +198,7 @@ def count_S(h: int, m: int) -> int:
     return _counts(h, m)[m]
 
 
-def enumerate_S(h: int, m: int, cap: int = DEFAULT_SET_CAP) -> list[str]:
+def enumerate_S(h: int, m: int, cap: int = DEFAULT_CAP) -> list[str]:
     """All length-m digit words whose only "00" occurrence is the suffix,
     as index strings in lexicographic digit order."""
     count = count_S(h, m)
@@ -295,7 +295,7 @@ class CodeCheck:
     windows_checked: int
 
 
-def verify_factor_decodable(code: Code, cap: int = DEFAULT_SET_CAP) -> CodeCheck:
+def verify_factor_decodable(code: Code, cap: int = DEFAULT_CAP) -> CodeCheck:
     """Check that every (2m-1)-window of a codeword stream decodes.
 
     A window spans at most three codewords: a codeword suffix, a full

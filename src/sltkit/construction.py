@@ -5,7 +5,9 @@ with letters, giving a local (width-2) language over n*|A| symbols.  The
 main construction encodes states as fixed-length digit blocks and pairs
 letters with digits, giving width 2m-2 over only h*|A| symbols, two below
 the paper's 2m; its source words shorter than 2m-2 are the spec's short
-words, block-encoded.
+words, block-encoded.  Both specs, and the tightest width-k spec that
+:func:`min_slt_width` tests, are swept out of an automaton's rows by one
+helper, :func:`_swept_spec`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import (
-    DEFAULT_SET_CAP,
+    DEFAULT_CAP,
     CapacityError,
     Nfa,
     ParseError,
@@ -184,42 +186,46 @@ def state_symbol(state: int, letter: str) -> str:
 def medvedev_width2(m: Nfa) -> Decomposition:
     """Width-2 decomposition over state-letter pairs.
 
-    A pair <q,a> means "took an a-transition out of q".  The windows are
-    swept out of the machine's rows (see :func:`_window_sets`), where state
-    q reads <q,a> into each a-successor: prefixes anchor the initial state,
-    factors mirror the transitions, suffixes mark moves into a final state,
-    and the short words are the symbols that are both.  The projection keeps
-    the letter, and the alphabet has the ``prepare(m).machine.n * |A|`` pairs.
+    A pair <q,a> means "took an a-transition out of q".  The spec is swept
+    out of the machine's rows (see :func:`_swept_spec`), where state q reads
+    <q,a> into each a-successor: prefixes anchor the initial state, factors
+    mirror the transitions, suffixes mark moves into a final state, and the
+    short words are the initial state's moves into a final state.  The
+    projection keeps the letter, and the alphabet has the
+    ``prepare(m).machine.n * |A|`` pairs.
     """
     source = prepare(m)
     m = source.machine
     alphabet = tuple(state_symbol(q, a) for q in range(m.n) for a in m.alphabet)
     rows = _state_rows(m, len(m.alphabet))
-    prefixes, suffixes, factors = _window_sets(rows, m.initial, sorted(m.finals), [True] * m.n,
-                                               [s for s, _ in rows], 2, len(alphabet) ** 2)
-    spec = SltSpec(width=2, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
-                   factors=factors, short_words=set(prefixes).intersection(suffixes))
+    spec = _swept_spec(rows, m.initial, sorted(m.finals), True, [s for s, _ in rows], 2,
+                       alphabet, lambda: (c for c, target in zip(*rows[m.initial])
+                                          if not m.finals.isdisjoint(_contexts(target))),
+                       len(alphabet) ** 2)
     pi = Homomorphism(tuple(zip(alphabet, m.alphabet * m.n)))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
 
 
-def _context_automaton(m: Nfa, code: Code):
+def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], list[Row]]:
     """Automaton emitting the letter-digit stream of block-encoded runs.
 
     Contexts are (current state, block origin, offset into the block);
     block boundaries roll the origin over to the state just entered.  Only
-    contexts reachable from block starts exist.  Edges carry their symbol
-    as an index character of the letter-major local alphabet.  A context's
-    row is its symbols in ascending order, as one string, and beside each
-    symbol the context it leads to, or the tuple of them when the machine
-    branches on that letter.
+    contexts reachable from block starts exist: the block start of each
+    state, numbered as the state, and the targets of their edges, so every
+    context part-way through a block has an edge in.  Edges carry their
+    symbol as an index character of the letter-major local alphabet.  A
+    context's row is its symbols in ascending order, as one string, and
+    beside each symbol the context it leads to, or the tuple of them when
+    the machine branches on that letter.  Returns the contexts and their
+    rows.
     """
     blen = code.m
     h = code.h
     cw = list(code.codewords)
 
-    keys: list[tuple[int, int, int]] = []
-    ids: dict[tuple[int, int, int], int] = {}
+    keys: list[tuple[int, int, int]] = [(q, q, 0) for q in range(m.n)]
+    ids: dict[tuple[int, int, int], int] = {key: q for q, key in enumerate(keys)}
 
     def ctx(key: tuple[int, int, int]) -> int:
         if key not in ids:
@@ -227,8 +233,6 @@ def _context_automaton(m: Nfa, code: Code):
             keys.append(key)
         return ids[key]
 
-    for q in range(m.n):
-        ctx((q, q, 0))
     fwd: list[Row] = []
     i = 0
     while i < len(keys):
@@ -244,7 +248,7 @@ def _context_automaton(m: Nfa, code: Code):
                 targets.append(dsts[0] if len(dsts) == 1 else tuple(dsts))
         fwd.append(("".join(symbols), targets))
         i += 1
-    return keys, ids, fwd
+    return keys, fwd
 
 
 def _group(edges: Iterable[tuple[str, int]]) -> Row:
@@ -312,17 +316,19 @@ def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
     return out
 
 
-def _window_sets(rows: list[Row], start: int, ends: Sequence[int], aligned: Iterable[bool],
-                 prefix_last: list[str], width: int,
-                 cap: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """The (prefixes, suffixes, factors) of width ``width`` swept out of an
-    automaton's ``rows`` (see :func:`_window_words`), each a strictly
-    increasing tuple of index strings.
+def _swept_spec(rows: list[Row], start: int, ends: Sequence[int], aligned: bool,
+                prefix_last: list[str], width: int, alphabet: tuple[str, ...],
+                short_words: Callable[[], Iterable[str]], cap: int) -> SltSpec:
+    """The width-``width`` spec over ``alphabet`` whose window sets are
+    swept out of an automaton's ``rows`` (see :func:`_window_words`).
 
     Prefixes are the (width-1)-edge walks from ``start`` whose final symbol
     is one of ``prefix_last`` for the context it leaves; factors are all
     width-edge walks; suffixes are the (width-1)-edge walks into one of
-    ``ends`` that leave a context which is ``aligned`` or has an edge in.
+    ``ends`` that leave a context with an edge in, or any context if
+    ``aligned``.  ``cap`` bounds each window set.  The short words are
+    listed by ``short_words()``, called once the window sets are swept, so
+    a build over the cap on both stops at the window sets.
     """
     rev: list[list[tuple[str, int]]] = [[] for _ in rows]
     for src, row in enumerate(rows):
@@ -331,8 +337,7 @@ def _window_sets(rows: list[Row], start: int, ends: Sequence[int], aligned: Iter
                 rev[dst].append((c, src))
     for edges in rev:
         edges.sort()
-    admissible = [here or bool(into) for here, into in zip(aligned, rev)]
-    rev_last = ["".join(dict.fromkeys(c for c, src in edges if admissible[src]))
+    rev_last = ["".join(dict.fromkeys(c for c, src in edges if aligned or rev[src]))
                 for edges in rev]
 
     prefixes = _window_words(rows, prefix_last, [start], width - 1, cap, "prefixes")
@@ -340,26 +345,31 @@ def _window_sets(rows: list[Row], start: int, ends: Sequence[int], aligned: Iter
                             cap, "factors")
     suffixes = tuple(sorted(w[::-1] for w in _window_words(
         list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
-    return prefixes, suffixes, factors
+    return SltSpec(width=width, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
+                   factors=factors, short_words=short_words())
 
 
-def _main_windows(m: Nfa, code: Code, width: int,
-                  cap: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """The (prefixes, suffixes, factors) of width ``width`` swept out of the
-    context automaton of a prepared machine ``m`` and its state ``code``
-    (see :func:`_window_sets`).  ``cap`` bounds the automaton and each set."""
-    keys, ids, fwd = _context_automaton(m, code)
+def _main_spec(m: Nfa, code: Code, width: int, cap: int) -> SltSpec:
+    """The width-``width`` spec of the block-encoded runs of a prepared
+    machine ``m`` under its state ``code``, over the letter-major
+    letter-digit pairs.  Its windows are swept out of the context automaton
+    (see :func:`_swept_spec`), where a suffix leaves a context with an edge
+    in: part-way through a block, or at a block start where a full block
+    ends.  Its short words are the source words shorter than ``width``,
+    each block-encoded along its run (see :func:`_block_encoder`).  ``cap``
+    bounds the automaton, each window set and the short words."""
+    keys, rows = _context_automaton(m, code)
     if len(keys) > cap:
         raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
-    # a suffix is read from a block-aligned context: part-way through a
-    # block, or at a block start that has an edge in, so a full block ends there
-    return _window_sets(
-        fwd, ids[(m.initial, m.initial, 0)],
-        [i for i, (state, _, _) in enumerate(keys) if state in m.finals],
-        (offset >= 1 for _, _, offset in keys), [symbols for symbols, _ in fwd], width, cap)
+    alphabet = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
+    encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(alphabet)})
+    return _swept_spec(rows, m.initial, [i for i, (q, _, _) in enumerate(keys) if q in m.finals],
+                       False, [symbols for symbols, _ in rows], width, alphabet,
+                       lambda: (encode(w, _run(m, w))
+                                for w in enumerate_language(m, width - 1, cap=cap)), cap)
 
 
-def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decomposition:
+def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_CAP) -> Decomposition:
     """Width-(2m-2) decomposition over letter-digit pairs at alphabetic ratio h.
 
     Prefixes come from walks anchored at the initial state's codeword;
@@ -370,51 +380,43 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_SET_CAP) -> Decompositio
     decide every word of length 2m-2 or more (the README has the argument);
     the source words shorter than 2m-2 are the short words, each written as
     its block encoding (see :func:`encode_word`), so the residual stays
-    empty.  The window sets are swept out of a context automaton in sorted
-    order (see :func:`_window_words`) rather than by materialising path
-    triples.  The machine is prepared first.  ``cap`` bounds the context
-    automaton, each window set and the short words.
+    empty.  The spec is built by :func:`_main_spec`, whose window sets are
+    swept out of a context automaton in sorted order (see
+    :func:`_window_words`) rather than by materialising path triples.  The
+    machine is prepared first.  ``cap`` bounds the context automaton, each
+    window set and the short words.
     """
     source = prepare(m)
     m = source.machine
     code = source.code(h)
-    width = 2 * code.m - 2
-    pairs = tuple((pair_symbol(a, d), a) for a in m.alphabet for d in code.digits)
-    symbols = tuple(s for s, _ in pairs)
-    prefixes, suffixes, factors = _main_windows(m, code, width, cap)
-
-    encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(symbols)})
-    short_words = tuple(encode(w, _run(m, w)) for w in enumerate_language(m, width - 1, cap=cap))
-    spec = SltSpec(width=width, alphabet=symbols, prefixes=prefixes,
-                   suffixes=suffixes, factors=factors, short_words=short_words)
-    return Decomposition(kind=MAIN, slt=spec, pi=Homomorphism(pairs), h=h, m=code.m,
+    spec = _main_spec(m, code, 2 * code.m - 2, cap)
+    pi = Homomorphism(tuple(zip(spec.alphabet, (a for a in m.alphabet for _ in code.digits))))
+    return Decomposition(kind=MAIN, slt=spec, pi=pi, h=h, m=code.m,
                          source_fingerprint=source.fingerprint)
 
 
 def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
     """The least width-k spec whose language contains the machine's.
 
-    Read off the prepared machine, where every walk lies on a successful
-    run: the factors are the labels of k-step walks, the prefixes those of
-    (k-1)-step walks from the initial state that can take one more step,
-    the suffixes those of (k-1)-step walks into a final state from a state
-    with an edge in, and the short words the members shorter than k.
-    Symbols are alphabet positions.
+    Swept out of the prepared machine's rows (see :func:`_swept_spec`),
+    where every walk lies on a successful run: the factors are the labels
+    of k-step walks, the prefixes those of (k-1)-step walks from the
+    initial state that can take one more step, the suffixes those of
+    (k-1)-step walks into a final state from a state with an edge in, and
+    the short words the members shorter than k.  Symbols are alphabet
+    positions.
     """
     m = prepare(m).machine
     rows = _state_rows(m, 0)
     onward = [c for c, _ in rows]  # a nonempty row: the walk can go on
     prefix_last = ["".join(c for c, target in zip(*row)
                            if any(onward[q] for q in _contexts(target))) for row in rows]
-    prefixes, suffixes, factors = _window_sets(rows, m.initial, sorted(m.finals),
-                                               [False] * m.n, prefix_last, k, cap)
     encode = word_encoder(m.alphabet)
-    short_words = map(encode, enumerate_language(m, k - 1, cap=cap))
-    return SltSpec(width=k, alphabet=m.alphabet, prefixes=prefixes, suffixes=suffixes,
-                   factors=factors, short_words=short_words)
+    return _swept_spec(rows, m.initial, sorted(m.finals), False, prefix_last, k, m.alphabet,
+                       lambda: map(encode, enumerate_language(m, k - 1, cap=cap)), cap)
 
 
-def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_SET_CAP) -> Optional[int]:
+def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_CAP) -> Optional[int]:
     """The least width k in 2..max_k at which the machine's language is
     k-slt, or None if there is none.
 

@@ -15,7 +15,7 @@ from itertools import chain, islice
 from operator import lt
 from typing import Callable, Iterable, Optional, Sequence
 
-from .automata import DEFAULT_SET_CAP, CapacityError, Nfa, Table, Word
+from .automata import DEFAULT_CAP, CapacityError, Nfa, Table, Word
 
 
 def _encode_with(chars: dict[str, str], word: Iterable[str]) -> str:
@@ -194,7 +194,7 @@ class StreamRecognizer:
                 and self._tail in spec._suffix_set)
 
 
-def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
+def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
                  onto: Optional[tuple[Sequence[str], Callable[[str], str]]] = None) -> Table:
     """Compile a spec to a table accepting its language, or the image of
     that language under a letter-to-letter map.
@@ -298,7 +298,7 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP,
     return Table(tuple(letters), succ, frozenset(finals), (0,))
 
 
-def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_SET_CAP) -> Nfa:
+def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_CAP) -> Nfa:
     """Compile a spec to an NFA accepting exactly its language: the
     :func:`compile_spec` table with symbols as letters."""
     table = compile_spec(spec, state_cap)

@@ -15,8 +15,7 @@ from pathlib import Path as FsPath
 from typing import Callable, Optional, Sequence
 
 from .automata import (
-    DEFAULT_SET_CAP,
-    DEFAULT_STATE_CAP,
+    DEFAULT_CAP,
     CapacityError,
     Nfa,
     Table,
@@ -99,7 +98,7 @@ def claimed_table(m: Nfa, dec: Decomposition) -> Table:
 
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "exact",
                          horizon: Optional[int] = None,
-                         cap: int = DEFAULT_STATE_CAP) -> VerificationReport:
+                         cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check that the projected slt language plus residual equals L(m).
 
     Both modes build the claim as one table (see :func:`claimed_table`)
@@ -327,7 +326,7 @@ def _run_corpus_file(nfa_path: FsPath, dec_paths: Sequence[FsPath], ratios: Sequ
 
 
 def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "exact",
-               horizon: Optional[int] = None, cap: int = DEFAULT_SET_CAP) -> CorpusReport:
+               horizon: Optional[int] = None, cap: int = DEFAULT_CAP) -> CorpusReport:
     """Build and verify both constructions for every machine in a directory.
 
     Picks up ``<stem>.nfa`` machine files plus any ``<stem>[.tag].dec``

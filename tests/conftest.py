@@ -7,9 +7,8 @@ from typing import Iterator, Optional
 import pytest
 
 import sltkit as sk
-from sltkit.automata import (DEFAULT_SET_CAP, DEFAULT_STATE_CAP, DEFAULT_WORD_CAP,
-                             CapacityError, Table, Transition, differences, nfa_table)
-from sltkit.construction import _main_windows, pair_symbol, state_symbol
+from sltkit.automata import DEFAULT_CAP, CapacityError, Table, Transition, differences, nfa_table
+from sltkit.construction import _main_spec, pair_symbol, state_symbol
 from sltkit.slt import compile_spec
 
 CORPUS_NAMES = ("abbplus", "abplus", "aplus", "evens", "needs_sink", "nondet")
@@ -104,7 +103,7 @@ class Path:
 
 
 def enumerate_m_paths(m: sk.Nfa, origin: int, length: int,
-                      cap: int = DEFAULT_WORD_CAP) -> list[Path]:
+                      cap: int = DEFAULT_CAP) -> list[Path]:
     """All paths of exactly ``length`` transitions starting at ``origin``.
 
     ``length == 0`` yields the single empty path.  Output order follows the
@@ -187,7 +186,7 @@ def encode_blocks(code: sk.Code, path: Path) -> sk.Word:
     return tuple(out)
 
 
-def reference_main_sets(m: sk.Nfa, code: sk.Code, width: int, cap: int = DEFAULT_WORD_CAP):
+def reference_main_sets(m: sk.Nfa, code: sk.Code, width: int, cap: int = DEFAULT_CAP):
     """Window sets of width ``width`` by brute-force enumeration of
     block-encoded paths.
 
@@ -240,13 +239,9 @@ def paper_main(m: sk.Nfa, h: int) -> sk.Decomposition:
     short words, and every source word shorter than 3m as the residual."""
     dec = sk.medvedev_main(m, h)
     source = sk.prepare(m)
-    width = 2 * dec.m
-    prefixes, suffixes, factors = _main_windows(source.machine, source.code(h), width,
-                                                DEFAULT_SET_CAP)
+    spec = _main_spec(source.machine, source.code(h), 2 * dec.m, DEFAULT_CAP)
     residual = sk.enumerate_language(source.machine, 3 * dec.m - 1)
-    spec = replace(dec.slt, width=width, prefixes=prefixes, suffixes=suffixes,
-                   factors=factors, short_words=())
-    return replace(dec, slt=spec, residual=tuple(residual))
+    return replace(dec, slt=replace(spec, short_words=()), residual=tuple(residual))
 
 
 def find_path(m: sk.Nfa, word: sk.Word) -> Path:
@@ -297,7 +292,7 @@ def _step(succ, s: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(sorted({dst for q in s for dst in succ[q][a]}))
 
 
-def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_STATE_CAP,
+def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
                           max_len: Optional[int] = None) -> Iterator[tuple[sk.Word, bool]]:
     """The subset product keyed by pairs of subset tuples, with a depth per
     queue entry: the definition :func:`sltkit.automata.differences` keeps.
@@ -419,7 +414,7 @@ def sampled_min_width(m: sk.Nfa, max_k: int, max_len: int) -> Optional[int]:
         # suffix; with no longer member there is no factor to let one in
         windows = infer_slt([w for w in sample if len(w) >= k] or sample, k, m.alphabet)
         spec = replace(windows, short_words=tuple(encode(w) for w in sample if len(w) < k))
-        if next(differences(compile_spec(spec), table, DEFAULT_WORD_CAP, max_len), None) is None:
+        if next(differences(compile_spec(spec), table, DEFAULT_CAP, max_len), None) is None:
             return k
     return None
 
@@ -448,7 +443,7 @@ def reference_window_words(rows, last, starts, steps: int, cap: int, what: str) 
     return words
 
 
-def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_SET_CAP) -> sk.CodeCheck:
+def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_CAP) -> sk.CodeCheck:
     """Sweep every (2m-1)-window over all codeword triples.
 
     Windows of that length span at most three codewords, so triples cover

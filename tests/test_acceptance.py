@@ -9,8 +9,6 @@ import time
 from decimal import ROUND_DOWN, Decimal
 from typing import NamedTuple
 
-import pytest
-
 import sltkit as sk
 
 from conftest import CORPUS_NAMES, lh_nfa, symbol_spec

@@ -6,10 +6,10 @@ import pytest
 
 import sltkit as sk
 from sltkit import Nfa
-from sltkit.automata import DEFAULT_SET_CAP, DEFAULT_STATE_CAP, differences, nfa_table
+from sltkit.automata import DEFAULT_CAP, differences, nfa_table
 from sltkit.cli import main
 from sltkit.codes import Codewords, build_code
-from sltkit.construction import _main_windows
+from sltkit.construction import _main_spec
 from sltkit.slt import compile_spec
 
 from conftest import (CORPUS_NAMES, Path, canonical_decomposition, corpus_text, encode_blocks,
@@ -321,16 +321,12 @@ class TestWindowWidth:
     def test_width_2m_minus_3_lets_in_an_even_run(self):
         dec = sk.medvedev_main(ODD_RUNS, 4)
         source = sk.prepare(ODD_RUNS)
-        prefixes, suffixes, factors = _main_windows(source.machine, source.code(4), 3,
-                                                    DEFAULT_SET_CAP)
-        narrow = dataclasses.replace(dec.slt, width=3, prefixes=prefixes, suffixes=suffixes,
-                                     factors=factors,
-                                     short_words=[z for z in dec.slt.short_words if len(z) < 3])
+        narrow = _main_spec(source.machine, source.code(4), 3, DEFAULT_CAP)
         with pytest.raises(ValueError, match="main decompositions have width at least 2m-2"):
             dataclasses.replace(dec, slt=narrow)
         # the search exact verification runs, on the narrow spec's claim
         claimed = compile_spec(narrow, onto=(ODD_RUNS.alphabet, dec.pi.letter))
-        first = next(differences(claimed, nfa_table(ODD_RUNS), DEFAULT_STATE_CAP))
+        first = next(differences(claimed, nfa_table(ODD_RUNS), DEFAULT_CAP))
         assert first == (W("aaaa"), True)
         preimages = [z for z in sk.enumerate_language(sk.slt_to_nfa(narrow), 4)
                      if len(z) == 4 and dec.pi(z) == W("aaaa")]

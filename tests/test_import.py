@@ -1,9 +1,9 @@
 """Importing the package stays cheap: it pulls in no process-pool machinery,
-and no module other than ``__init__`` imports a name it never reads.  A
-machine is trimmed and fingerprinted only in ``construction.prepare``; only
-trimming and enumeration prune by distance to a final state, every spec
-is swept by ``construction._window_sets``, and only the read side hashes a
-spec's factors.  The package ships the pipeline and what the benchmark
+and no module of the package other than ``__init__``, nor any test module,
+imports a name it never reads.  A machine is trimmed and fingerprinted only
+in ``construction.prepare``; only trimming and enumeration prune by distance
+to a final state, every spec is built by ``construction._swept_spec``, and
+only the read side hashes a spec's factors.  The package ships the pipeline and what the benchmark
 imports, not the path-level definitions or the sample inference the test
 oracles keep (tests/conftest.py)."""
 
@@ -51,8 +51,9 @@ def unread_imports(source: str) -> list[str]:
 
 
 def test_modules_read_every_name_they_import():
+    modules = [*sorted((SRC / "sltkit").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
     unread = {path.name: unread_imports(path.read_text())
-              for path in sorted((SRC / "sltkit").glob("*.py")) if path.name != "__init__.py"}
+              for path in modules if path.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == {}
 
 
@@ -94,11 +95,11 @@ def test_only_trim_and_enumeration_prune_by_distance():
 
 
 def test_every_spec_comes_from_the_one_window_sweep():
-    sites = {path.name: call_sites(path.read_text(), {"_window_sets"})
+    sites = {path.name: call_sites(path.read_text(), {"_swept_spec"})
              for path in sorted((SRC / "sltkit").glob("*.py"))}
     assert {name: calls for name, calls in sites.items() if calls} == {
-        "construction.py": ["_main_windows:_window_sets", "_tightest_spec:_window_sets",
-                            "medvedev_width2:_window_sets"]}
+        "construction.py": ["_main_spec:_swept_spec", "_tightest_spec:_swept_spec",
+                            "medvedev_width2:_swept_spec"]}
 
 
 def test_call_site_scan_finds_calls_anywhere():
@@ -159,7 +160,7 @@ def test_package_defines_no_path_level_oracles():
     defined = {path.name: definitions(path.read_text())
                for path in sorted((SRC / "sltkit").glob("*.py"))}
     assert {"medvedev_main", "_run", "Source"} <= defined["construction.py"]
-    assert {"Nfa", "DEFAULT_WORD_CAP"} <= defined["automata.py"]
+    assert {"Nfa", "DEFAULT_CAP"} <= defined["automata.py"]
     assert {name: sorted(names & set(ORACLES)) for name, names in defined.items()
             if names & set(ORACLES)} == {}
     assert [name for name in ORACLES if hasattr(sltkit, name)] == []

@@ -1,5 +1,7 @@
-"""``construction._window_words`` against the sweep it replaces, and the
-width-2 build against the transition-by-transition sets it replaces.
+"""``construction._window_words`` against the sweep it replaces, the main
+row builder's windows at the build's width 2m-2 and the paper's 2m against
+block-encoded path enumeration, and the width-2 build against the
+transition-by-transition sets it replaces.
 
 ``reference_window_words`` (tests/conftest.py) keys the frontier by word
 in a dict of context sets; ``_window_words`` keeps the words in ascending
@@ -60,20 +62,28 @@ def is_nondeterministic(machine) -> bool:
     return any(len(targets) > 1 for targets in machine._step.values())
 
 
-def assert_matches_path_enumeration(machine, h):
-    dec, _ = assert_same_sweeps(machine, h)
+def assert_matches_path_enumeration(machine, h, width):
+    """The main row builder's windows at ``width`` are the block-encoded paths'."""
     source = sk.prepare(machine)
-    prefixes, suffixes, factors = reference_main_sets(source.machine, source.code(h),
-                                                      2 * dec.m - 2)
-    assert set(map(dec.slt.decode, dec.slt.prefixes)) == prefixes
-    assert set(map(dec.slt.decode, dec.slt.suffixes)) == suffixes
-    assert set(map(dec.slt.decode, dec.slt.factors)) == factors
+    code = source.code(h)
+    spec = construction._main_spec(source.machine, code, width, 10**6)
+    prefixes, suffixes, factors = reference_main_sets(source.machine, code, width)
+    assert set(map(spec.decode, spec.prefixes)) == prefixes
+    assert set(map(spec.decode, spec.suffixes)) == suffixes
+    assert set(map(spec.decode, spec.factors)) == factors
+
+
+def assert_matches_at_both_widths(machine, h):
+    """The build's sweeps and, at its width 2m-2 and the paper's 2m, its windows."""
+    dec, _ = assert_same_sweeps(machine, h)
+    for width in (dec.k, 2 * dec.m):
+        assert_matches_path_enumeration(machine, h, width)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 @pytest.mark.parametrize("h", [2, 3])
 def test_sweeps_match_reference_and_path_enumeration(machines, name, h):
-    assert_matches_path_enumeration(machines[name], h)
+    assert_matches_at_both_widths(machines[name], h)
 
 
 # b*a: every run ends in a final state with no way out, so its windows
@@ -84,7 +94,7 @@ DEAD_END_FINAL = sk.Nfa(n=2, alphabet=("a", "b"), transitions=((1, "b", 1), (1, 
 
 @pytest.mark.parametrize("h", [2, 3])
 def test_dead_end_final_matches_path_enumeration(h):
-    assert_matches_path_enumeration(DEAD_END_FINAL, h)
+    assert_matches_at_both_widths(DEAD_END_FINAL, h)
 
 
 def test_corpus_has_a_word_ending_in_several_contexts(machines):

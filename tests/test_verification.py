@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, SltSpec, verification
-from sltkit.automata import DEFAULT_STATE_CAP
+from sltkit.automata import DEFAULT_CAP
 from sltkit.slt import compile_spec
 
 from conftest import corpus_text, paper_main, symbol_spec
@@ -61,7 +61,7 @@ class TestVerify:
         parameters = inspect.signature(check).parameters
         assert list(parameters) == names
         assert parameters["mode"].default == "exact"
-        assert parameters["cap"].default == DEFAULT_STATE_CAP
+        assert parameters["cap"].default == DEFAULT_CAP
 
     def test_main_bounded_pass_with_default_horizon(self, aplus, aplus_main):
         report = sk.verify_decomposition(aplus, aplus_main, mode="bounded")

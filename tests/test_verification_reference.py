@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, VerificationReport
-from sltkit.automata import DEFAULT_STATE_CAP, DEFAULT_WORD_CAP, nfa_table
+from sltkit.automata import DEFAULT_CAP, nfa_table
 
 from conftest import (CORPUS_NAMES, paper_main, projected_language, reference_differences,
                       word_key)
@@ -28,7 +28,7 @@ from test_random_machines import few_short_words, random_machines
 
 
 def least_preimage(dec, word):
-    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), len(word), cap=DEFAULT_WORD_CAP):
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), len(word), cap=DEFAULT_CAP):
         if len(z) == len(word) and dec.pi(z) == word:
             return z
     return None
@@ -45,7 +45,7 @@ def reference_search(claimed, m, cap, max_len) -> None:
             return
 
 
-def reference_report(m, dec, mode, horizon=None, cap=DEFAULT_STATE_CAP) -> VerificationReport:
+def reference_report(m, dec, mode, horizon=None, cap=DEFAULT_CAP) -> VerificationReport:
     sizes = {"I": len(dec.slt.prefixes), "T": len(dec.slt.suffixes),
              "F": len(dec.slt.factors), "short": len(dec.slt.short_words),
              "residual": len(dec.residual)}
@@ -67,9 +67,9 @@ def reference_report(m, dec, mode, horizon=None, cap=DEFAULT_STATE_CAP) -> Verif
                 set_sizes=sizes)
     h = horizon if horizon is not None else sk.default_horizon(dec)
     reference_search(claimed, m, cap, h)
-    want = set(sk.enumerate_language(m, h, cap=DEFAULT_WORD_CAP))
+    want = set(sk.enumerate_language(m, h, cap=DEFAULT_CAP))
     image = {}
-    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=DEFAULT_WORD_CAP):
+    for z in sk.enumerate_language(sk.slt_to_nfa(dec.slt), h, cap=DEFAULT_CAP):
         image.setdefault(dec.pi(z), z)
     have = set(image) | {w for w in dec.residual if len(w) <= h}
     missing = min(want - have, key=word_key(m), default=None)
@@ -142,7 +142,7 @@ def test_random_machines_match_reference(machine, kind, seed, small_cap):
     dec = build(machine, kind)
     # a small cap still fits the search one letter deep: 1 + |A| product states
     cap, horizon = ((1 + len(machine.alphabet), 1) if small_cap
-                    else (DEFAULT_STATE_CAP, min(sk.default_horizon(dec), 10)))
+                    else (DEFAULT_CAP, min(sk.default_horizon(dec), 10)))
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng), mutate(mutate(dec, rng), rng)):
         for mode in ("exact", "bounded"):
