@@ -12,7 +12,9 @@ import math
 import shlex
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Transition = tuple[int, str, int]
@@ -45,12 +47,35 @@ def format_word(word: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
+class Table:
+    """An automaton as integer arrays, the form the subset searches run on.
+
+    ``succ[q][a]`` is the ascending tuple of successors of state ``q`` on
+    letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
+    states.  Nothing is validated or re-sorted: tables are built by code
+    that already holds canonical data, such as :class:`Nfa`, the slt
+    compiler, which can also read each symbol as its projected letter, or
+    the verifier, which appends a decomposition's residual to the compiled
+    spec as a trie whose root is one more start state.  Rows that are never
+    changed after they are built are tuples, which the cyclic garbage
+    collector stops tracking; :func:`differences` reads rows as they are
+    and names the subsets it reaches by ints.
+    """
+
+    alphabet: tuple[str, ...]
+    succ: list[Sequence[tuple[int, ...]]]
+    finals: frozenset[int]
+    initial: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Nfa:
     """An epsilon-free NFA with a total-or-not transition relation.
 
     ``transitions`` is canonicalised to a deduplicated tuple sorted by
     (source, letter position in the alphabet, target), so equal machines
-    compare equal regardless of input order.
+    compare equal regardless of input order.  ``table`` is the machine's
+    one successor index, with a row of tuples per state (see :class:`Table`).
     """
 
     n: int
@@ -59,8 +84,8 @@ class Nfa:
     initial: int
     finals: frozenset[int]
     total: bool = field(init=False, compare=False)
+    table: Table = field(init=False, repr=False, compare=False)
     _letter_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _step: dict[tuple[int, str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _prepared: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,60 +109,43 @@ class Nfa:
         if self.initial in finals:
             raise ValueError("initial state cannot be final")
 
-        seen: set[Transition] = set()
+        seen: set[tuple[int, int, int]] = set()  # (source, letter position, target)
         for src, letter, dst in self.transitions:
             check_state(src, "transition source")
             check_state(dst, "transition target")
             if letter not in index:
                 raise ValueError(f"unknown letter: {letter!r}")
-            seen.add((src, letter, dst))
-        canonical = tuple(sorted(seen, key=lambda t: (t[0], index[t[1]], t[2])))
+            seen.add((src, index[letter], dst))
+        ordered = sorted(seen)
 
-        step: dict[tuple[int, str], list[int]] = {}
-        for src, letter, dst in canonical:
-            step.setdefault((src, letter), []).append(dst)
-        total = all((q, a) in step for q in range(self.n) for a in alphabet)
+        succ: list[Sequence[tuple[int, ...]]] = [((),) * len(alphabet)] * self.n
+        for src, edges in groupby(ordered, itemgetter(0)):
+            row: list[tuple[int, ...]] = [()] * len(alphabet)
+            for a, targets in groupby(edges, itemgetter(1)):
+                row[a] = tuple(map(itemgetter(2), targets))
+            succ[src] = tuple(row)
 
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "transitions", canonical)
+        object.__setattr__(self, "transitions",
+                           tuple((src, alphabet[a], dst) for src, a, dst in ordered))
         object.__setattr__(self, "finals", finals)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", all(map(all, succ)))
+        object.__setattr__(self, "table", Table(alphabet, succ, finals, (self.initial,)))
         object.__setattr__(self, "_letter_index", index)
-        object.__setattr__(self, "_step", {k: tuple(v) for k, v in step.items()})
 
     def step(self, state: int, letter: str) -> tuple[int, ...]:
         """Successors of ``state`` on ``letter``, in ascending state order."""
-        return self._step.get((state, letter), ())
+        if not 0 <= state < self.n:
+            raise ValueError(f"unknown state: {state}")
+        return self.table.succ[state][self.letter_positions((letter,))[0]]
 
-
-
-@dataclass(frozen=True)
-class Table:
-    """An automaton as integer arrays, the form the subset searches run on.
-
-    ``succ[q][a]`` is the ascending tuple of successors of state ``q`` on
-    letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
-    states.  Nothing is validated or re-sorted: tables are built by code
-    that already holds canonical data, such as :func:`nfa_table`, the slt
-    compiler, which can also read each symbol as its projected letter, or
-    the verifier, which appends a decomposition's residual to the compiled
-    spec as a trie whose root is one more start state.  Rows that are never
-    changed after they are built are tuples, which the cyclic garbage
-    collector stops tracking; :func:`differences` reads rows as they are
-    and names the subsets it reaches by ints.
-    """
-
-    alphabet: tuple[str, ...]
-    succ: list[Sequence[tuple[int, ...]]]
-    finals: frozenset[int]
-    initial: tuple[int, ...]
-
-
-def nfa_table(m: Nfa) -> Table:
-    """The table of a machine: same states, letters by alphabet position."""
-    step = m._step
-    return Table(m.alphabet, [[step.get((q, a), ()) for a in m.alphabet] for q in range(m.n)],
-                 m.finals, (m.initial,))
+    def letter_positions(self, word: Iterable[str]) -> list[int]:
+        """The alphabet positions of a word's letters; ValueError names the
+        first letter outside the alphabet."""
+        try:
+            return list(map(self._letter_index.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
 
 
 def parse_nfa(text: str) -> Nfa:
@@ -245,11 +253,8 @@ def totalize(m: Nfa) -> Nfa:
     if m.total:
         return m
     sink = m.n
-    extra: list[Transition] = []
-    for q in range(m.n):
-        for a in m.alphabet:
-            if not m.step(q, a):
-                extra.append((q, a, sink))
+    extra = [(q, a, sink) for q, row in enumerate(m.table.succ)
+             for a, targets in zip(m.alphabet, row) if not targets]
     extra.extend((sink, a, sink) for a in m.alphabet)
     return Nfa(n=m.n + 1, alphabet=m.alphabet, transitions=m.transitions + tuple(extra),
                initial=m.initial, finals=m.finals)
@@ -263,15 +268,14 @@ def trim(m: Nfa) -> Nfa:
     to its initial state alone, without transitions.  A machine with
     nothing to remove is returned unchanged; the language is never altered.
     """
-    table = nfa_table(m)
-    dist = _distance_to_final(table)
+    dist = _distance_to_final(m.table)
     useful: set[int] = set()
     if dist[m.initial] < math.inf:
         useful.add(m.initial)
         queue: deque[int] = deque([m.initial])
         while queue:
             q = queue.popleft()
-            for targets in table.succ[q]:
+            for targets in m.table.succ[q]:
                 for dst in targets:
                     if dst not in useful and dist[dst] < math.inf:
                         useful.add(dst)
@@ -286,22 +290,22 @@ def trim(m: Nfa) -> Nfa:
                initial=index[m.initial], finals=frozenset(index[q] for q in m.finals & useful))
 
 
-def subset_trace(moves: Mapping[tuple[int, str], Iterable[int]], start: frozenset[int],
-                 word: Iterable[str]) -> list[frozenset[int]]:
+def subset_trace(moves: Sequence[Sequence[Iterable[int]]], start: frozenset[int],
+                 word: Iterable[int]) -> list[frozenset[int]]:
     """The state sets reached from ``start`` along ``word``, ``start`` first.
 
-    ``moves`` maps (state, letter) to states, such as a machine's
+    ``word`` is a sequence of letter positions and ``moves[q][a]`` the
+    states that state q moves to on letter a, such as a machine's
     successors or its predecessors.  A run visits few distinct sets, so
     the image of each (set, letter) pair is computed once per call.
     """
-    memo: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+    memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
     trace = [start]
     states = start
-    for letter in word:
-        image = memo.get((states, letter))
+    for a in word:
+        image = memo.get((states, a))
         if image is None:
-            image = memo[states, letter] = frozenset(
-                dst for q in states for dst in moves.get((q, letter), ()))
+            image = memo[states, a] = frozenset(dst for q in states for dst in moves[q][a])
         trace.append(image)
         states = image
     return trace
@@ -310,12 +314,9 @@ def subset_trace(moves: Mapping[tuple[int, str], Iterable[int]], start: frozense
 def accepts(m: Nfa, word: Sequence[str]) -> bool:
     """True iff some successful run is labelled by ``word``; the empty word
     is always rejected."""
-    for a in word:
-        if a not in m._letter_index:
-            raise ValueError(f"unknown letter: {a!r}")
-    if not word:
-        return False
-    return not m.finals.isdisjoint(subset_trace(m._step, frozenset((m.initial,)), word)[-1])
+    path = m.letter_positions(word)
+    return bool(path) and not m.finals.isdisjoint(
+        subset_trace(m.table.succ, frozenset((m.initial,)), path)[-1])
 
 
 def _distance_to_final(t: Table) -> list[float]:
@@ -377,7 +378,7 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_CAP) -> list[Wor
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    t = nfa_table(m)
+    t = m.table
     dist, subsets = _distance_to_final(t), _Subsets(t)
     succ, finals, letters = subsets.succ, t.finals, tuple(enumerate(t.alphabet))
     words: list[Word] = []
@@ -424,7 +425,7 @@ def nfa_equivalent(m1: Nfa, m2: Nfa, mode: str = "exact", max_len: Optional[int]
         raise ValueError(f"unknown mode: {mode!r}")
     if mode == "bounded" and max_len is None:
         raise ValueError("bounded mode requires max_len")
-    first = next(differences(nfa_table(m1), nfa_table(m2), cap,
+    first = next(differences(m1.table, m2.table, cap,
                              max_len if mode == "bounded" else None), None)
     return EquivalenceResult(first is None, None if first is None else first[0])
 

@@ -23,6 +23,7 @@ from .automata import (
 )
 from .codes import build_code, choose_m, closed_form_m
 from .construction import (
+    MAIN,
     Decomposition,
     decode_word,
     encode_word,
@@ -80,6 +81,16 @@ def _check_out_path(path: str) -> None:
         raise ValueError(f"output directory does not exist: {parent}")
 
 
+def _write_build(out: str, dec: Decomposition) -> int:
+    """Write a built decomposition to ``out`` and print its sizes."""
+    FsPath(out).write_text(serialize_decomposition(dec))
+    spec = dec.slt
+    shape = f"h={dec.h} m={dec.m} " if dec.kind == MAIN else ""
+    print(f"written {out} kind={dec.kind} {shape}k={dec.k} |B|={len(spec.alphabet)} "
+          f"|I|={len(spec.prefixes)} |T|={len(spec.suffixes)} |F|={len(spec.factors)}")
+    return 0
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     machine = _read_nfa(args.nfa)
@@ -87,23 +98,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.ratio >= states:
         print(f"warning: ratio {args.ratio} >= state count {states}; "
               "the width-2 construction would use no more symbols", file=sys.stderr)
-    dec = medvedev_main(machine, args.ratio, cap=args.cap)
-    FsPath(args.out).write_text(serialize_decomposition(dec))
-    sizes = dec.slt
-    print(f"written {args.out} kind=main h={dec.h} m={dec.m} k={dec.k} "
-          f"|B|={len(sizes.alphabet)} |I|={len(sizes.prefixes)} |T|={len(sizes.suffixes)} "
-          f"|F|={len(sizes.factors)}")
-    return 0
+    return _write_build(args.out, medvedev_main(machine, args.ratio, cap=args.cap))
 
 
 def _cmd_build2(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
-    dec = medvedev_width2(_read_nfa(args.nfa))
-    FsPath(args.out).write_text(serialize_decomposition(dec))
-    sizes = dec.slt
-    print(f"written {args.out} kind=width2 k=2 |B|={len(sizes.alphabet)} "
-          f"|I|={len(sizes.prefixes)} |T|={len(sizes.suffixes)} |F|={len(sizes.factors)}")
-    return 0
+    return _write_build(args.out, medvedev_width2(_read_nfa(args.nfa)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -17,6 +17,7 @@ from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .automata import DEFAULT_CAP, CapacityError
+from .slt import check_alphabet_size
 
 # Tails of at most this many pool words are tabulated when iterating.
 _TAIL_WORDS = 4096
@@ -162,6 +163,7 @@ class Code:
 
     def __post_init__(self) -> None:
         _check_h(self.h)
+        check_alphabet_size(self.h, "digit alphabet")
         if self.m < 2:
             raise ValueError("block length must be at least 2")
         if isinstance(self.codewords, Codewords):

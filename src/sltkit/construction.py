@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import (
@@ -26,19 +27,17 @@ from .automata import (
     differences,
     enumerate_language,
     format_word,
-    nfa_table,
     parse_word,
     subset_trace,
     trim,
 )
 from .codes import Code, build_code
-from .slt import SltSpec, compile_spec, word_encoder
+from .slt import SltSpec, check_alphabet_size, compile_spec, word_encoder
 
 WIDTH2 = "width2"
 MAIN = "main"
 
-Context = int | tuple[int, ...]  # a context automaton state, or several
-Row = tuple[str, list[Context]]  # a context's symbols and, beside each, its target
+Row = tuple[str, list[tuple[int, ...]]]  # a context's symbols and, beside each, its targets
 
 
 @dataclass(frozen=True)
@@ -196,11 +195,12 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     """
     source = prepare(m)
     m = source.machine
+    check_alphabet_size(m.n * len(m.alphabet), "local alphabet")
     alphabet = tuple(state_symbol(q, a) for q in range(m.n) for a in m.alphabet)
     rows = _state_rows(m, len(m.alphabet))
     spec = _swept_spec(rows, m.initial, sorted(m.finals), True, [s for s, _ in rows], 2,
                        alphabet, lambda: (c for c, target in zip(*rows[m.initial])
-                                          if not m.finals.isdisjoint(_contexts(target))),
+                                          if not m.finals.isdisjoint(target)),
                        len(alphabet) ** 2)
     pi = Homomorphism(tuple(zip(alphabet, m.alphabet * m.n)))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
@@ -216,13 +216,10 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], 
     context part-way through a block has an edge in.  Edges carry their
     symbol as an index character of the letter-major local alphabet.  A
     context's row is its symbols in ascending order, as one string, and
-    beside each symbol the context it leads to, or the tuple of them when
-    the machine branches on that letter.  Returns the contexts and their
-    rows.
+    beside each symbol the ascending tuple of contexts it leads to.
+    Returns the contexts and their rows.
     """
-    blen = code.m
-    h = code.h
-    cw = list(code.codewords)
+    blen, h, cw = code.m, code.h, list(code.codewords)
 
     keys: list[tuple[int, int, int]] = [(q, q, 0) for q in range(m.n)]
     ids: dict[tuple[int, int, int], int] = {key: q for q, key in enumerate(keys)}
@@ -233,46 +230,33 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], 
             keys.append(key)
         return ids[key]
 
+    succ = m.table.succ
     fwd: list[Row] = []
-    i = 0
-    while i < len(keys):
-        state, origin, offset = keys[i]
+    for state, origin, offset in keys:  # grows while it is read
         digit = ord(cw[origin][offset])
         symbols: list[str] = []
-        targets: list[Context] = []
-        for a_idx, a in enumerate(m.alphabet):
-            dsts = [ctx((dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0))
-                    for dst in m.step(state, a)]
+        targets: list[tuple[int, ...]] = []
+        for a, dsts in enumerate(succ[state]):
             if dsts:
-                symbols.append(chr(a_idx * h + digit))
-                targets.append(dsts[0] if len(dsts) == 1 else tuple(dsts))
+                symbols.append(chr(a * h + digit))
+                targets.append(tuple(
+                    ctx((dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0))
+                    for dst in dsts))
         fwd.append(("".join(symbols), targets))
-        i += 1
     return keys, fwd
 
 
 def _group(edges: Iterable[tuple[str, int]]) -> Row:
     """The row of edges given as (symbol, context) pairs in ascending order."""
-    symbols: list[str] = []
-    targets: list[Context] = []
-    for c, dst in edges:
-        if symbols and symbols[-1] == c:
-            last = targets[-1]
-            targets[-1] = last + (dst,) if type(last) is tuple else (last, dst)
-        else:
-            symbols.append(c)
-            targets.append(dst)
-    return "".join(symbols), targets
+    runs = [(c, tuple(map(itemgetter(1), run))) for c, run in groupby(edges, itemgetter(0))]
+    return "".join(c for c, _ in runs), [targets for _, targets in runs]
 
 
 def _state_rows(m: Nfa, stride: int) -> list[Row]:
-    """The machine's rows: state q reads index ``q * stride + a`` into each a-successor."""
-    return [_group((chr(q * stride + a), dst) for a, letter in enumerate(m.alphabet)
-                   for dst in m.step(q, letter)) for q in range(m.n)]
-
-
-def _contexts(t: Context) -> tuple[int, ...]:
-    return (t,) if type(t) is int else t
+    """The machine's rows: state q reads index ``q * stride + a`` into its
+    a-successors, for each letter a it has successors on."""
+    return [("".join(chr(q * stride + a) for a, dsts in enumerate(row) if dsts),
+             [dsts for dsts in row if dsts]) for q, row in enumerate(m.table.succ)]
 
 
 def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
@@ -284,16 +268,16 @@ def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
     ascending order.
 
     The frontier is two parallel lists: the words read so far, in
-    ascending order, and the context each ends in, or the tuple of them.
-    A word's children append its row's symbols in order, so they come out
-    sorted, and the children of different words never collide.  Only a
-    word ending in several contexts merges their rows, once per distinct
-    tuple.  On reversed edges the words come out reversed."""
-    merged: dict[Context, Row] = dict(enumerate(rows))
-    ends: dict[Context, str] = dict(enumerate(last))
+    ascending order, and the tuple of contexts each ends in.  A word's
+    children append its row's symbols in order, so they come out sorted,
+    and the children of different words never collide.  Only a word
+    ending in several contexts merges their rows, once per distinct tuple.
+    On reversed edges the words come out reversed."""
+    merged: dict[tuple[int, ...], Row] = {(q,): row for q, row in enumerate(rows)}
+    ends: dict[tuple[int, ...], str] = {(q,): symbols for q, symbols in enumerate(last)}
 
     def merge(t: tuple[int, ...]) -> Row:
-        pairs = {(c, dst) for q in t for c, target in zip(*rows[q]) for dst in _contexts(target)}
+        pairs = {(c, dst) for q in t for c, target in zip(*rows[q]) for dst in target}
         row = merged[t] = _group(sorted(pairs))
         return row
 
@@ -302,7 +286,7 @@ def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
         return symbols
 
     words: list[str] = [""]
-    contexts: list[Context] = [starts[0] if len(starts) == 1 else tuple(starts)]
+    contexts = [tuple(starts)]
     for _ in range(steps - 1):
         here = [merged.get(t) or merge(t) for t in contexts]
         next_words = [w + c for w, (symbols, _) in zip(words, here) for c in symbols]
@@ -333,10 +317,9 @@ def _swept_spec(rows: list[Row], start: int, ends: Sequence[int], aligned: bool,
     rev: list[list[tuple[str, int]]] = [[] for _ in rows]
     for src, row in enumerate(rows):
         for c, target in zip(*row):
-            for dst in _contexts(target):
+            for dst in target:
                 rev[dst].append((c, src))
-    for edges in rev:
-        edges.sort()
+    rev = list(map(sorted, rev))
     rev_last = ["".join(dict.fromkeys(c for c, src in edges if aligned or rev[src]))
                 for edges in rev]
 
@@ -388,6 +371,7 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_CAP) -> Decomposition:
     """
     source = prepare(m)
     m = source.machine
+    check_alphabet_size(len(m.alphabet) * h, "local alphabet")
     code = source.code(h)
     spec = _main_spec(m, code, 2 * code.m - 2, cap)
     pi = Homomorphism(tuple(zip(spec.alphabet, (a for a in m.alphabet for _ in code.digits))))
@@ -409,8 +393,8 @@ def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
     m = prepare(m).machine
     rows = _state_rows(m, 0)
     onward = [c for c, _ in rows]  # a nonempty row: the walk can go on
-    prefix_last = ["".join(c for c, target in zip(*row)
-                           if any(onward[q] for q in _contexts(target))) for row in rows]
+    prefix_last = ["".join(c for c, target in zip(*row) if any(onward[q] for q in target))
+                   for row in rows]
     encode = word_encoder(m.alphabet)
     return _swept_spec(rows, m.initial, sorted(m.finals), False, prefix_last, k, m.alphabet,
                        lambda: map(encode, enumerate_language(m, k - 1, cap=cap)), cap)
@@ -428,7 +412,7 @@ def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_CAP) -> Optional[int]:
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
-    table = nfa_table(prepare(m).machine)
+    table = prepare(m).machine.table
     for k in range(2, max_k + 1):
         spec = compile_spec(_tightest_spec(m, k, cap), cap)
         if next(differences(spec, table, cap), None) is None:
@@ -442,21 +426,21 @@ def _run(m: Nfa, word: Word) -> list[int]:
     reach a final state, from the initial state on.  The sets of states
     that can still finish, one per position, come from memoised subset
     steps along the reversed word."""
-    unknown = next((a for a in word if a not in m._letter_index), None)
-    if unknown is not None:
-        raise ValueError(f"unknown letter: {unknown!r}")
-    before: dict[tuple[int, str], list[int]] = {}
-    for src, a, dst in m.transitions:
-        before.setdefault((dst, a), []).append(src)
-    viable = subset_trace(before, m.finals, reversed(word))
+    path = m.letter_positions(word)
+    succ = m.table.succ
+    before: list[list[list[int]]] = [[[] for _ in m.alphabet] for _ in succ]
+    for src, row in enumerate(succ):
+        for a, dsts in enumerate(row):
+            for dst in dsts:
+                before[dst][a].append(src)
+    viable = subset_trace(before, m.finals, reversed(path))
     viable.reverse()
     if m.initial not in viable[0]:
         raise ValueError("word is not in the machine's language")
-    step = m._step
     current = m.initial
     states = [current]
-    for a, ahead in zip(word, islice(viable, 1, None)):
-        for q in step[current, a]:
+    for a, ahead in zip(path, islice(viable, 1, None)):
+        for q in succ[current][a]:
             if q in ahead:
                 break
         current = q

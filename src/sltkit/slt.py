@@ -8,6 +8,7 @@ those of length exactly k-1) are decided by an explicit finite set.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -16,6 +17,13 @@ from operator import lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automata import DEFAULT_CAP, CapacityError, Nfa, Table, Word
+
+
+def check_alphabet_size(size: int, what: str) -> None:
+    """Refuse an alphabet of more symbols than index strings have characters."""
+    if size > sys.maxunicode + 1:
+        raise ValueError(f"{what} of {size} symbols exceeds the index-string limit "
+                         f"of {sys.maxunicode + 1}")
 
 
 def _encode_with(chars: dict[str, str], word: Iterable[str]) -> str:
@@ -66,6 +74,7 @@ class SltSpec:
         alphabet = tuple(self.alphabet)
         if not alphabet or len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet must be nonempty with distinct symbols")
+        check_alphabet_size(len(alphabet), "alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         k = self.width
         known = dict.fromkeys(range(len(alphabet)))  # str.translate deletes these

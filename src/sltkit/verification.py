@@ -21,7 +21,6 @@ from .automata import (
     Table,
     Word,
     differences,
-    nfa_table,
     parse_nfa,
 )
 from .codes import f_value, g_value, g_value_printed, verify_factor_decodable
@@ -32,7 +31,7 @@ from .construction import (
     parse_decomposition,
     prepare,
 )
-from .slt import compile_spec, slt_membership, window_ops
+from .slt import check_alphabet_size, compile_spec, slt_membership, window_ops
 
 
 @dataclass(frozen=True)
@@ -77,20 +76,15 @@ def claimed_table(m: Nfa, dec: Decomposition) -> Table:
     table = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
     if not dec.residual:
         return table
-    succ, finals, index = table.succ, set(table.finals), {a: i for i, a in enumerate(m.alphabet)}
-    root = len(succ)
-    succ.append([()] * len(index))
+    succ, finals, root = table.succ, set(table.finals), len(table.succ)
+    succ.append([()] * len(m.alphabet))
     for word in dec.residual:
-        try:
-            path = list(map(index.__getitem__, word))
-        except KeyError as exc:
-            raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
         node = root
-        for a in path:
+        for a in m.letter_positions(word):
             row = succ[node]
             if not row[a]:
                 row[a] = (len(succ),)
-                succ.append([()] * len(index))
+                succ.append([()] * len(m.alphabet))
             node = row[a][0]
         finals.add(node)
     return Table(table.alphabet, succ, frozenset(finals), table.initial + (root,))
@@ -122,7 +116,7 @@ def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "exact",
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     mismatch = prepare(m).mismatch(dec)
     notices = [mismatch] if mismatch else []
-    claimed, machine = claimed_table(m, dec), nfa_table(m)
+    claimed, machine = claimed_table(m, dec), m.table
 
     def report(h: Optional[int]) -> VerificationReport:
         found: dict[bool, Word] = {}
@@ -337,11 +331,14 @@ def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "e
     product states in either verification mode and the codewords a
     state-code check holds.  Per-file problems are reported as failing
     entries without aborting the run; entries come in file-name order.  A
-    ``horizon`` below 1 raises ValueError and a ``directory`` that is not
-    one raises NotADirectoryError, before any task runs.
+    ``horizon`` below 1 or a ratio past the index-string limit raises
+    ValueError and a ``directory`` that is not one raises
+    NotADirectoryError, before any task runs.
     """
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    for h in ratios:
+        check_alphabet_size(h, "digit alphabet")
     if not FsPath(directory).is_dir():
         raise NotADirectoryError(f"not a directory: {directory!r}")
     nfa_files = sorted(FsPath(directory).glob("*.nfa"))

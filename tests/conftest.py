@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 import pytest
 
 import sltkit as sk
-from sltkit.automata import DEFAULT_CAP, CapacityError, Table, Transition, differences, nfa_table
+from sltkit.automata import DEFAULT_CAP, CapacityError, Table, Transition, differences
 from sltkit.construction import _main_spec, pair_symbol, state_symbol
 from sltkit.slt import compile_spec
 
@@ -408,7 +408,7 @@ def sampled_min_width(m: sk.Nfa, max_k: int, max_len: int) -> Optional[int]:
     if not sample:
         return None
     encode = sk.word_encoder(m.alphabet)
-    table = nfa_table(m)
+    table = m.table
     for k in range(2, max_k + 1):
         # a member shorter than k is a short word only, never a prefix or
         # suffix; with no longer member there is no factor to let one in

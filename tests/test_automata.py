@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, Nfa, ParseError
 
 from conftest import CORPUS_NAMES, Path, corpus_text, enumerate_m_paths, word_key
+from test_random_machines import random_machines
 
 APLUS_TEXT = """\
 # two-state machine for a+
@@ -265,6 +267,32 @@ class TestPaths:
             for path in enumerate_m_paths(m, m.initial, t):
                 assert len(path.label) == t
                 assert path.origin == m.initial
+
+
+class TestTable:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=random_machines(), data=st.data())
+    def test_rows_index_the_transitions_given_in_any_order(self, drawn, data):
+        for machine in (drawn, sk.totalize(drawn)):
+            # every transition twice, in a random order
+            given_order = data.draw(st.permutations(machine.transitions * 2))
+            m = Nfa(n=machine.n, alphabet=machine.alphabet, transitions=tuple(given_order),
+                    initial=machine.initial, finals=machine.finals)
+            assert m == machine and m.transitions == machine.transitions
+            expected = {(q, a): tuple(sorted({d for s, b, d in given_order if (s, b) == (q, a)}))
+                        for q in range(m.n) for a in m.alphabet}
+            assert m.table.succ == [tuple(expected[q, a] for a in m.alphabet)
+                                    for q in range(m.n)]
+            assert m.total == all(expected.values())
+            assert all(m.step(q, a) == targets for (q, a), targets in expected.items())
+            with pytest.raises(ValueError, match="unknown letter: 'zz'"):
+                m.step(m.initial, "zz")
+
+    def test_step_rejects_an_unknown_state(self, aplus):
+        assert aplus.step(1, "a") == (1,)
+        for state in (-1, 2):
+            with pytest.raises(ValueError, match=f"unknown state: {state}"):
+                aplus.step(state, "a")
 
 
 class TestHelpers:

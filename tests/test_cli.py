@@ -2,6 +2,7 @@ import argparse
 import os
 import pathlib
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -323,6 +324,39 @@ def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def limited_run(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m sltkit`` with its address space capped at 1 GiB, so that
+    an alphabet built by mistake ends the child, not the machine."""
+    src = str(pathlib.Path(sk.__file__).resolve().parent.parent)
+    cap = (2**30, 2**30)
+    return subprocess.run([sys.executable, "-m", "sltkit", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+
+
+LIMIT = "exceeds the index-string limit of 1114112"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["code", "--states", "3", "--ratio", "1000000000"],
+     f"digit alphabet of 1000000000 symbols {LIMIT}"),
+    (["corpus", "--dir", sk.corpus_dir(), "--ratio", "1e9"],
+     f"digit alphabet of 1000000000 symbols {LIMIT}"),
+    (["build", "--nfa", str(pathlib.Path(sk.corpus_dir()) / "abplus.nfa"),
+      "--ratio", "600000", "--out", "unwritten.dec"],
+     f"local alphabet of 1200000 symbols {LIMIT}"),
+], ids=["code", "corpus", "build"])
+def test_alphabet_past_the_index_string_limit_is_an_input_error(tmp_path, argv, message):
+    # digits and local symbols are characters of index strings
+    argv = [str(tmp_path / a) if a.endswith(".dec") else a for a in argv]
+    result = limited_run(*argv)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "unwritten.dec").exists()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,12 @@ class TestRankUnrank:
             Code(h=2, m=5, codewords=Codewords(2, 4, 2))
         code = Code(h=2, m=4, codewords=[W("1100"), W("0100")])
         assert code.codewords == (W("1100"), W("0100")) and code.digits == ("0", "1")
+
+    def test_digit_alphabet_past_the_index_string_limit_is_refused(self):
+        # one digit more than there are characters; refused before any digit is made
+        with pytest.raises(ValueError, match="digit alphabet of 1114113 symbols exceeds "
+                                             "the index-string limit of 1114112"):
+            Code(h=sys.maxunicode + 2, m=3, codewords=("\x01\0\0",))
 
 
 class TestDecode:

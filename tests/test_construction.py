@@ -6,7 +6,7 @@ import pytest
 
 import sltkit as sk
 from sltkit import Nfa
-from sltkit.automata import DEFAULT_CAP, differences, nfa_table
+from sltkit.automata import DEFAULT_CAP, differences
 from sltkit.cli import main
 from sltkit.codes import Codewords, build_code
 from sltkit.construction import _main_spec
@@ -326,7 +326,7 @@ class TestWindowWidth:
             dataclasses.replace(dec, slt=narrow)
         # the search exact verification runs, on the narrow spec's claim
         claimed = compile_spec(narrow, onto=(ODD_RUNS.alphabet, dec.pi.letter))
-        first = next(differences(claimed, nfa_table(ODD_RUNS), DEFAULT_CAP))
+        first = next(differences(claimed, ODD_RUNS.table, DEFAULT_CAP))
         assert first == (W("aaaa"), True)
         preimages = [z for z in sk.enumerate_language(sk.slt_to_nfa(narrow), 4)
                      if len(z) == 4 and dec.pi(z) == W("aaaa")]

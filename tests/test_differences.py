@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError
-from sltkit.automata import differences, nfa_table
+from sltkit.automata import differences
 from sltkit.verification import claimed_table
 
 from conftest import reference_claimed, reference_differences
@@ -65,7 +65,7 @@ def assert_claimed_search_matches_merged(machine, dec):
     builds, against the reference on the merged claim."""
     claimed = claimed_table(machine, dec)
     merged = reference_claimed(dec, machine.alphabet)
-    table = nfa_table(machine)
+    table = machine.table
     for max_len in MAX_LENS:
         for cap in CAPS:
             assert (outcome(differences(claimed, table, cap, max_len))
@@ -82,8 +82,8 @@ def has_multi_state_subset(t):
 def test_machine_tables_match_reference(data, alphabet):
     m1 = data.draw(random_machines(alphabet))
     m2 = data.draw(random_machines(alphabet))
-    assert_same_searches(nfa_table(m1), nfa_table(m2))
-    assert_bounded_is_exact_cut(nfa_table(m1), nfa_table(m2))
+    assert_same_searches(m1.table, m2.table)
+    assert_bounded_is_exact_cut(m1.table, m2.table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,10 +94,9 @@ def test_projected_specs_match_reference(machine, kind, seed):
     dec = sk.medvedev_width2(machine) if kind == "width2" else sk.medvedev_main(machine, kind)
     rng = random.Random(seed)
     for candidate in (dec, mutate(dec, rng)):
-        assert_same_searches(reference_claimed(candidate, machine.alphabet),
-                             nfa_table(machine))
+        assert_same_searches(reference_claimed(candidate, machine.alphabet), machine.table)
         assert_claimed_search_matches_merged(machine, candidate)
-        assert_bounded_is_exact_cut(claimed_table(machine, candidate), nfa_table(machine))
+        assert_bounded_is_exact_cut(claimed_table(machine, candidate), machine.table)
 
 
 def test_corpus_claims_have_multi_state_subsets(machines, build_main):
@@ -107,6 +106,6 @@ def test_corpus_claims_have_multi_state_subsets(machines, build_main):
         dec = build_main(name, 2)
         claimed = reference_claimed(dec, machine.alphabet)
         assert has_multi_state_subset(claimed)
-        assert_same_searches(claimed, nfa_table(machine))
+        assert_same_searches(claimed, machine.table)
         assert_claimed_search_matches_merged(machine, dec)
-        assert_bounded_is_exact_cut(claimed_table(machine, dec), nfa_table(machine))
+        assert_bounded_is_exact_cut(claimed_table(machine, dec), machine.table)

@@ -3,9 +3,11 @@ and no module of the package other than ``__init__``, nor any test module,
 imports a name it never reads.  A machine is trimmed and fingerprinted only
 in ``construction.prepare``; only trimming and enumeration prune by distance
 to a final state, every spec is built by ``construction._swept_spec``, and
-only the read side hashes a spec's factors.  The package ships the pipeline and what the benchmark
-imports, not the path-level definitions or the sample inference the test
-oracles keep (tests/conftest.py)."""
+only the read side hashes a spec's factors; a machine's successors are
+read off its one table, never off a second index or its transition list.
+The package ships the pipeline and what the benchmark imports, not the
+path-level definitions or the sample inference the test oracles keep
+(tests/conftest.py)."""
 
 import ast
 import os
@@ -129,6 +131,23 @@ def test_only_the_read_side_hashes_the_factors():
              for path in sorted((SRC / "sltkit").glob("*.py"))}
     assert {name: reads for name, reads in sites.items() if reads} == {
         "slt.py": ["SltSpec.accepts", "StreamRecognizer.__init__", "StreamRecognizer.feed"]}
+
+
+def test_only_machine_builders_read_the_transition_list():
+    # everything else reads a machine's one successor index, Nfa.table
+    sites = {path.name: sorted(set(attribute_reads(path.read_text(), "transitions")))
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: reads for name, reads in sites.items() if reads} == {
+        "automata.py": ["Nfa.__post_init__", "relabel", "totalize", "trim", "union_nfa"],
+        "construction.py": ["nfa_fingerprint"]}
+
+
+def test_no_second_successor_index_or_target_form():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: sorted(definitions(source) & {"nfa_table", "_step", "_contexts", "Context"})
+            for name, source in sources.items()} == {name: [] for name in sources}
+    assert {name: attribute_reads(source, "_step") for name, source in sources.items()} == {
+        name: [] for name in sources}
 
 
 def test_attribute_read_scan_skips_stores():

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, Nfa, SltSpec
-from sltkit.slt import compile_spec
+from sltkit.slt import check_alphabet_size, compile_spec
 
 from conftest import (CORPUS_NAMES, corpus_text, infer_slt, lh_nfa, sampled_min_width,
                       symbol_spec, symbol_words)
@@ -86,6 +87,14 @@ class TestSubword:
             tail = sk.window_ops(w, len(w) - start + 1)[1]
             assert direct == sk.window_ops(tail, end - start + 1)[0]
             assert len(direct) == end - start + 1
+
+
+def test_an_alphabet_has_at_most_one_symbol_per_character():
+    # SltSpec and both builds refuse a larger one before making its symbols
+    check_alphabet_size(sys.maxunicode + 1, "alphabet")
+    with pytest.raises(ValueError, match="alphabet of 1114113 symbols exceeds the "
+                                         "index-string limit of 1114112"):
+        check_alphabet_size(sys.maxunicode + 2, "alphabet")
 
 
 class TestMembership:

@@ -59,7 +59,7 @@ def assert_same_sweeps(machine, h):
 
 
 def is_nondeterministic(machine) -> bool:
-    return any(len(targets) > 1 for targets in machine._step.values())
+    return any(len(targets) > 1 for row in machine.table.succ for targets in row)
 
 
 def assert_matches_path_enumeration(machine, h, width):

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sltkit as sk
 from sltkit import CapacityError, VerificationReport
-from sltkit.automata import DEFAULT_CAP, nfa_table
+from sltkit.automata import DEFAULT_CAP
 
 from conftest import (CORPUS_NAMES, paper_main, projected_language, reference_differences,
                       word_key)
@@ -39,7 +39,7 @@ def reference_search(claimed, m, cap, max_len) -> None:
     each side or ends; raises :class:`CapacityError` where the search of
     ``verify_decomposition`` does."""
     sides = set()
-    for _, side in reference_differences(nfa_table(claimed), nfa_table(m), cap, max_len):
+    for _, side in reference_differences(claimed.table, m.table, cap, max_len):
         sides.add(side)
         if len(sides) == 2:
             return
