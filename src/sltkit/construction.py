@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .automata import (
     DEFAULT_CAP,
@@ -198,9 +198,9 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     check_alphabet_size(m.n * len(m.alphabet), "local alphabet")
     alphabet = tuple(state_symbol(q, a) for q in range(m.n) for a in m.alphabet)
     rows = _state_rows(m, len(m.alphabet))
-    spec = _swept_spec(rows, m.initial, sorted(m.finals), True, [s for s, _ in rows], 2,
-                       alphabet, lambda: (c for c, target in zip(*rows[m.initial])
-                                          if not m.finals.isdisjoint(target)),
+    spec = _swept_spec(rows, m.initial, m.finals, True, range(len(rows)), 2, alphabet,
+                       lambda: (c for c, target in zip(*rows[m.initial])
+                                if not m.finals.isdisjoint(target)),
                        len(alphabet) ** 2)
     pi = Homomorphism(tuple(zip(alphabet, m.alphabet * m.n)))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
@@ -246,12 +246,6 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], 
     return keys, fwd
 
 
-def _group(edges: Iterable[tuple[str, int]]) -> Row:
-    """The row of edges given as (symbol, context) pairs in ascending order."""
-    runs = [(c, tuple(map(itemgetter(1), run))) for c, run in groupby(edges, itemgetter(0))]
-    return "".join(c for c, _ in runs), [targets for _, targets in runs]
-
-
 def _state_rows(m: Nfa, stride: int) -> list[Row]:
     """The machine's rows: state q reads index ``q * stride + a`` into its
     a-successors, for each letter a it has successors on."""
@@ -259,75 +253,73 @@ def _state_rows(m: Nfa, stride: int) -> list[Row]:
              [dsts for dsts in row if dsts]) for q, row in enumerate(m.table.succ)]
 
 
-def _window_words(rows: list[Row], last: list[str], starts: Sequence[int],
-                  steps: int, cap: int, what: str) -> tuple[str, ...]:
+def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Container[int],
+                  ends: Container[int], cap: int, what: str) -> tuple[tuple[str, ...], ...]:
     """The index strings of all ``steps``-edge walks from ``starts`` whose
-    final symbol is one of ``last`` for the context it leaves, as a
-    strictly increasing tuple.  ``rows`` are the contexts' rows (see
-    :func:`_context_automaton`) and ``last`` their final symbols, each in
-    ascending order.
+    last edge enters one of ``into``, and the tails (the walks without
+    their first symbol) of those whose last edge enters one of ``ends``,
+    as two strictly increasing tuples; ``rows`` are the contexts' rows.
 
     The frontier is two parallel lists: the words read so far, in
     ascending order, and the tuple of contexts each ends in.  A word's
     children append its row's symbols in order, so they come out sorted,
     and the children of different words never collide.  Only a word
-    ending in several contexts merges their rows, once per distinct tuple.
-    On reversed edges the words come out reversed."""
+    ending in several contexts merges their rows, and picks its last
+    symbols, once per distinct tuple.  The walks are counted against
+    ``cap`` before any is built; the tails, which collide, are sorted."""
     merged: dict[tuple[int, ...], Row] = {(q,): row for q, row in enumerate(rows)}
-    ends: dict[tuple[int, ...], str] = {(q,): symbols for q, symbols in enumerate(last)}
+    finals: dict[tuple[int, ...], tuple[str, ...]] = {}
 
     def merge(t: tuple[int, ...]) -> Row:
-        pairs = {(c, dst) for q in t for c, target in zip(*rows[q]) for dst in target}
-        row = merged[t] = _group(sorted(pairs))
+        pairs = sorted({(c, dst) for q in t for c, target in zip(*rows[q]) for dst in target})
+        runs = [(c, tuple(map(itemgetter(1), run))) for c, run in groupby(pairs, itemgetter(0))]
+        row = merged[t] = "".join(c for c, _ in runs), [targets for _, targets in runs]
         return row
 
-    def end(t: tuple[int, ...]) -> str:
-        symbols = ends[t] = "".join(sorted(set("".join(map(last.__getitem__, t)))))
-        return symbols
+    def final(t: tuple[int, ...]) -> tuple[str, ...]:
+        symbols, targets = merged.get(t) or merge(t)
+        pair = finals[t] = tuple("".join(c for c, target in zip(symbols, targets)
+                                         if any(map(keep.__contains__, target)))
+                                 for keep in (into, ends))
+        return pair
 
     words: list[str] = [""]
     contexts = [tuple(starts)]
     for _ in range(steps - 1):
         here = [merged.get(t) or merge(t) for t in contexts]
-        next_words = [w + c for w, (symbols, _) in zip(words, here) for c in symbols]
-        if len(next_words) > cap:
-            raise CapacityError(f"window set exceeds cap of {cap}: {len(next_words)} {what}")
-        words, contexts = next_words, [t for _, targets in here for t in targets]
-    finals = [ends[t] if t in ends else end(t) for t in contexts]
-    out = tuple(w + c for w, symbols in zip(words, finals) for c in symbols)
-    if len(out) > cap:
-        raise CapacityError(f"window set exceeds cap of {cap}: {len(out)} {what}")
-    return out
+        words = [w + c for w, (symbols, _) in zip(words, here) for c in symbols]
+        if len(words) > cap:
+            raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
+        contexts = [t for _, targets in here for t in targets]
+    lasts = [finals.get(t) or final(t) for t in contexts]
+    count = sum(map(len, map(itemgetter(0), lasts)))
+    if count > cap:
+        raise CapacityError(f"window set exceeds cap of {cap}: {count} {what}")
+    tails = tuple(sorted({w[1:] + c for w, (_, symbols) in zip(words, lasts) for c in symbols}))
+    return tuple(w + c for w, (symbols, _) in zip(words, lasts) for c in symbols), tails
 
 
-def _swept_spec(rows: list[Row], start: int, ends: Sequence[int], aligned: bool,
-                prefix_last: list[str], width: int, alphabet: tuple[str, ...],
+def _swept_spec(rows: list[Row], start: int, ends: Container[int], aligned: bool,
+                prefix_into: Container[int], width: int, alphabet: tuple[str, ...],
                 short_words: Callable[[], Iterable[str]], cap: int) -> SltSpec:
     """The width-``width`` spec over ``alphabet`` whose window sets are
     swept out of an automaton's ``rows`` (see :func:`_window_words`).
 
-    Prefixes are the (width-1)-edge walks from ``start`` whose final symbol
-    is one of ``prefix_last`` for the context it leaves; factors are all
-    width-edge walks; suffixes are the (width-1)-edge walks into one of
-    ``ends`` that leave a context with an edge in, or any context if
-    ``aligned``.  ``cap`` bounds each window set.  The short words are
-    listed by ``short_words()``, called once the window sets are swept, so
-    a build over the cap on both stops at the window sets.
+    Prefixes are the (width-1)-edge walks from ``start`` whose last edge
+    enters a context in ``prefix_into``; factors are all width-edge walks,
+    and the suffixes their tails that end in one of ``ends``, so a suffix
+    leaves a context with an edge in.  If ``aligned``, every edge into one
+    of ``ends`` is a suffix instead, as width 2 has it.  ``cap`` bounds
+    each window set.  The short words are listed by ``short_words()``,
+    called once the window sets are swept, so a build over the cap on both
+    stops at the window sets.
     """
-    rev: list[list[tuple[str, int]]] = [[] for _ in rows]
-    for src, row in enumerate(rows):
-        for c, target in zip(*row):
-            for dst in target:
-                rev[dst].append((c, src))
-    rev = list(map(sorted, rev))
-    rev_last = ["".join(dict.fromkeys(c for c, src in edges if aligned or rev[src]))
-                for edges in rev]
-
-    prefixes = _window_words(rows, prefix_last, [start], width - 1, cap, "prefixes")
-    factors = _window_words(rows, [symbols for symbols, _ in rows], range(len(rows)), width,
-                            cap, "factors")
-    suffixes = tuple(sorted(w[::-1] for w in _window_words(
-        list(map(_group, rev)), rev_last, ends, width - 1, cap, "suffixes")))
+    every = range(len(rows))
+    prefixes, _ = _window_words(rows, [start], width - 1, prefix_into, (), cap, "prefixes")
+    factors, suffixes = _window_words(rows, every, width, every, ends, cap, "factors")
+    if aligned:
+        suffixes = tuple(c for symbols, targets in rows for c, target in zip(symbols, targets)
+                         if any(map(ends.__contains__, target)))
     return SltSpec(width=width, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
                    factors=factors, short_words=short_words())
 
@@ -346,9 +338,10 @@ def _main_spec(m: Nfa, code: Code, width: int, cap: int) -> SltSpec:
         raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
     alphabet = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
     encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(alphabet)})
-    return _swept_spec(rows, m.initial, [i for i, (q, _, _) in enumerate(keys) if q in m.finals],
-                       False, [symbols for symbols, _ in rows], width, alphabet,
-                       lambda: (encode(w, _run(m, w))
+    before = _predecessors(m)
+    return _swept_spec(rows, m.initial, {i for i, (q, _, _) in enumerate(keys) if q in m.finals},
+                       False, range(len(rows)), width, alphabet,
+                       lambda: (encode(w, _run(m, before, w))
                                 for w in enumerate_language(m, width - 1, cap=cap)), cap)
 
 
@@ -392,11 +385,9 @@ def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
     """
     m = prepare(m).machine
     rows = _state_rows(m, 0)
-    onward = [c for c, _ in rows]  # a nonempty row: the walk can go on
-    prefix_last = ["".join(c for c, target in zip(*row) if any(onward[q] for q in target))
-                   for row in rows]
+    onward = {q for q, (symbols, _) in enumerate(rows) if symbols}  # the walk can go on
     encode = word_encoder(m.alphabet)
-    return _swept_spec(rows, m.initial, sorted(m.finals), False, prefix_last, k, m.alphabet,
+    return _swept_spec(rows, m.initial, m.finals, False, onward, k, m.alphabet,
                        lambda: map(encode, enumerate_language(m, k - 1, cap=cap)), cap)
 
 
@@ -420,21 +411,25 @@ def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_CAP) -> Optional[int]:
     return None
 
 
-def _run(m: Nfa, word: Word) -> list[int]:
+def _predecessors(m: Nfa) -> list[list[list[int]]]:
+    """The machine's predecessor rows: ``before[q][a]`` lists q's a-predecessors."""
+    before: list[list[list[int]]] = [[[] for _ in m.alphabet] for _ in range(m.n)]
+    for src, row in enumerate(m.table.succ):
+        for a, dsts in enumerate(row):
+            for dst in dsts:
+                before[dst][a].append(src)
+    return before
+
+
+def _run(m: Nfa, before: list[list[list[int]]], word: Word) -> list[int]:
     """The states of the successful run on ``word`` that takes, at each
     step, the least successor from which the rest of the word can still
     reach a final state, from the initial state on.  The sets of states
     that can still finish, one per position, come from memoised subset
-    steps along the reversed word."""
+    steps along the reversed word over the predecessor rows ``before``."""
     path = m.letter_positions(word)
     succ = m.table.succ
-    before: list[list[list[int]]] = [[[] for _ in m.alphabet] for _ in succ]
-    for src, row in enumerate(succ):
-        for a, dsts in enumerate(row):
-            for dst in dsts:
-                before[dst][a].append(src)
-    viable = subset_trace(before, m.finals, reversed(path))
-    viable.reverse()
+    viable = subset_trace(before, m.finals, reversed(path))[::-1]
     if m.initial not in viable[0]:
         raise ValueError("word is not in the machine's language")
     current = m.initial
@@ -491,7 +486,7 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Word:
         raise ValueError("word encoding requires a main-kind decomposition")
     source = prepare(nfa)
     word = tuple(word)
-    states = _run(source.machine, word)
+    states = _run(source.machine, _predecessors(source.machine), word)
     assert dec.m is not None and dec.h is not None
     code = source.code(dec.h)
     if code.m != dec.m:
@@ -554,7 +549,7 @@ def parse_decomposition(text: str) -> Decomposition:
     source = ""
     numbers: dict[str, int] = {}
     symbol_pairs: list[tuple[str, str]] = []
-    sections: dict[str, list[Word]] = {name: [] for name in _SECTIONS}
+    sections: dict[str, list] = {name: [] for name in _SECTIONS}  # index strings, but RESIDUAL
     current: Optional[str] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -562,10 +557,16 @@ def parse_decomposition(text: str) -> Decomposition:
         if not line:
             continue
         if line in _SECTIONS:
+            if current is None:  # every symbol line comes before the first header
+                encode = word_encoder([s for s, _ in symbol_pairs])
             current = line
             continue
         if current is not None:
-            sections[current].append(parse_word(line))
+            word = parse_word(line)
+            try:
+                sections[current].append(word if current == "RESIDUAL" else encode(word))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
             continue
         tokens = line.split()
         keyword = tokens[0]
@@ -597,14 +598,10 @@ def parse_decomposition(text: str) -> Decomposition:
         raise ParseError("missing 'k' line")
     if not symbol_pairs:
         raise ParseError("missing 'symbol' lines")
-    alphabet = tuple(s for s, _ in symbol_pairs)
-    encode = word_encoder(alphabet)
     # tuples, so that sections already in canonical order are not re-sorted
-    spec = SltSpec(width=numbers["k"], alphabet=alphabet,
-                   prefixes=tuple(map(encode, sections["I"])),
-                   suffixes=tuple(map(encode, sections["T"])),
-                   factors=tuple(map(encode, sections["F"])),
-                   short_words=tuple(map(encode, sections["SHORT"])))
+    spec = SltSpec(width=numbers["k"], alphabet=tuple(s for s, _ in symbol_pairs),
+                   prefixes=tuple(sections["I"]), suffixes=tuple(sections["T"]),
+                   factors=tuple(sections["F"]), short_words=tuple(sections["SHORT"]))
     return Decomposition(kind=kind, slt=spec, pi=Homomorphism(tuple(symbol_pairs)),
                          residual=tuple(sections["RESIDUAL"]),
                          h=numbers.get("h"), m=numbers.get("m"),

@@ -419,14 +419,16 @@ def sampled_min_width(m: sk.Nfa, max_k: int, max_len: int) -> Optional[int]:
     return None
 
 
-def reference_window_words(rows, last, starts, steps: int, cap: int, what: str) -> set[str]:
+def reference_window_words(rows, starts, steps: int, into, ends, cap: int,
+                           what: str) -> tuple[set[str], set[str]]:
     """The window sweep keyed by the word read so far, with the set of
     contexts it ends in, over each context's edges one by one: the
     definition ``construction._window_words`` keeps, with the same caps,
-    counts and messages.  ``rows`` and ``last`` are as that function takes
-    them."""
-    edges = [[(c, dst) for c, target in zip(*row)
-              for dst in ((target,) if isinstance(target, int) else target)] for row in rows]
+    counts and messages.  Returns the walks whose last edge enters one of
+    ``into``, and the tails (the walks without their first symbol) of
+    those whose last edge enters one of ``ends``.  The arguments are as
+    that function takes them."""
+    edges = [[(c, dst) for c, target in zip(*row) for dst in target] for row in rows]
     frontier: dict[str, set[int]] = {"": set(starts)}
     for _ in range(steps - 1):
         nxt: dict[str, set[int]] = {}
@@ -437,10 +439,12 @@ def reference_window_words(rows, last, starts, steps: int, cap: int, what: str) 
         if len(nxt) > cap:
             raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} {what}")
         frontier = nxt
-    words = {w + c for w, states in frontier.items() for st in states for c in last[st]}
+    walks = [(w + c, dst) for w, states in frontier.items() for st in states
+             for c, dst in edges[st]]
+    words = {z for z, dst in walks if dst in into}
     if len(words) > cap:
         raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
-    return words
+    return words, {z[1:] for z, dst in walks if dst in ends}
 
 
 def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_CAP) -> sk.CodeCheck:

@@ -575,6 +575,16 @@ class TestSerialization:
         with pytest.raises(sk.ParseError, match="kind"):
             sk.parse_decomposition("k 2\nsymbol a -> a\n")
 
+    def test_parse_names_the_line_of_an_unknown_symbol(self):
+        text = "kind width2\nk 2\nsymbol q0|a -> a\nI\nq0|a\nT\nq0|a\nF\nq0|a.q1|a\n"
+        with pytest.raises(sk.ParseError, match="^line 8: unknown symbol: 'q1|a'$"):
+            sk.parse_decomposition(text)
+
+    def test_parse_rejects_a_section_word_before_the_symbol_lines(self):
+        text = "kind width2\nk 2\nI\nq0|a\nsymbol q0|a -> a\n"
+        with pytest.raises(sk.ParseError, match="^line 4: unknown symbol: 'q0|a'$"):
+            sk.parse_decomposition(text)
+
     def test_parse_rejects_bad_width(self):
         text = "kind main\nh 2\nm 3\nk 3\nsymbol a|0 -> a\nI\nT\nF\nSHORT\nRESIDUAL\n"
         with pytest.raises(ValueError, match="main decompositions have width at least 2m-2"):

@@ -2,9 +2,10 @@
 and no module of the package other than ``__init__``, nor any test module,
 imports a name it never reads.  A machine is trimmed and fingerprinted only
 in ``construction.prepare``; only trimming and enumeration prune by distance
-to a final state, every spec is built by ``construction._swept_spec``, and
-only the read side hashes a spec's factors; a machine's successors are
-read off its one table, never off a second index or its transition list.
+to a final state, every spec is built by ``construction._swept_spec`` in
+two window sweeps, and only the read side hashes a spec's factors; a
+machine's successors are read off its one table, never off a second index
+or its transition list.
 The package ships the pipeline and what the benchmark imports, not the
 path-level definitions or the sample inference the test oracles keep
 (tests/conftest.py)."""
@@ -102,6 +103,14 @@ def test_every_spec_comes_from_the_one_window_sweep():
     assert {name: calls for name, calls in sites.items() if calls} == {
         "construction.py": ["_main_spec:_swept_spec", "_tightest_spec:_swept_spec",
                             "medvedev_width2:_swept_spec"]}
+
+
+def test_every_spec_runs_two_window_sweeps():
+    # prefixes, then factors with the suffixes as their tails; no reversed sweep
+    sites = {path.name: call_sites(path.read_text(), {"_window_words"})
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: calls for name, calls in sites.items() if calls} == {
+        "construction.py": ["_swept_spec:_window_words"] * 2}
 
 
 def test_call_site_scan_finds_calls_anywhere():

@@ -5,10 +5,11 @@ transition-by-transition sets it replaces.
 
 ``reference_window_words`` (tests/conftest.py) keys the frontier by word
 in a dict of context sets; ``_window_words`` keeps the words in ascending
-order beside their contexts.  On every sweep a main build runs, the new
-one must return the same words as a strictly increasing tuple, and stop
-with ``CapacityError`` at the same count and with the same message under
-any cap.
+order beside their contexts.  A main build runs two sweeps: the prefixes,
+then the factors with the suffixes as their tails.  On each, the new one
+must return the same walks and tails as strictly increasing tuples, and
+stop with ``CapacityError`` at the same count and with the same message
+under any cap.
 """
 
 from unittest import mock
@@ -34,12 +35,12 @@ def recorded_sweeps(machine, h):
 
     with mock.patch.object(construction, "_window_words", spy):
         dec = sk.medvedev_main(machine, h)
-    return dec, [(args[:4], args[5]) for args in calls]
+    return dec, [(args[:5], args[6]) for args in calls]
 
 
 def outcome(sweep, args, what, cap):
     try:
-        return sorted(sweep(*args, cap, what))
+        return [sorted(words) for words in sweep(*args, cap, what)]
     except CapacityError as exc:
         return str(exc)
 
@@ -50,11 +51,14 @@ def is_strictly_increasing(words) -> bool:
 
 def assert_same_sweeps(machine, h):
     dec, sweeps = recorded_sweeps(machine, h)
-    assert len(sweeps) == 3
+    assert [what for _, what in sweeps] == ["prefixes", "factors"]
     for args, what in sweeps:
-        words = _window_words(*args, 10**6, what)
-        assert type(words) is tuple and is_strictly_increasing(words)
-        assert words == tuple(sorted(reference_window_words(*args, 10**6, what)))
+        swept = _window_words(*args, 10**6, what)
+        assert all(type(words) is tuple and is_strictly_increasing(words) for words in swept)
+        assert swept == tuple(tuple(sorted(words))
+                              for words in reference_window_words(*args, 10**6, what))
+    (_, prefix_tails), (_, suffixes) = (_window_words(*args, 10**6, what) for args, what in sweeps)
+    assert prefix_tails == () and suffixes == dec.slt.suffixes
     return dec, sweeps
 
 
@@ -141,10 +145,9 @@ def test_random_nfas_match_reference(machine, h):
 
 @pytest.mark.parametrize("name", ["aplus", "nondet", "evens"])
 def test_cap_is_hit_at_the_same_count(machines, name):
-    _, sweeps = recorded_sweeps(machines[name], 2)
-    assert [what for _, what in sweeps] == ["prefixes", "factors", "suffixes"]
+    _, sweeps = assert_same_sweeps(machines[name], 2)
     for args, what in sweeps:
-        total = len(_window_words(*args, 10**6, what))
+        total = len(_window_words(*args, 10**6, what)[0])
         outcomes = [outcome(_window_words, args, what, cap) for cap in range(total + 2)]
         assert outcomes == [outcome(reference_window_words, args, what, cap)
                             for cap in range(total + 2)]
