@@ -4,10 +4,12 @@ Two constructions are provided.  The width-2 construction pairs states
 with letters, giving a local (width-2) language over n*|A| symbols.  The
 main construction encodes states as fixed-length digit blocks and pairs
 letters with digits, giving width 2m-2 over only h*|A| symbols, two below
-the paper's 2m; its source words shorter than 2m-2 are the spec's short
-words, block-encoded.  Both specs, and the tightest width-k spec that
-:func:`min_slt_width` tests, are swept out of an automaton's rows by one
-helper, :func:`_swept_spec`.
+the paper's 2m.  Its local language is the walks of a context automaton
+(see :func:`_context_automaton`), kept on the machine's :class:`Source`
+per ratio: the build sweeps its windows and short words out of the walks,
+and :func:`encode_word` takes the least walk that spells a word.  Both
+specs, and the tightest width-k spec that :func:`min_slt_width` tests,
+are swept out of an automaton's rows by one helper, :func:`_swept_spec`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .automata import (
     DEFAULT_CAP,
@@ -25,10 +27,8 @@ from .automata import (
     ParseError,
     Word,
     differences,
-    enumerate_language,
     format_word,
     parse_word,
-    subset_trace,
     trim,
 )
 from .codes import Code, build_code
@@ -141,12 +141,15 @@ class Source:
     trim part of a given machine (see :func:`~sltkit.automata.trim`),
     without the states no successful run visits, and its fingerprint.
     Machines with the same trim part, such as ``m`` and ``totalize(m)``,
-    have the same source and so give the same decomposition.
+    have the same source and so give the same decomposition.  The state
+    code and the context automaton at each ratio are built once and kept.
     """
 
     machine: Nfa
     fingerprint: str
     _codes: dict[int, Code] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _automata: dict[int, tuple[list[Row], frozenset[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def code(self, h: int) -> Code:
         """The main construction's state code at ratio ``h``, built once, for
@@ -155,6 +158,15 @@ class Source:
         if h not in self._codes:
             self._codes[h] = build_code(max(self.machine.n, 2), h)
         return self._codes[h]
+
+    def automaton(self, h: int) -> tuple[list[Row], frozenset[int]]:
+        """The context automaton at ratio ``h`` (see :func:`_context_automaton`),
+        built once, after its |A|*h symbols are checked against the
+        index-string limit."""
+        if h not in self._automata:
+            check_alphabet_size(len(self.machine.alphabet) * h, "local alphabet")
+            self._automata[h] = _context_automaton(self.machine, self.code(h))
+        return self._automata[h]
 
     def mismatch(self, dec: Decomposition) -> Optional[str]:
         """Why ``dec`` was not built for this source, or None: its
@@ -199,14 +211,12 @@ def medvedev_width2(m: Nfa) -> Decomposition:
     alphabet = tuple(state_symbol(q, a) for q in range(m.n) for a in m.alphabet)
     rows = _state_rows(m, len(m.alphabet))
     spec = _swept_spec(rows, m.initial, m.finals, True, range(len(rows)), 2, alphabet,
-                       lambda: (c for c, target in zip(*rows[m.initial])
-                                if not m.finals.isdisjoint(target)),
                        len(alphabet) ** 2)
     pi = Homomorphism(tuple(zip(alphabet, m.alphabet * m.n)))
     return Decomposition(kind=WIDTH2, slt=spec, pi=pi, source_fingerprint=source.fingerprint)
 
 
-def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], list[Row]]:
+def _context_automaton(m: Nfa, code: Code) -> tuple[list[Row], frozenset[int]]:
     """Automaton emitting the letter-digit stream of block-encoded runs.
 
     Contexts are (current state, block origin, offset into the block);
@@ -217,7 +227,7 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], 
     symbol as an index character of the letter-major local alphabet.  A
     context's row is its symbols in ascending order, as one string, and
     beside each symbol the ascending tuple of contexts it leads to.
-    Returns the contexts and their rows.
+    Returns the rows and the contexts whose state is final.
     """
     blen, h, cw = code.m, code.h, list(code.codewords)
 
@@ -243,7 +253,7 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[tuple[int, int, int]], 
                     ctx((dst, origin, offset + 1) if offset + 1 < blen else (dst, dst, 0))
                     for dst in dsts))
         fwd.append(("".join(symbols), targets))
-    return keys, fwd
+    return fwd, frozenset(i for i, (q, _, _) in enumerate(keys) if q in m.finals)
 
 
 def _state_rows(m: Nfa, stride: int) -> list[Row]:
@@ -254,11 +264,14 @@ def _state_rows(m: Nfa, stride: int) -> list[Row]:
 
 
 def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Container[int],
-                  ends: Container[int], cap: int, what: str) -> tuple[tuple[str, ...], ...]:
+                  ends: Container[int], tails: bool, cap: int,
+                  what: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The index strings of all ``steps``-edge walks from ``starts`` whose
-    last edge enters one of ``into``, and the tails (the walks without
-    their first symbol) of those whose last edge enters one of ``ends``,
-    as two strictly increasing tuples; ``rows`` are the contexts' rows.
+    last edge enters one of ``into``, and beside them the walks whose last
+    edge enters one of ``ends``: if ``tails``, the ``steps``-edge ones
+    less their first symbol, else those of every length from 1 to
+    ``steps`` (the short words); both as strictly increasing tuples.
+    ``rows`` are the contexts' rows.
 
     The frontier is two parallel lists: the words read so far, in
     ascending order, and the tuple of contexts each ends in.  A word's
@@ -266,7 +279,9 @@ def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Cont
     and the children of different words never collide.  Only a word
     ending in several contexts merges their rows, and picks its last
     symbols, once per distinct tuple.  The walks are counted against
-    ``cap`` before any is built; the tails, which collide, are sorted."""
+    ``cap`` before any is built, and the short words as each length is
+    read; the tails, which collide, and the short words, of several
+    lengths, are sorted."""
     merged: dict[tuple[int, ...], Row] = {(q,): row for q, row in enumerate(rows)}
     finals: dict[tuple[int, ...], tuple[str, ...]] = {}
 
@@ -283,10 +298,19 @@ def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Cont
                                  for keep in (into, ends))
         return pair
 
+    short: list[str] = []
+
+    def ended(words: list[str], lasts: list[tuple[str, ...]]) -> None:
+        short.extend(w + c for w, (_, symbols) in zip(words, lasts) for c in symbols)
+        if len(short) > cap:
+            raise CapacityError(f"short words exceed cap of {cap}: {len(short)}")
+
     words: list[str] = [""]
     contexts = [tuple(starts)]
     for _ in range(steps - 1):
         here = [merged.get(t) or merge(t) for t in contexts]
+        if not tails:
+            ended(words, [finals.get(t) or final(t) for t in contexts])
         words = [w + c for w, (symbols, _) in zip(words, here) for c in symbols]
         if len(words) > cap:
             raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
@@ -295,54 +319,59 @@ def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Cont
     count = sum(map(len, map(itemgetter(0), lasts)))
     if count > cap:
         raise CapacityError(f"window set exceeds cap of {cap}: {count} {what}")
-    tails = tuple(sorted({w[1:] + c for w, (_, symbols) in zip(words, lasts) for c in symbols}))
-    return tuple(w + c for w, (symbols, _) in zip(words, lasts) for c in symbols), tails
+    if tails:
+        beside = tuple(sorted({w[1:] + c for w, (_, symbols) in zip(words, lasts)
+                               for c in symbols}))
+    else:
+        ended(words, lasts)
+        beside = tuple(sorted(short))
+    return tuple(w + c for w, (symbols, _) in zip(words, lasts) for c in symbols), beside
 
 
 def _swept_spec(rows: list[Row], start: int, ends: Container[int], aligned: bool,
                 prefix_into: Container[int], width: int, alphabet: tuple[str, ...],
-                short_words: Callable[[], Iterable[str]], cap: int) -> SltSpec:
-    """The width-``width`` spec over ``alphabet`` whose window sets are
-    swept out of an automaton's ``rows`` (see :func:`_window_words`).
+                cap: int) -> SltSpec:
+    """The width-``width`` spec over ``alphabet`` whose window sets and
+    short words are swept out of an automaton's ``rows`` (see
+    :func:`_window_words`).
 
     Prefixes are the (width-1)-edge walks from ``start`` whose last edge
-    enters a context in ``prefix_into``; factors are all width-edge walks,
+    enters a context in ``prefix_into``, and the short words the walks
+    from ``start`` of 1 to width-1 edges whose last edge enters one of
+    ``ends``, read in the same sweep; factors are all width-edge walks,
     and the suffixes their tails that end in one of ``ends``, so a suffix
     leaves a context with an edge in.  If ``aligned``, every edge into one
     of ``ends`` is a suffix instead, as width 2 has it.  ``cap`` bounds
-    each window set.  The short words are listed by ``short_words()``,
-    called once the window sets are swept, so a build over the cap on both
-    stops at the window sets.
+    each window set and the short words.
     """
     every = range(len(rows))
-    prefixes, _ = _window_words(rows, [start], width - 1, prefix_into, (), cap, "prefixes")
-    factors, suffixes = _window_words(rows, every, width, every, ends, cap, "factors")
+    prefixes, short = _window_words(rows, [start], width - 1, prefix_into, ends, False, cap,
+                                    "prefixes")
+    factors, suffixes = _window_words(rows, every, width, every, ends, True, cap, "factors")
     if aligned:
         suffixes = tuple(c for symbols, targets in rows for c, target in zip(symbols, targets)
                          if any(map(ends.__contains__, target)))
     return SltSpec(width=width, alphabet=alphabet, prefixes=prefixes, suffixes=suffixes,
-                   factors=factors, short_words=short_words())
+                   factors=factors, short_words=short)
 
 
-def _main_spec(m: Nfa, code: Code, width: int, cap: int) -> SltSpec:
-    """The width-``width`` spec of the block-encoded runs of a prepared
-    machine ``m`` under its state ``code``, over the letter-major
-    letter-digit pairs.  Its windows are swept out of the context automaton
-    (see :func:`_swept_spec`), where a suffix leaves a context with an edge
-    in: part-way through a block, or at a block start where a full block
-    ends.  Its short words are the source words shorter than ``width``,
-    each block-encoded along its run (see :func:`_block_encoder`).  ``cap``
-    bounds the automaton, each window set and the short words."""
-    keys, rows = _context_automaton(m, code)
-    if len(keys) > cap:
-        raise CapacityError(f"context automaton exceeds cap of {cap}: {len(keys)}")
+def _main_spec(source: Source, h: int, width: int, cap: int) -> SltSpec:
+    """The width-``width`` spec of the block-encoded runs of a source's
+    machine under its state code at ratio ``h``, over the letter-major
+    letter-digit pairs.  Its windows and short words are swept out of the
+    source's context automaton (see :func:`_swept_spec`), where a suffix
+    leaves a context with an edge in: part-way through a block, or at a
+    block start where a full block ends.  The short words are its walks
+    from the initial state's block start into a final state's context
+    shorter than ``width``: the source words below ``width``, block-encoded
+    along every run.  ``cap`` bounds the automaton, each window set and
+    the short words."""
+    m, code = source.machine, source.code(h)
+    rows, ends = source.automaton(h)
+    if len(rows) > cap:
+        raise CapacityError(f"context automaton exceeds cap of {cap}: {len(rows)}")
     alphabet = tuple(pair_symbol(a, d) for a in m.alphabet for d in code.digits)
-    encode = _block_encoder(m, code, {s: chr(i) for i, s in enumerate(alphabet)})
-    before = _predecessors(m)
-    return _swept_spec(rows, m.initial, {i for i, (q, _, _) in enumerate(keys) if q in m.finals},
-                       False, range(len(rows)), width, alphabet,
-                       lambda: (encode(w, _run(m, before, w))
-                                for w in enumerate_language(m, width - 1, cap=cap)), cap)
+    return _swept_spec(rows, m.initial, ends, False, range(len(rows)), width, alphabet, cap)
 
 
 def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_CAP) -> Decomposition:
@@ -355,18 +384,19 @@ def medvedev_main(m: Nfa, h: int, *, cap: int = DEFAULT_CAP) -> Decomposition:
     digits of the next, which fix the next block's state, so these windows
     decide every word of length 2m-2 or more (the README has the argument);
     the source words shorter than 2m-2 are the short words, each written as
-    its block encoding (see :func:`encode_word`), so the residual stays
-    empty.  The spec is built by :func:`_main_spec`, whose window sets are
-    swept out of a context automaton in sorted order (see
+    its block encoding along every run, so the residual stays empty.  The
+    spec is built by :func:`_main_spec`, whose window sets and short words
+    are swept out of the source's context automaton in sorted order (see
     :func:`_window_words`) rather than by materialising path triples.  The
-    machine is prepared first.  ``cap`` bounds the context automaton, each
+    machine is prepared first, and the automaton is kept on its source for
+    :func:`encode_word`.  ``cap`` bounds the context automaton, each
     window set and the short words.
     """
     source = prepare(m)
     m = source.machine
-    check_alphabet_size(len(m.alphabet) * h, "local alphabet")
+    source.automaton(h)  # refuses an alphabet past the index-string limit first
     code = source.code(h)
-    spec = _main_spec(m, code, 2 * code.m - 2, cap)
+    spec = _main_spec(source, h, 2 * code.m - 2, cap)
     pi = Homomorphism(tuple(zip(spec.alphabet, (a for a in m.alphabet for _ in code.digits))))
     return Decomposition(kind=MAIN, slt=spec, pi=pi, h=h, m=code.m,
                          source_fingerprint=source.fingerprint)
@@ -380,15 +410,14 @@ def _tightest_spec(m: Nfa, k: int, cap: int) -> SltSpec:
     of k-step walks, the prefixes those of (k-1)-step walks from the
     initial state that can take one more step, the suffixes those of
     (k-1)-step walks into a final state from a state with an edge in, and
-    the short words the members shorter than k.  Symbols are alphabet
-    positions.
+    the short words those of the walks shorter than k from the initial
+    state into a final one, the members shorter than k.  Symbols are
+    alphabet positions.
     """
     m = prepare(m).machine
     rows = _state_rows(m, 0)
     onward = {q for q, (symbols, _) in enumerate(rows) if symbols}  # the walk can go on
-    encode = word_encoder(m.alphabet)
-    return _swept_spec(rows, m.initial, m.finals, False, onward, k, m.alphabet,
-                       lambda: map(encode, enumerate_language(m, k - 1, cap=cap)), cap)
+    return _swept_spec(rows, m.initial, m.finals, False, onward, k, m.alphabet, cap)
 
 
 def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_CAP) -> Optional[int]:
@@ -411,83 +440,76 @@ def min_slt_width(m: Nfa, max_k: int, cap: int = DEFAULT_CAP) -> Optional[int]:
     return None
 
 
-def _predecessors(m: Nfa) -> list[list[list[int]]]:
-    """The machine's predecessor rows: ``before[q][a]`` lists q's a-predecessors."""
-    before: list[list[list[int]]] = [[[] for _ in m.alphabet] for _ in range(m.n)]
-    for src, row in enumerate(m.table.succ):
-        for a, dsts in enumerate(row):
-            for dst in dsts:
-                before[dst][a].append(src)
-    return before
+def _least_walk(rows: list[Row], ends: frozenset[int], start: int, h: int,
+                path: Sequence[int]) -> Optional[str]:
+    """The least index string of a walk from ``start`` along the letter
+    positions ``path`` into one of ``ends``, or None; ``rows`` are a
+    context automaton's, whose symbols for letter a are ``a*h .. a*h+h-1``.
 
-
-def _run(m: Nfa, before: list[list[list[int]]], word: Word) -> list[int]:
-    """The states of the successful run on ``word`` that takes, at each
-    step, the least successor from which the rest of the word can still
-    reach a final state, from the initial state on.  The sets of states
-    that can still finish, one per position, come from memoised subset
-    steps along the reversed word over the predecessor rows ``before``."""
-    path = m.letter_positions(word)
-    succ = m.table.succ
-    viable = subset_trace(before, m.finals, reversed(path))[::-1]
-    if m.initial not in viable[0]:
-        raise ValueError("word is not in the machine's language")
-    current = m.initial
-    states = [current]
-    for a, ahead in zip(path, islice(viable, 1, None)):
-        for q in succ[current][a]:
-            if q in ahead:
-                break
-        current = q
-        states.append(q)
-    return states
-
-
-def _block_encoder(m: Nfa, code: Code,
-                   chars: dict[str, str]) -> Callable[[Word, list[int]], str]:
-    """The encoder of members of ``m``'s language into index strings over
-    the local alphabet that ``chars`` numbers.  A word is read along its
-    run ``states`` (see :func:`_run`) in blocks of m letters from its start:
-    letter i, counted from 0, is paired with digit i mod m of the codeword
-    of its block's origin, the state the run is in at the block's start, so
-    a last, shorter block takes only the leading digits.  A pair outside
-    ``chars`` raises ValueError."""
-    cell = {(a, chr(d)): chars[pair_symbol(a, digit)]  # (letter, digit) -> index character
-            for a in m.alphabet for d, digit in enumerate(code.digits)
-            if pair_symbol(a, digit) in chars}
-
-    def encode(word: Word, states: list[int]) -> str:
-        origins = states[0:len(word):code.m]
-        codewords = {q: code.codewords[q] for q in set(origins)}  # each unranked once
-        digits = "".join(map(codewords.__getitem__, origins))
-        try:
-            return "".join(map(cell.__getitem__, zip(word, digits)))
-        except KeyError as exc:
-            a, d = exc.args[0]
-            raise ValueError(f"unknown symbol: {pair_symbol(a, code.digits[ord(d)])!r}") from None
-
-    return encode
+    Each context reached is kept once, under the least string that
+    reaches it.  The contexts are grouped by that string, the groups in
+    ascending order, so a group's children, by ascending symbol, come out
+    ascending too.  A step records for each new group the group it came
+    from and the symbol it read, and only the least group that ends is
+    spelled out.  A step depends only on the groups and the letter, so
+    each distinct one is worked out once per word."""
+    groups: tuple[tuple[int, ...], ...] = ((start,),)
+    trail: list[tuple[tuple[int, str], ...]] = []
+    steps: dict[tuple, tuple] = {}  # (groups, letter) -> (groups after, their links)
+    for a in path:
+        step = steps.get((groups, a))
+        if step is None:
+            seen: set[int] = set()
+            after: list[tuple[int, ...]] = []
+            links: list[tuple[int, str]] = []
+            for i, group in enumerate(groups):
+                moves: dict[str, set[int]] = {}
+                for q in group:
+                    for c, target in zip(*rows[q]):
+                        if ord(c) // h == a:
+                            moves.setdefault(c, set()).update(target)
+                for c in sorted(moves):
+                    fresh = tuple(sorted(moves[c] - seen))
+                    if fresh:
+                        seen.update(fresh)
+                        after.append(fresh)
+                        links.append((i, c))
+            step = steps[groups, a] = tuple(after), tuple(links)
+        groups, links = step
+        trail.append(links)
+    i = next((i for i, group in enumerate(groups) if not ends.isdisjoint(group)), None)
+    if i is None:
+        return None
+    spelled = []
+    for links in reversed(trail):
+        i, c = links[i]
+        spelled.append(c)
+    return "".join(reversed(spelled))
 
 
 def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Word:
     """Encode a member of the machine's language into the local language.
 
-    The word is read along the run :func:`_run` takes, which moves to the
-    least viable successor at each step, and block-encoded (see
-    :func:`_block_encoder`) into an index string over ``dec.slt``'s
-    alphabet, which is checked against ``dec.slt`` and decoded into the
-    spec's own symbols.  The machine is prepared as in the build, once
-    per machine object, so block encodings line up with it.  A
-    decomposition built for another machine is rejected: one whose block
-    length differs from the source's state code, or whose
-    ``source_fingerprint`` is set and differs from the source's.
+    The encoding is the least walk of the source's context automaton at
+    ``dec.h`` (see :meth:`Source.automaton`) from the initial state's
+    block start into a final state's context that spells ``word`` (see
+    :func:`_least_walk`): the least block encoding along any of its runs.
+    It is checked against ``dec.slt`` and returned in the spec's own
+    symbols.  The machine is prepared as in the build, once per machine
+    object, so block encodings line up with it.  A decomposition built
+    for another machine is rejected: one whose block length differs from
+    the source's state code, or whose ``source_fingerprint`` is set and
+    differs from the source's.
     """
     if dec.kind != MAIN:
         raise ValueError("word encoding requires a main-kind decomposition")
     source = prepare(nfa)
-    word = tuple(word)
-    states = _run(source.machine, _predecessors(source.machine), word)
+    m = source.machine
+    path = m.letter_positions(word)
     assert dec.m is not None and dec.h is not None
+    z = _least_walk(*source.automaton(dec.h), m.initial, dec.h, path)
+    if z is None:
+        raise ValueError("word is not in the machine's language")
     code = source.code(dec.h)
     if code.m != dec.m:
         raise ValueError(f"decomposition has block length {dec.m}, but the machine's "
@@ -496,7 +518,9 @@ def encode_word(nfa: Nfa, dec: Decomposition, word: Sequence[str]) -> Word:
     if mismatch:
         raise ValueError(mismatch)
     spec = dec.slt
-    z = _block_encoder(source.machine, code, spec._chars)(word, states)
+    symbols = {c: pair_symbol(m.alphabet[ord(c) // dec.h], code.digits[ord(c) % dec.h])
+               for c in set(z)}
+    z = spec.encode(map(symbols.__getitem__, z))
     if not spec.accepts(z):
         raise ValueError("encoded word is not in the decomposition's slt language")
     return spec.decode(z)

@@ -2,6 +2,7 @@ import pathlib
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterator, Optional
 
 import pytest
@@ -239,15 +240,14 @@ def paper_main(m: sk.Nfa, h: int) -> sk.Decomposition:
     short words, and every source word shorter than 3m as the residual."""
     dec = sk.medvedev_main(m, h)
     source = sk.prepare(m)
-    spec = _main_spec(source.machine, source.code(h), 2 * dec.m, DEFAULT_CAP)
+    spec = _main_spec(source, h, 2 * dec.m, DEFAULT_CAP)
     residual = sk.enumerate_language(source.machine, 3 * dec.m - 1)
     return replace(dec, slt=replace(spec, short_words=()), residual=tuple(residual))
 
 
 def find_path(m: sk.Nfa, word: sk.Word) -> Path:
     """Deterministic successful path labelled by ``word``: at each step the
-    least viable successor in canonical transition order is taken.  The
-    definition ``construction._run`` keeps."""
+    least viable successor in canonical transition order is taken."""
     by_letter: dict[str, list[tuple[int, int]]] = {a: [] for a in m.alphabet}
     for src, a, dst in m.transitions:
         by_letter[a].append((src, dst))
@@ -270,11 +270,35 @@ def find_path(m: sk.Nfa, word: sk.Word) -> Path:
     return Path(m.initial, tuple(transitions))
 
 
-def reference_encoding(m: sk.Nfa, dec: sk.Decomposition, word) -> sk.Word:
-    """The definitional encoding of a member: the block-wise encoding of the
-    least-viable-successor run on the prepared machine."""
+def run_encodings(m: sk.Nfa, h: int, word) -> set[sk.Word]:
+    """The block encodings of ``word`` along every successful run of the
+    prepared machine under its state code at ratio ``h``: the runs are
+    followed letter by letter, and runs that agree on their state, their
+    block's origin and their encoding so far are followed once."""
     source = sk.prepare(m)
-    return encode_blocks(source.code(dec.h), find_path(source.machine, tuple(word)))
+    machine, code = source.machine, source.code(h)
+    runs = {(machine.initial, machine.initial, ())}
+    for i, a in enumerate(word):
+        offset = i % code.m
+        step = set()
+        for q, origin, z in runs:
+            origin = q if offset == 0 else origin
+            symbol = pair_symbol(a, code.digits[ord(code.codewords[origin][offset])])
+            step.update((dst, origin, z + (symbol,)) for dst in machine.step(q, a))
+        runs = step
+    return {z for q, _, z in runs if q in machine.finals}
+
+
+def reference_encoding(m: sk.Nfa, dec: sk.Decomposition, word) -> sk.Word:
+    """The definitional encoding of a member: the least of its block
+    encodings along every successful run on the prepared machine, in the
+    order of the build's letter-major, digit-minor local alphabet."""
+    encodings = run_encodings(m, dec.h, word)
+    if not encodings:
+        raise ValueError("word is not in the machine's language")
+    code = sk.prepare(m).code(dec.h)
+    rank = {pair_symbol(a, d): i for i, (a, d) in enumerate(product(m.alphabet, code.digits))}
+    return min(encodings, key=lambda z: tuple(map(rank.__getitem__, z)))
 
 
 def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
@@ -419,23 +443,33 @@ def sampled_min_width(m: sk.Nfa, max_k: int, max_len: int) -> Optional[int]:
     return None
 
 
-def reference_window_words(rows, starts, steps: int, into, ends, cap: int,
+def reference_window_words(rows, starts, steps: int, into, ends, tails: bool, cap: int,
                            what: str) -> tuple[set[str], set[str]]:
     """The window sweep keyed by the word read so far, with the set of
     contexts it ends in, over each context's edges one by one: the
     definition ``construction._window_words`` keeps, with the same caps,
     counts and messages.  Returns the walks whose last edge enters one of
-    ``into``, and the tails (the walks without their first symbol) of
-    those whose last edge enters one of ``ends``.  The arguments are as
-    that function takes them."""
+    ``into``, and beside them those whose last edge enters one of
+    ``ends``: if ``tails``, the ``steps``-edge ones without their first
+    symbol, else those of every length up to ``steps``, the short words.
+    The arguments are as that function takes them."""
     edges = [[(c, dst) for c, target in zip(*row) for dst in target] for row in rows]
+    short: set[str] = set()
+
+    def extend(frontier: dict[str, set[int]]) -> list[tuple[str, int]]:
+        walks = [(w + c, dst) for w, states in frontier.items() for st in states
+                 for c, dst in edges[st]]
+        if not tails:
+            short.update(z for z, dst in walks if dst in ends)
+            if len(short) > cap:
+                raise CapacityError(f"short words exceed cap of {cap}: {len(short)}")
+        return walks
+
     frontier: dict[str, set[int]] = {"": set(starts)}
     for _ in range(steps - 1):
         nxt: dict[str, set[int]] = {}
-        for w, states in frontier.items():
-            for st in states:
-                for c, dst in edges[st]:
-                    nxt.setdefault(w + c, set()).add(dst)
+        for z, dst in extend(frontier):
+            nxt.setdefault(z, set()).add(dst)
         if len(nxt) > cap:
             raise CapacityError(f"window set exceeds cap of {cap}: {len(nxt)} {what}")
         frontier = nxt
@@ -444,7 +478,10 @@ def reference_window_words(rows, starts, steps: int, into, ends, cap: int,
     words = {z for z, dst in walks if dst in into}
     if len(words) > cap:
         raise CapacityError(f"window set exceeds cap of {cap}: {len(words)} {what}")
-    return words, {z[1:] for z, dst in walks if dst in ends}
+    if tails:
+        return words, {z[1:] for z, dst in walks if dst in ends}
+    extend(frontier)
+    return words, short
 
 
 def reference_factor_decodable(code: sk.Code, cap: int = DEFAULT_CAP) -> sk.CodeCheck:

@@ -321,7 +321,7 @@ class TestWindowWidth:
     def test_width_2m_minus_3_lets_in_an_even_run(self):
         dec = sk.medvedev_main(ODD_RUNS, 4)
         source = sk.prepare(ODD_RUNS)
-        narrow = _main_spec(source.machine, source.code(4), 3, DEFAULT_CAP)
+        narrow = _main_spec(source, 4, 3, DEFAULT_CAP)
         with pytest.raises(ValueError, match="main decompositions have width at least 2m-2"):
             dataclasses.replace(dec, slt=narrow)
         # the search exact verification runs, on the narrow spec's claim
@@ -461,23 +461,30 @@ class TestFusedEncoder:
         with pytest.raises(ValueError, match=f"unknown symbol: {gone!r}"):
             sk.encode_word(machine, reduced, word)
 
-    def test_unranks_each_block_origin_once(self, machines, build_main, monkeypatch):
-        machine, dec = machines["nondet"], build_main("nondet", 2)
-        words = members(machine, dec.m, 20, seed=5) + [("a",) * (12 * dec.m)]
-        unranked: list[int] = []
-        unrank = Codewords.__getitem__
+    def test_unranks_each_block_origin_once(self, monkeypatch):
+        # the context automaton unranks each codeword once per source and
+        # ratio; the build and every later encoding read it there
+        machine = sk.parse_nfa(corpus_text("nondet"))  # a source with no automaton yet
+        unranked: list[tuple[int, int]] = []
+        unrank, read = Codewords.__getitem__, Codewords.__iter__
 
         def counting(self, q):
-            unranked.append(q)
+            unranked.append((self.h, q))
             return unrank(self, q)
 
+        def each(self):
+            for q, word in enumerate(read(self)):
+                unranked.append((self.h, q))
+                yield word
+
         monkeypatch.setattr(Codewords, "__getitem__", counting)
-        prepared = sk.prepare(machine).machine
-        for word in words:
-            unranked.clear()
-            assert sk.encode_word(machine, dec, word) is not None
-            blocks = canonical_decomposition(find_path(prepared, word), dec.m)
-            assert len(unranked) == len(set(unranked)) <= len({b.origin for b in blocks})
+        monkeypatch.setattr(Codewords, "__iter__", each)
+        for h in (2, 3):
+            dec = sk.medvedev_main(machine, h)
+            for word in members(machine, dec.m, 20, seed=5) + [("a",) * (12 * dec.m)]:
+                assert sk.encode_word(machine, dec, word) is not None
+        states = range(sk.prepare(machine).machine.n)
+        assert sorted(unranked) == [(h, q) for h in (2, 3) for q in states]
 
     def test_rejections_keep_their_order(self, machines, build_main):
         aplus, abplus = machines["aplus"], machines["abplus"]

@@ -2,8 +2,9 @@
 and no module of the package other than ``__init__``, nor any test module,
 imports a name it never reads.  A machine is trimmed and fingerprinted only
 in ``construction.prepare``; only trimming and enumeration prune by distance
-to a final state, every spec is built by ``construction._swept_spec`` in
-two window sweeps, and only the read side hashes a spec's factors; a
+to a final state, and only ``accepts`` traces subsets: the package itself
+enumerates no language.  Every spec is built by ``construction._swept_spec``
+in two window sweeps, and only the read side hashes a spec's factors; a
 machine's successors are read off its one table, never off a second index
 or its transition list.
 The package ships the pipeline and what the benchmark imports, not the
@@ -97,6 +98,20 @@ def test_only_trim_and_enumeration_prune_by_distance():
         "automata.py": ["enumerate_language:_distance_to_final", "trim:_distance_to_final"]}
 
 
+def test_only_membership_traces_subsets_and_nothing_enumerates():
+    # the build's short words and encodings are walks of its context
+    # automaton; enumeration stays exported for the benchmark and the tests
+    sites = {path.name: call_sites(path.read_text(), {"enumerate_language", "subset_trace"})
+             for path in sorted((SRC / "sltkit").glob("*.py"))}
+    assert {name: calls for name, calls in sites.items() if calls} == {
+        "automata.py": ["accepts:subset_trace"]}
+    imported = {path.name for path in sorted((SRC / "sltkit").glob("*.py"))
+                if {"enumerate_language", "subset_trace"} & {
+                    alias.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}}
+    assert imported == {"__init__.py"}
+
+
 def test_every_spec_comes_from_the_one_window_sweep():
     sites = {path.name: call_sites(path.read_text(), {"_swept_spec"})
              for path in sorted((SRC / "sltkit").glob("*.py"))}
@@ -187,7 +202,7 @@ def sltkit_imports(source: str) -> set[str]:
 def test_package_defines_no_path_level_oracles():
     defined = {path.name: definitions(path.read_text())
                for path in sorted((SRC / "sltkit").glob("*.py"))}
-    assert {"medvedev_main", "_run", "Source"} <= defined["construction.py"]
+    assert {"medvedev_main", "_least_walk", "Source"} <= defined["construction.py"]
     assert {"Nfa", "DEFAULT_CAP"} <= defined["automata.py"]
     assert {name: sorted(names & set(ORACLES)) for name, names in defined.items()
             if names & set(ORACLES)} == {}

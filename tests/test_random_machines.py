@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sltkit as sk
 from sltkit import Nfa
 
-from conftest import paper_main, random_member, reference_encoding
+from conftest import paper_main, random_member, reference_encoding, run_encodings
 
 
 @st.composite
@@ -103,10 +103,9 @@ def test_short_words_replace_the_paper_residual(machine, h, seed):
         report = sk.verify_decomposition(machine, candidate, mode="exact")
         assert report.ok and report.mode == "exact", report
     short = [dec.slt.decode(z) for z in dec.slt.short_words]
-    below = sk.enumerate_language(machine, 2 * dec.m - 3)
-    assert len(short) == len(below) and set(map(dec.pi, short)) == set(below)
-    for z in short:
-        assert z == reference_encoding(machine, dec, dec.pi(z))
+    assert set(map(dec.pi, short)) == set(sk.enumerate_language(machine, 2 * dec.m - 3))
+    for z in short:  # a walk of the context automaton: the encoding along some run
+        assert z in run_encodings(machine, h, dec.pi(z))
     rng = random.Random(seed)
     for length in range(1, 3 * dec.m + 2):
         word = random_member(machine, length, rng)
@@ -114,3 +113,41 @@ def test_short_words_replace_the_paper_residual(machine, h, seed):
             continue
         z = sk.encode_word(machine, dec, word)
         assert sk.slt_membership(dec.slt, z) and z == reference_encoding(machine, dec, word)
+
+
+# a+ along two runs, 0 1 1 1 ... and 0 2 2 2 ..., whose second blocks start
+# at different states: each word longer than one block has two encodings
+AMBIGUOUS = Nfa(n=3, alphabet=("a",),
+                transitions=((0, "a", 1), (0, "a", 2), (1, "a", 1), (2, "a", 2)),
+                initial=0, finals=frozenset({1, 2}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=random_machines(), h=st.integers(2, 3), seed=st.integers(0, 2**16))
+@example(machine=AMBIGUOUS, h=2, seed=0)
+@example(machine=NON_TRIM_MULTI_FINAL, h=3, seed=0)
+@example(machine=EMPTY_LANGUAGE, h=2, seed=0)
+def test_short_words_follow_every_run_and_encodings_the_least(machine, h, seed):
+    """The short words are the block encodings, along every run, of the
+    source words below the width, and a member's encoding is the least of
+    its block encodings."""
+    assume(few_short_words(machine, h))
+    dec = sk.medvedev_main(machine, h)
+    below = sk.enumerate_language(machine, dec.k - 1)
+    assert (set(map(dec.slt.decode, dec.slt.short_words))
+            == set().union(*(run_encodings(machine, h, word) for word in below)))
+    rng = random.Random(seed)
+    for length in range(1, 4 * dec.m + 2):
+        word = random_member(machine, length, rng)
+        if word is not None:
+            assert sk.encode_word(machine, dec, word) == reference_encoding(machine, dec, word)
+
+
+def test_an_ambiguous_word_has_a_short_word_per_encoding():
+    dec = sk.medvedev_main(AMBIGUOUS, 2)
+    below = sk.enumerate_language(AMBIGUOUS, dec.k - 1)
+    assert len(dec.slt.short_words) == len(below) + 1
+    word = ("a",) * (dec.k - 1)
+    encodings = run_encodings(AMBIGUOUS, 2, word)
+    assert len(encodings) == 2
+    assert sk.encode_word(AMBIGUOUS, dec, word) == reference_encoding(AMBIGUOUS, dec, word)

@@ -5,11 +5,11 @@ transition-by-transition sets it replaces.
 
 ``reference_window_words`` (tests/conftest.py) keys the frontier by word
 in a dict of context sets; ``_window_words`` keeps the words in ascending
-order beside their contexts.  A main build runs two sweeps: the prefixes,
-then the factors with the suffixes as their tails.  On each, the new one
-must return the same walks and tails as strictly increasing tuples, and
-stop with ``CapacityError`` at the same count and with the same message
-under any cap.
+order beside their contexts.  A main build runs two sweeps: the prefixes
+with the short words, then the factors with the suffixes as their tails.
+On each, the new one must return the same walks and short words or tails
+as strictly increasing tuples, and stop with ``CapacityError`` at the same
+count and with the same message under any cap.
 """
 
 from unittest import mock
@@ -35,7 +35,7 @@ def recorded_sweeps(machine, h):
 
     with mock.patch.object(construction, "_window_words", spy):
         dec = sk.medvedev_main(machine, h)
-    return dec, [(args[:5], args[6]) for args in calls]
+    return dec, [(args[:6], args[7]) for args in calls]
 
 
 def outcome(sweep, args, what, cap):
@@ -57,8 +57,8 @@ def assert_same_sweeps(machine, h):
         assert all(type(words) is tuple and is_strictly_increasing(words) for words in swept)
         assert swept == tuple(tuple(sorted(words))
                               for words in reference_window_words(*args, 10**6, what))
-    (_, prefix_tails), (_, suffixes) = (_window_words(*args, 10**6, what) for args, what in sweeps)
-    assert prefix_tails == () and suffixes == dec.slt.suffixes
+    (_, short), (_, suffixes) = (_window_words(*args, 10**6, what) for args, what in sweeps)
+    assert short == dec.slt.short_words and suffixes == dec.slt.suffixes
     return dec, sweeps
 
 
@@ -70,7 +70,7 @@ def assert_matches_path_enumeration(machine, h, width):
     """The main row builder's windows at ``width`` are the block-encoded paths'."""
     source = sk.prepare(machine)
     code = source.code(h)
-    spec = construction._main_spec(source.machine, code, width, 10**6)
+    spec = construction._main_spec(source, h, width, 10**6)
     prefixes, suffixes, factors = reference_main_sets(source.machine, code, width)
     assert set(map(spec.decode, spec.prefixes)) == prefixes
     assert set(map(spec.decode, spec.suffixes)) == suffixes
@@ -147,11 +147,29 @@ def test_random_nfas_match_reference(machine, h):
 def test_cap_is_hit_at_the_same_count(machines, name):
     _, sweeps = assert_same_sweeps(machines[name], 2)
     for args, what in sweeps:
-        total = len(_window_words(*args, 10**6, what)[0])
+        walks, beside = _window_words(*args, 10**6, what)
+        tails = args[5]  # tails are never counted; short words are
+        total = max(len(walks), 0 if tails else len(beside))
         outcomes = [outcome(_window_words, args, what, cap) for cap in range(total + 2)]
         assert outcomes == [outcome(reference_window_words, args, what, cap)
                             for cap in range(total + 2)]
-        # a frontier or the window set itself is over the cap
+        # a frontier, the window set itself or the short words are over the cap
         refused = outcomes[total - 1]
-        assert refused.startswith(f"window set exceeds cap of {total - 1}: ")
-        assert refused.endswith(f" {what}")
+        assert (refused.startswith(f"window set exceeds cap of {total - 1}: ")
+                and refused.endswith(f" {what}")
+                or refused.startswith(f"short words exceed cap of {total - 1}: ") and not tails)
+
+
+# every nonempty word over {a, b}: at h=2 (m=4, width 6) its 62 short words
+# outnumber every prefix frontier (at most 16) and its 32 prefixes
+EVERY_WORD = sk.Nfa(n=2, alphabet=("a", "b"),
+                    transitions=((0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "b", 1)),
+                    initial=0, finals=frozenset({1}))
+
+
+@pytest.mark.parametrize("cap,count", [(10, 14), (40, 62), (61, 62)])
+def test_a_build_over_the_cap_in_short_words_names_them(cap, count):
+    # counted as the prefix sweep reads each length, before any factor
+    with pytest.raises(CapacityError, match=f"^short words exceed cap of {cap}: {count}$"):
+        sk.medvedev_main(EVERY_WORD, 2, cap=cap)
+    assert len(sk.medvedev_main(EVERY_WORD, 2).slt.short_words) == 62
