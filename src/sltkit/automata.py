@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import shlex
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -50,22 +51,47 @@ def format_word(word: Sequence[str]) -> str:
 class Table:
     """An automaton as integer arrays, the form the subset searches run on.
 
-    ``succ[q][a]`` is the ascending tuple of successors of state ``q`` on
-    letter ``alphabet[a]``, and ``initial`` is the ascending tuple of start
-    states.  Nothing is validated or re-sorted: tables are built by code
-    that already holds canonical data, such as :class:`Nfa`, the slt
+    ``succ[a]`` is an ``array('i')`` with one entry per state for letter
+    ``alphabet[a]``: an entry q >= 0 is the state's only successor, -1
+    means it has none, and any other entry e names the ascending tuple
+    ``sets[~e]`` of its several successors (``sets[0]`` is the empty
+    tuple, so ``sets[~e]`` reads every negative entry).  :meth:`targets`
+    reads an entry as that tuple.  ``initial`` is the ascending tuple of
+    start states.  Nothing is validated or re-sorted: tables are built by
+    code that already holds canonical data, such as :class:`Nfa`, the slt
     compiler, which can also read each symbol as its projected letter, or
     the verifier, which appends a decomposition's residual to the compiled
-    spec as a trie whose root is one more start state.  Rows that are never
-    changed after they are built are tuples, which the cyclic garbage
-    collector stops tracking; :func:`differences` reads rows as they are
-    and names the subsets it reaches by ints.
+    spec as a trie whose root is one more start state.  A state id past
+    the typecode's range (2**31 - 1) raises OverflowError, never wraps;
+    the default caps stop every table far below it.
     """
 
     alphabet: tuple[str, ...]
-    succ: list[Sequence[tuple[int, ...]]]
+    succ: list[array]
+    sets: list[tuple[int, ...]]
     finals: frozenset[int]
     initial: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        """The number of states."""
+        return len(self.succ[0])
+
+    def targets(self, q: int, a: int) -> tuple[int, ...]:
+        """The ascending successors of state ``q`` on letter position ``a``."""
+        e = self.succ[a][q]
+        return (e,) if e >= 0 else self.sets[~e]
+
+
+def _entry(sets: list[tuple[int, ...]], targets: tuple[int, ...]) -> int:
+    """The table entry of an ascending tuple of successors, appended to
+    ``sets`` if it has several (see :class:`Table`)."""
+    if len(targets) == 1:
+        return targets[0]
+    if not targets:
+        return -1
+    sets.append(targets)
+    return -len(sets)
 
 
 @dataclass(frozen=True)
@@ -75,7 +101,7 @@ class Nfa:
     ``transitions`` is canonicalised to a deduplicated tuple sorted by
     (source, letter position in the alphabet, target), so equal machines
     compare equal regardless of input order.  ``table`` is the machine's
-    one successor index, with a row of tuples per state (see :class:`Table`).
+    one successor index, an array of entries per letter (see :class:`Table`).
     """
 
     n: int
@@ -118,26 +144,24 @@ class Nfa:
             seen.add((src, index[letter], dst))
         ordered = sorted(seen)
 
-        succ: list[Sequence[tuple[int, ...]]] = [((),) * len(alphabet)] * self.n
-        for src, edges in groupby(ordered, itemgetter(0)):
-            row: list[tuple[int, ...]] = [()] * len(alphabet)
-            for a, targets in groupby(edges, itemgetter(1)):
-                row[a] = tuple(map(itemgetter(2), targets))
-            succ[src] = tuple(row)
+        succ = [array("i", (-1,)) * self.n for _ in alphabet]
+        sets: list[tuple[int, ...]] = [()]
+        for (src, a), edges in groupby(ordered, itemgetter(0, 1)):
+            succ[a][src] = _entry(sets, tuple(map(itemgetter(2), edges)))
 
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "transitions",
                            tuple((src, alphabet[a], dst) for src, a, dst in ordered))
         object.__setattr__(self, "finals", finals)
-        object.__setattr__(self, "total", all(map(all, succ)))
-        object.__setattr__(self, "table", Table(alphabet, succ, finals, (self.initial,)))
+        object.__setattr__(self, "total", all(-1 not in col for col in succ))
+        object.__setattr__(self, "table", Table(alphabet, succ, sets, finals, (self.initial,)))
         object.__setattr__(self, "_letter_index", index)
 
     def step(self, state: int, letter: str) -> tuple[int, ...]:
         """Successors of ``state`` on ``letter``, in ascending state order."""
         if not 0 <= state < self.n:
             raise ValueError(f"unknown state: {state}")
-        return self.table.succ[state][self.letter_positions((letter,))[0]]
+        return self.table.targets(state, self.letter_positions((letter,))[0])
 
     def letter_positions(self, word: Iterable[str]) -> list[int]:
         """The alphabet positions of a word's letters; ValueError names the
@@ -253,8 +277,8 @@ def totalize(m: Nfa) -> Nfa:
     if m.total:
         return m
     sink = m.n
-    extra = [(q, a, sink) for q, row in enumerate(m.table.succ)
-             for a, targets in zip(m.alphabet, row) if not targets]
+    extra = [(q, letter, sink) for q in range(m.n) for a, letter in enumerate(m.alphabet)
+             if not m.table.targets(q, a)]
     extra.extend((sink, a, sink) for a in m.alphabet)
     return Nfa(n=m.n + 1, alphabet=m.alphabet, transitions=m.transitions + tuple(extra),
                initial=m.initial, finals=m.finals)
@@ -275,8 +299,8 @@ def trim(m: Nfa) -> Nfa:
         queue: deque[int] = deque([m.initial])
         while queue:
             q = queue.popleft()
-            for targets in m.table.succ[q]:
-                for dst in targets:
+            for a in range(len(m.alphabet)):
+                for dst in m.table.targets(q, a):
                     if dst not in useful and dist[dst] < math.inf:
                         useful.add(dst)
                         queue.append(dst)
@@ -290,14 +314,12 @@ def trim(m: Nfa) -> Nfa:
                initial=index[m.initial], finals=frozenset(index[q] for q in m.finals & useful))
 
 
-def subset_trace(moves: Sequence[Sequence[Iterable[int]]], start: frozenset[int],
-                 word: Iterable[int]) -> list[frozenset[int]]:
-    """The state sets reached from ``start`` along ``word``, ``start`` first.
+def subset_trace(t: Table, start: frozenset[int], word: Iterable[int]) -> list[frozenset[int]]:
+    """The state sets of table ``t`` reached from ``start`` along ``word``,
+    ``start`` first.
 
-    ``word`` is a sequence of letter positions and ``moves[q][a]`` the
-    states that state q moves to on letter a, such as a machine's
-    successors or its predecessors.  A run visits few distinct sets, so
-    the image of each (set, letter) pair is computed once per call.
+    ``word`` is a sequence of letter positions.  A run visits few distinct
+    sets, so the image of each (set, letter) pair is computed once per call.
     """
     memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
     trace = [start]
@@ -305,7 +327,7 @@ def subset_trace(moves: Sequence[Sequence[Iterable[int]]], start: frozenset[int]
     for a in word:
         image = memo.get((states, a))
         if image is None:
-            image = memo[states, a] = frozenset(dst for q in states for dst in moves[q][a])
+            image = memo[states, a] = frozenset(dst for q in states for dst in t.targets(q, a))
         trace.append(image)
         states = image
     return trace
@@ -316,18 +338,18 @@ def accepts(m: Nfa, word: Sequence[str]) -> bool:
     is always rejected."""
     path = m.letter_positions(word)
     return bool(path) and not m.finals.isdisjoint(
-        subset_trace(m.table.succ, frozenset((m.initial,)), path)[-1])
+        subset_trace(m.table, frozenset((m.initial,)), path)[-1])
 
 
 def _distance_to_final(t: Table) -> list[float]:
     """Minimum number of transitions from each state to a final state;
     infinite where no final state is reachable."""
-    rev: list[list[int]] = [[] for _ in t.succ]
-    for src, row in enumerate(t.succ):
-        for targets in row:
-            for dst in targets:
+    rev: list[list[int]] = [[] for _ in range(t.n)]
+    for src in range(t.n):
+        for a in range(len(t.alphabet)):
+            for dst in t.targets(src, a):
                 rev[dst].append(src)
-    dist: list[float] = [math.inf] * len(t.succ)
+    dist: list[float] = [math.inf] * t.n
     queue: deque[int] = deque()
     for q in t.finals:
         dist[q] = 0
@@ -345,13 +367,17 @@ class _Subsets:
     """The subsets of a table's states that a search reaches, as ints.
 
     The singleton {q} is q.  Any other subset becomes a new state when it
-    is first reached, numbered from ``len(t.succ)`` upward, whose row is
-    the union of its members' rows and which is final if a member is; so
-    ``succ[s]`` and ``s in finals`` hold for every id.
+    is first reached, numbered from ``t.n`` upward, whose entries are the
+    unions of its members' and which is final if a member is.  Its entries
+    are appended to copies of the table's arrays and ``sets``, so the
+    table itself never grows, and ``succ[a][s]``, :meth:`targets` and
+    ``s in finals`` hold for every id.
     """
 
+    targets = Table.targets  # the table's reader, on this object's own arrays and sets
+
     def __init__(self, t: Table) -> None:
-        self.succ, self.finals, self.letters = list(t.succ), set(t.finals), range(len(t.alphabet))
+        self.succ, self.sets, self.finals = [col[:] for col in t.succ], t.sets[:], set(t.finals)
         self.ids: dict[tuple[int, ...], int] = {}
         self.start = self.intern(t.initial)
 
@@ -360,10 +386,11 @@ class _Subsets:
             return states[0]
         s = self.ids.get(states)
         if s is None:
-            succ = self.succ
-            s = self.ids[states] = len(succ)
-            succ.append(tuple(tuple(sorted({dst for q in states for dst in succ[q][a]}))
-                              for a in self.letters))
+            succ, sets = self.succ, self.sets
+            s = self.ids[states] = len(succ[0])
+            for a, col in enumerate(succ):
+                col.append(_entry(sets, tuple(sorted(
+                    {dst for q in states for dst in self.targets(q, a)}))))
             if not self.finals.isdisjoint(states):
                 self.finals.add(s)
         return s
@@ -380,7 +407,7 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_CAP) -> list[Wor
         raise ValueError("max_len must be at least 1")
     t = m.table
     dist, subsets = _distance_to_final(t), _Subsets(t)
-    succ, finals, letters = subsets.succ, t.finals, tuple(enumerate(t.alphabet))
+    finals, letters = t.finals, tuple(enumerate(t.alphabet))
     words: list[Word] = []
     frontier: dict[Word, tuple[int, ...]] = {}
     if dist[m.initial] <= max_len:
@@ -389,9 +416,9 @@ def enumerate_language(m: Nfa, max_len: int, cap: int = DEFAULT_CAP) -> list[Wor
         remaining = max_len - length
         nxt: dict[Word, tuple[int, ...]] = {}
         for w, states in frontier.items():
-            row = succ[subsets.intern(states)]
+            s = subsets.intern(states)
             for a, letter in letters:
-                viable = tuple(q for q in row[a] if dist[q] <= remaining)
+                viable = tuple(q for q in subsets.targets(s, a) if dist[q] <= remaining)
                 if not viable:
                     continue
                 word = w + (letter,)
@@ -446,17 +473,19 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
     Raises :class:`CapacityError` past ``cap`` visited product states.
 
     Product states are integer keys.  Subsets are ints (see
-    :class:`_Subsets`); the pair (s1, s2) is ``s1 * stride + s2`` with
-    ``stride`` above every id of ``t2``, and the pair first reached on
-    letter a from key p links back to ``p * len(alphabet) + a``.
+    :class:`_Subsets`), read straight off the tables' arrays when they are
+    singletons; the pair (s1, s2) is ``s1 * stride + s2`` with ``stride``
+    above every id of ``t2``, and the pair first reached on letter a from
+    key p links back to ``p * len(alphabet) + a``.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     side1, side2 = _Subsets(t1), _Subsets(t2)
     succ1, succ2, fin1, fin2 = side1.succ, side2.succ, side1.finals, side2.finals
-    letters = side1.letters
+    sets1, sets2 = side1.sets, side2.sets
+    letters = range(len(t1.alphabet))
     # past the singletons, each id of t2 is an image of one of at most cap pairs
-    stride = len(t2.succ) + max(cap, 1) * len(letters) + 1
+    stride = t2.n + max(cap, 1) * len(letters) + 1
     level = [side1.start * stride + side2.start]
     parent, depth = {level[0]: -1}, 0
     while level:
@@ -473,12 +502,11 @@ def differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
                 yield tuple(reversed(word)), accepted
             if depth == max_len:
                 continue
-            row1, row2 = succ1[s1], succ2[s2]
             for a in letters:
                 # singletons, by far the most images, are their own ids
-                image1, image2 = row1[a], row2[a]
-                child = ((image1[0] if len(image1) == 1 else side1.intern(image1)) * stride
-                         + (image2[0] if len(image2) == 1 else side2.intern(image2)))
+                e1, e2 = succ1[a][s1], succ2[a][s2]
+                child = ((e1 if e1 >= 0 else side1.intern(sets1[~e1])) * stride
+                         + (e2 if e2 >= 0 else side2.intern(sets2[~e2])))
                 if child not in parent:
                     if len(parent) >= cap:
                         raise CapacityError(

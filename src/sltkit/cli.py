@@ -236,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "letter-to-letter projections, and verify the constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p: argparse.ArgumentParser,
-                help: str = "resource cap on enumerated words / set elements") -> None:
-        p.add_argument("--cap", type=_positive, default=DEFAULT_CAP, help=help)
+    def add_cap(p: argparse.ArgumentParser, bounds: str) -> None:
+        p.add_argument("--cap", type=_positive, default=DEFAULT_CAP,
+                       help=f"cap on {bounds} (default: %(default)s)")
 
     def add_mode(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=("exact", "bounded"), default="exact",
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfa", required=True)
     p.add_argument("--ratio", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_cap(p)
+    add_cap(p, "the context automaton, each window set and the short words")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("build2", help="build the width-2 decomposition")
@@ -263,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfa", required=True)
     p.add_argument("--dec", required=True)
     add_mode(p)
-    add_cap(p, "cap on product states in either mode, each reached by a distinct word "
-               "(default: %(default)s)")
+    add_cap(p, "product states in either mode, each reached by a distinct word")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("encode", help="encode a source word into the local language")
@@ -296,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minwidth", help="smallest window width of a machine's language")
     p.add_argument("--nfa", required=True)
     p.add_argument("--max-k", type=int, required=True)
-    add_cap(p)
+    add_cap(p, "each window set, the short words, the compiled spec and the product "
+               "states of each comparison")
     p.set_defaults(func=_cmd_minwidth)
 
     p = sub.add_parser("refute", help="refute a small-alphabet decomposition claim")
@@ -308,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--ratio", default="2,3")
     add_mode(p)
-    add_cap(p, "cap on the context automaton, each window set, the enumerated short "
-               "words, product states in either verification mode and the codewords "
-               "a state-code check holds (default: %(default)s)")
+    add_cap(p, "the context automaton, each window set, the short words, product "
+               "states in either verification mode and the codewords a state-code "
+               "check holds")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

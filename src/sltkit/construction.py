@@ -15,6 +15,7 @@ are swept out of an automaton's rows by one helper, :func:`_swept_spec`.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
@@ -240,13 +241,14 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[Row], frozenset[int]]:
             keys.append(key)
         return ids[key]
 
-    succ = m.table.succ
+    t = m.table
     fwd: list[Row] = []
     for state, origin, offset in keys:  # grows while it is read
         digit = ord(cw[origin][offset])
         symbols: list[str] = []
         targets: list[tuple[int, ...]] = []
-        for a, dsts in enumerate(succ[state]):
+        for a in range(len(m.alphabet)):
+            dsts = t.targets(state, a)
             if dsts:
                 symbols.append(chr(a * h + digit))
                 targets.append(tuple(
@@ -259,8 +261,9 @@ def _context_automaton(m: Nfa, code: Code) -> tuple[list[Row], frozenset[int]]:
 def _state_rows(m: Nfa, stride: int) -> list[Row]:
     """The machine's rows: state q reads index ``q * stride + a`` into its
     a-successors, for each letter a it has successors on."""
+    rows = ([m.table.targets(q, a) for a in range(len(m.alphabet))] for q in range(m.n))
     return [("".join(chr(q * stride + a) for a, dsts in enumerate(row) if dsts),
-             [dsts for dsts in row if dsts]) for q, row in enumerate(m.table.succ)]
+             [dsts for dsts in row if dsts]) for q, row in enumerate(rows)]
 
 
 def _window_words(rows: list[Row], starts: Sequence[int], steps: int, into: Container[int],
@@ -540,7 +543,19 @@ def _check_token(token: str) -> None:
 
 
 def serialize_decomposition(dec: Decomposition) -> str:
-    """Canonical text form; parse followed by serialize is byte-identical."""
+    """Canonical text form; parse followed by serialize is byte-identical.
+
+    Each word section is written by one ``str.translate`` of its index
+    strings joined by ``chr(len(alphabet))``, which maps each symbol index
+    to the symbol and a dot and the separator to a newline; the dot before
+    each newline is then dropped.  A symbol named like a section header,
+    or a one-letter residual word named so, would read back as that header
+    and raises ValueError, as does any token with a dot, a quote, a ``#``
+    or whitespace.  An alphabet of ``sys.maxunicode + 1`` symbols leaves
+    no code point free to separate words, so its sections are translated
+    a word at a time.
+    """
+    spec = dec.slt
     lines = [f"kind {dec.kind}"]
     if dec.source_fingerprint:
         _check_token(dec.source_fingerprint)
@@ -548,23 +563,35 @@ def serialize_decomposition(dec: Decomposition) -> str:
     if dec.kind == MAIN:
         lines.append(f"h {dec.h}")
         lines.append(f"m {dec.m}")
-    lines.append(f"k {dec.slt.width}")
-    for sym in dec.slt.alphabet:
+    lines.append(f"k {spec.width}")
+    table: dict[int, str] = {}
+    for b, sym in enumerate(spec.alphabet):
         _check_token(sym)
+        if sym in _SECTIONS:
+            raise ValueError(f"symbol named like a section header: {sym!r}")
         letter = dec.pi.letter(sym)
         _check_token(letter)
         lines.append(f"symbol {sym} -> {letter}")
-    spec = dec.slt
+        table[b] = sym + "."
+    pieces = ["\n".join(lines) + "\n"]
+    sep = chr(len(table)) if len(table) <= sys.maxunicode else None
+    if sep is not None:
+        table[len(table)] = "\n"
     for header, words in (("I", spec.prefixes), ("T", spec.suffixes),
                           ("F", spec.factors), ("SHORT", spec.short_words)):
-        lines.append(header)
-        lines.extend(format_word(spec.decode(z)) for z in words)
-    lines.append("RESIDUAL")
+        if sep is None:  # every code point is a symbol index, so none is free for sep
+            text = "".join([z.translate(table) + "\n" for z in words])
+        else:
+            text = (sep.join(words) + sep).translate(table) if words else ""
+        pieces += header + "\n", text.replace(".\n", "\n")
+    pieces.append("RESIDUAL\n")
     for word in dec.residual:
         for letter in word:
             _check_token(letter)
-        lines.append(format_word(word))
-    return "\n".join(lines) + "\n"
+        if len(word) == 1 and word[0] in _SECTIONS:
+            raise ValueError(f"residual word named like a section header: {word[0]!r}")
+        pieces.append(format_word(word) + "\n")
+    return "".join(pieces)
 
 
 def parse_decomposition(text: str) -> Decomposition:
@@ -612,6 +639,8 @@ def parse_decomposition(text: str) -> Decomposition:
         elif keyword == "symbol":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise ParseError("usage: symbol <token> -> <letter>", lineno)
+            if tokens[1] in _SECTIONS:
+                raise ParseError(f"symbol named like a section header: {tokens[1]!r}", lineno)
             symbol_pairs.append((tokens[1], tokens[3]))
         else:
             raise ParseError(f"unknown directive: {keyword!r}", lineno)

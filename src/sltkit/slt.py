@@ -9,6 +9,7 @@ those of length exactly k-1) are decided by an explicit finite set.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -217,13 +218,16 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
     in ascending order, those below k-1 first, then the windows breadth
     first, and states are numbered as they are first reached.  The moves
     out of window u are read off the run of ``spec.factors`` that starts
-    with u.  Each row is built once, as a tuple, when its state is expanded.
+    with u.  Each state gets an entry of -1 in every letter's array when it
+    is numbered, and its moves are written into those entries when it is
+    expanded (see :class:`~sltkit.automata.Table`).
 
     Without ``onto`` the table reads symbols and is deterministic.  With
     ``onto = (letters, letter)`` it reads each symbol s as ``letter(s)``,
-    which must be in ``letters``, and accepts the projected language: a
-    row entry holds the ascending successors on every symbol with that
-    letter.  The states and their numbering are the same either way.
+    which must be in ``letters``, and accepts the projected language: an
+    entry holds the ascending successors on every symbol with that
+    letter, in ``sets`` once there are several.  The states and their
+    numbering are the same either way.
     """
     k = spec.width
     chars = [chr(b) for b in range(len(spec.alphabet))]
@@ -238,20 +242,19 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
     pool |= {w[:i] for w in chain(pool, spec.short_words)
              for i in range(min(len(w) + 1, k - 1))}
 
-    empty_row: tuple[tuple[int, ...], ...] = ((),) * len(letters)
-    succ: list[Sequence[tuple[int, ...]]] = []
-    single: list[tuple[int]] = []  # single[q] == (q,), shared by every row entering q alone
+    succ = [array("i") for _ in letters]
+    sets: list[tuple[int, ...]] = [()]
     finals: set[int] = set()
     start: dict[str, int] = {}    # the start strings, of at most k-1 symbols
     windows: dict[str, int] = {}  # every later (k-1)-window
     queue: list[str] = []         # the windows in the order first reached
 
     def new_state() -> int:
-        q = len(succ)
+        q = len(succ[0])
         if q >= state_cap:
             raise CapacityError(f"compiled automaton exceeds cap of {state_cap} states")
-        succ.append(empty_row)
-        single.append((q,))
+        for col in succ:
+            col.append(-1)
         return q
 
     def state(ids: dict[str, int], word: str) -> int:
@@ -260,18 +263,25 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
             q = ids[word] = new_state()
         return q
 
-    def enter(row: list[tuple[int, ...]], b: int, q: int) -> None:
-        """Add q to the row's successors on the letter of symbol b."""
-        a = letter_of[b]
-        row[a] = tuple(sorted(row[a] + single[q])) if row[a] else single[q]
+    def enter(src: int, b: int, q: int) -> None:
+        """Add q to the successors of src on the letter of symbol b."""
+        col = succ[letter_of[b]]
+        e = col[src]
+        if e == -1:
+            col[src] = q
+        elif e >= 0:
+            sets.append((e, q) if e < q else (q, e))
+            col[src] = -len(sets)
+        else:
+            sets[~e] = tuple(sorted(sets[~e] + (q,)))
 
     # each factor u + b moves window u on symbol b to window factor[1:]; the
     # factors are sorted, so those of u are the run from where u would go
     factors, end = spec.factors, len(spec.factors)
 
-    def moves(u: str) -> tuple[tuple[int, ...], ...]:
-        """The row of window ``u``, numbering the windows it reaches first."""
-        row: list[tuple[int, ...]] = [()] * len(letters)
+    def moves(src: int, u: str) -> None:
+        """Enter the moves of window ``u`` out of ``src``, numbering the
+        windows it reaches first."""
         i = bisect_left(factors, u)
         while i < end and factors[i].startswith(u):
             f = factors[i]
@@ -280,9 +290,8 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
             if q is None:
                 q = windows[v] = new_state()
                 queue.append(v)
-            enter(row, ord(f[-1]), q)
+            enter(src, ord(f[-1]), q)
             i += 1
-        return tuple(row)
 
     state(start, "")
     for u in sorted(pool, key=lambda u: (len(u) == k - 1, u)):  # below k-1 first
@@ -290,21 +299,19 @@ def compile_spec(spec: SltSpec, state_cap: int = DEFAULT_CAP,
         if u in spec._short_set:
             finals.add(src)
         if len(u) < k - 1:
-            row: list[tuple[int, ...]] = [()] * len(letters)
             for b, c in enumerate(chars):
                 if u + c in pool:
-                    enter(row, b, state(start, u + c))
-            succ[src] = tuple(row)
+                    enter(src, b, state(start, u + c))
         elif u in spec._prefix_set:
-            succ[src] = moves(u)
+            moves(src, u)
 
     for u in queue:  # grows while it is read: breadth first
         src = windows[u]
         if u in spec._suffix_set:
             finals.add(src)
-        succ[src] = moves(u)
+        moves(src, u)
 
-    return Table(tuple(letters), succ, frozenset(finals), (0,))
+    return Table(tuple(letters), succ, sets, frozenset(finals), (0,))
 
 
 def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_CAP) -> Nfa:
@@ -312,8 +319,8 @@ def slt_to_nfa(spec: SltSpec, state_cap: int = DEFAULT_CAP) -> Nfa:
     :func:`compile_spec` table with symbols as letters."""
     table = compile_spec(spec, state_cap)
     alphabet = spec.alphabet
-    transitions = tuple((q, alphabet[a], dst) for q, row in enumerate(table.succ)
-                        for a, targets in enumerate(row) for dst in targets)
-    return Nfa(n=len(table.succ), alphabet=alphabet, transitions=transitions,
+    transitions = tuple((q, symbol, dst) for a, symbol in enumerate(alphabet)
+                        for q in range(table.n) for dst in table.targets(q, a))
+    return Nfa(n=table.n, alphabet=alphabet, transitions=transitions,
                initial=table.initial[0], finals=table.finals)
 

@@ -71,23 +71,25 @@ def claimed_table(m: Nfa, dec: Decomposition) -> Table:
     letters: the spec compiled straight onto them (see
     :func:`compile_spec`) and, if ``dec`` has a residual, its words read in
     stored order into a trie appended to that table, whose root is one
-    more start state.  A residual letter outside the alphabet raises
-    ``ValueError``."""
+    more start state.  The trie's nodes are appended to the compiled
+    table's arrays, and each of their entries is one node or none.  A
+    residual letter outside the alphabet raises ``ValueError``."""
     table = compile_spec(dec.slt, onto=(m.alphabet, dec.pi.letter))
     if not dec.residual:
         return table
-    succ, finals, root = table.succ, set(table.finals), len(table.succ)
-    succ.append([()] * len(m.alphabet))
+    succ, finals, root = table.succ, set(table.finals), table.n
+    for col in succ:
+        col.append(-1)
     for word in dec.residual:
         node = root
         for a in m.letter_positions(word):
-            row = succ[node]
-            if not row[a]:
-                row[a] = (len(succ),)
-                succ.append([()] * len(m.alphabet))
-            node = row[a][0]
+            if succ[a][node] < 0:
+                succ[a][node] = len(succ[0])
+                for col in succ:
+                    col.append(-1)
+            node = succ[a][node]
         finals.add(node)
-    return Table(table.alphabet, succ, frozenset(finals), table.initial + (root,))
+    return Table(table.alphabet, succ, table.sets, frozenset(finals), table.initial + (root,))
 
 
 def verify_decomposition(m: Nfa, dec: Decomposition, mode: str = "exact",
@@ -157,7 +159,7 @@ def _local_preimage(dec: Decomposition, word: Word) -> Optional[Word]:
         reached: dict[int, str] = {}
         for q, z in least.items():
             for b in preimages.get(letter, ()):
-                for dst in table.succ[q][b]:
+                for dst in table.targets(q, b):
                     reached.setdefault(dst, z + chr(b))
         least = reached
     z = next((z for q, z in least.items() if q in table.finals), None)
@@ -327,10 +329,11 @@ def run_corpus(directory: str, *, ratios: Sequence[int] = (2, 3), mode: str = "e
     decomposition fixtures, which are verified against their machine: the
     one with the longest stem the fixture's name starts with.  ``mode`` and
     ``horizon`` apply to the main builds and the fixtures; width-2 builds
-    are verified exactly.  ``cap`` bounds set sizes, enumerated words,
-    product states in either verification mode and the codewords a
-    state-code check holds.  Per-file problems are reported as failing
-    entries without aborting the run; entries come in file-name order.  A
+    are verified exactly.  ``cap`` bounds the context automaton, each
+    window set, the short words, product states in either verification
+    mode and the codewords a state-code check holds.  Per-file problems
+    are reported as failing entries without aborting the run; entries
+    come in file-name order.  A
     ``horizon`` below 1 or a ratio past the index-string limit raises
     ValueError and a ``directory`` that is not one raises
     NotADirectoryError, before any task runs.

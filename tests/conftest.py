@@ -1,5 +1,6 @@
 import pathlib
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import product
@@ -309,11 +310,26 @@ def projected_language(dec: sk.Decomposition, alphabet) -> sk.Nfa:
     return image
 
 
-def _step(succ, s: tuple[int, ...], a: int) -> tuple[int, ...]:
+def _step(t: Table, s: tuple[int, ...], a: int) -> tuple[int, ...]:
     """The ascending subset a table moves the subset ``s`` to on letter ``a``."""
     if len(s) == 1:
-        return succ[s[0]][a]
-    return tuple(sorted({dst for q in s for dst in succ[q][a]}))
+        return t.targets(s[0], a)
+    return tuple(sorted({dst for q in s for dst in t.targets(q, a)}))
+
+
+def table_of_rows(alphabet, rows, finals, initial) -> Table:
+    """The :class:`Table` whose state q moves on letter position a to the
+    ascending tuple ``rows[q][a]``."""
+    succ = [array("i", (-1,)) * len(rows) for _ in alphabet]
+    sets: list[tuple[int, ...]] = [()]
+    for q, row in enumerate(rows):
+        for a, targets in enumerate(row):
+            if len(targets) == 1:
+                succ[a][q] = targets[0]
+            elif targets:
+                sets.append(tuple(targets))
+                succ[a][q] = -len(sets)
+    return Table(tuple(alphabet), succ, sets, frozenset(finals), tuple(initial))
 
 
 def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
@@ -330,7 +346,6 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
-    succ1, succ2 = t1.succ, t2.succ
     fin1, fin2 = t1.finals, t2.finals
     letters = range(len(t1.alphabet))
     start = (t1.initial, t2.initial)
@@ -355,7 +370,7 @@ def reference_differences(t1: Table, t2: Table, cap: int = DEFAULT_CAP,
         if depth == max_len:
             continue
         for a in letters:
-            nxt = (_step(succ1, s1, a), _step(succ2, s2, a))
+            nxt = (_step(t1, s1, a), _step(t2, s2, a))
             if nxt not in parent:
                 if len(parent) >= cap:
                     raise CapacityError(
@@ -370,7 +385,7 @@ def reference_claimed(dec: sk.Decomposition, alphabet) -> Table:
     start subset, even when the residual is empty.  Its subsets merge window
     states and trie nodes."""
     projected = compile_spec(dec.slt, onto=(tuple(alphabet), dec.pi.letter))
-    succ = list(projected.succ)
+    succ = [[projected.targets(q, a) for a in range(len(alphabet))] for q in range(projected.n)]
     index = {a: i for i, a in enumerate(alphabet)}
     root = len(succ)
     succ.append([()] * len(alphabet))
@@ -388,7 +403,29 @@ def reference_claimed(dec: sk.Decomposition, alphabet) -> Table:
                 succ.append([()] * len(alphabet))
             node = row[a][0]
         finals.add(node)
-    return Table(tuple(alphabet), succ, frozenset(finals), projected.initial + (root,))
+    return table_of_rows(alphabet, succ, finals, projected.initial + (root,))
+
+
+def reference_serialize(dec: sk.Decomposition) -> str:
+    """The ``.dec`` text written a line at a time, one decoded tuple and one
+    formatted line per word: the layout
+    :func:`sltkit.serialize_decomposition` keeps, without its token checks."""
+    lines = [f"kind {dec.kind}"]
+    if dec.source_fingerprint:
+        lines.append(f"source {dec.source_fingerprint}")
+    if dec.kind == "main":
+        lines.append(f"h {dec.h}")
+        lines.append(f"m {dec.m}")
+    lines.append(f"k {dec.slt.width}")
+    lines.extend(f"symbol {sym} -> {dec.pi.letter(sym)}" for sym in dec.slt.alphabet)
+    spec = dec.slt
+    for header, words in (("I", spec.prefixes), ("T", spec.suffixes),
+                          ("F", spec.factors), ("SHORT", spec.short_words)):
+        lines.append(header)
+        lines.extend(sk.format_word(spec.decode(z)) for z in words)
+    lines.append("RESIDUAL")
+    lines.extend(sk.format_word(word) for word in dec.residual)
+    return "\n".join(lines) + "\n"
 
 
 def infer_slt(sample, k: int, alphabet=None) -> sk.SltSpec:

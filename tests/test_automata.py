@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -281,12 +283,39 @@ class TestTable:
             assert m == machine and m.transitions == machine.transitions
             expected = {(q, a): tuple(sorted({d for s, b, d in given_order if (s, b) == (q, a)}))
                         for q in range(m.n) for a in m.alphabet}
-            assert m.table.succ == [tuple(expected[q, a] for a in m.alphabet)
-                                    for q in range(m.n)]
+            assert m.table.n == m.n
+            assert all(m.table.targets(q, i) == expected[q, a]
+                       for q in range(m.n) for i, a in enumerate(m.alphabet))
             assert m.total == all(expected.values())
             assert all(m.step(q, a) == targets for (q, a), targets in expected.items())
             with pytest.raises(ValueError, match="unknown letter: 'zz'"):
                 m.step(m.initial, "zz")
+
+    def test_entries_with_several_successors_name_their_tuples(self):
+        rng = random.Random(7)
+        expected = {(q, a): tuple(sorted(rng.sample(range(6), rng.choice((0, 1, 2, 3, 6)))))
+                    for q in range(6) for a in range(2)}
+        moves = [(q, "ab"[a], dst) for (q, a), targets in expected.items() for dst in targets]
+        rng.shuffle(moves)
+        m = Nfa(n=6, alphabet=("a", "b"), transitions=tuple(moves + moves[::2]), initial=0,
+                finals=frozenset({5}))
+        t = m.table
+        assert t.n == m.n and [col.typecode for col in t.succ] == ["i", "i"]
+        assert t.sets[0] == () and all(len(targets) > 1 for targets in t.sets[1:])
+        for (q, a), targets in expected.items():
+            entry = t.succ[a][q]
+            assert t.targets(q, a) == targets == m.step(q, "ab"[a])
+            assert (entry == -1) == (not targets) and (entry >= 0) == (len(targets) == 1)
+        assert m.total == all(expected.values())
+        assert sorted({(q, "ab"[a], d) for (q, a), ts in expected.items() for d in ts}) == list(
+            m.transitions)
+
+    def test_an_id_past_the_entry_range_raises(self, aplus):
+        # 4-byte entries; the array refuses an id it cannot hold instead of wrapping it
+        col = aplus.table.succ[0][:]
+        assert col.itemsize == 4
+        with pytest.raises(OverflowError):
+            col.append(2**31)
 
     def test_step_rejects_an_unknown_state(self, aplus):
         assert aplus.step(1, "a") == (1,)

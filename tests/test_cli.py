@@ -415,3 +415,15 @@ def test_readme_flags_exist():
     flags = readme_flags()
     assert {"--mode", "--maxlen", "--cap", "--max-k"} <= flags
     assert flags <= known, f"README names unknown flags: {sorted(flags - known)}"
+
+
+def test_cap_help_names_what_each_cap_bounds():
+    # nothing is enumerated: the caps bound automata, window sets and searches
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {name: sub._option_string_actions["--cap"].help
+             for name, sub in commands.choices.items() if "--cap" in sub._option_string_actions}
+    assert sorted(helps) == ["build", "corpus", "minwidth", "verify"]
+    assert not any("enumerat" in text for text in helps.values())
+    assert all(text.startswith("cap on ") for text in helps.values())
+    assert "the short words" in helps["build"] and "the compiled spec" in helps["minwidth"]

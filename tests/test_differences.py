@@ -74,7 +74,8 @@ def assert_claimed_search_matches_merged(machine, dec):
 
 
 def has_multi_state_subset(t):
-    return any(len(targets) > 1 for row in t.succ for targets in row) or len(t.initial) > 1
+    return (any(len(t.targets(q, a)) > 1 for q in range(t.n) for a in range(len(t.alphabet)))
+            or len(t.initial) > 1)
 
 
 @settings(max_examples=80, deadline=None)

@@ -319,22 +319,23 @@ class TestCompile:
     def test_state_cap_is_the_state_count(self, machines, build_main, name):
         dec = build_main(name, 2)
         for onto in (None, (machines[name].alphabet, dec.pi.letter)):
-            count = len(compile_spec(dec.slt, onto=onto).succ)
+            count = compile_spec(dec.slt, onto=onto).n
             for cap in range(count):
                 with pytest.raises(CapacityError, match=f"cap of {cap} states"):
                     compile_spec(dec.slt, state_cap=cap, onto=onto)
-            assert len(compile_spec(dec.slt, state_cap=count, onto=onto).succ) == count
+            assert compile_spec(dec.slt, state_cap=count, onto=onto).n == count
 
     def test_projection_keeps_the_states_and_merges_rows(self, machines, build_main):
         machine, dec = machines["nondet"], build_main("nondet", 2)
         symbols = compile_spec(dec.slt)
         letters = compile_spec(dec.slt, onto=(machine.alphabet, dec.pi.letter))
         assert letters.alphabet == machine.alphabet and letters.finals == symbols.finals
-        for row, projected in zip(symbols.succ, letters.succ, strict=True):
+        assert letters.n == symbols.n
+        for q in range(symbols.n):
             for a, letter in enumerate(machine.alphabet):
-                assert projected[a] == tuple(sorted(
-                    dst for b, targets in enumerate(row) for dst in targets
-                    if dec.pi.letter(dec.slt.alphabet[b]) == letter))
+                assert letters.targets(q, a) == tuple(sorted(
+                    dst for b, symbol in enumerate(dec.slt.alphabet)
+                    for dst in symbols.targets(q, b) if dec.pi.letter(symbol) == letter))
 
 
 class TestInfer:

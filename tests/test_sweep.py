@@ -63,7 +63,8 @@ def assert_same_sweeps(machine, h):
 
 
 def is_nondeterministic(machine) -> bool:
-    return any(len(targets) > 1 for row in machine.table.succ for targets in row)
+    t = machine.table
+    return any(len(t.targets(q, a)) > 1 for q in range(t.n) for a in range(len(t.alphabet)))
 
 
 def assert_matches_path_enumeration(machine, h, width):

@@ -100,11 +100,22 @@ class TestVerify:
         assert report.mode == "bounded" and report.notice is not None
         assert report.ok and report.horizon == 3
 
+    def test_searches_leave_the_machine_table_as_it_was(self, machines, build_main):
+        # the subset ids the search adds go to copies of the table's arrays
+        machine = machines["nondet"]
+        table = machine.table
+        before = ([col.tolist() for col in table.succ], list(table.sets))
+        assert len(table.sets) > 1  # the source has entries with several successors
+        for dec in (build_main("nondet", 2), paper_main(machine, 2)) * 2:
+            assert sk.verify_decomposition(machine, dec, mode="exact").ok
+        assert machine.table is table
+        assert ([col.tolist() for col in table.succ], list(table.sets)) == before
+
     def test_compile_cap_is_not_a_fallback(self, machines, build_main, monkeypatch):
         # bounded mode searches the same compiled table, so there is no
         # cheaper check to fall back to when the spec does not compile
         machine, dec = machines["nondet"], build_main("nondet", 2)
-        count = len(compile_spec(dec.slt).succ)
+        count = compile_spec(dec.slt).n
         monkeypatch.setattr(verification, "compile_spec",
                             partial(compile_spec, state_cap=count - 1))
         for mode in ("exact", "bounded"):
